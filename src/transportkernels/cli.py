@@ -5,7 +5,8 @@ enumerate (stream a table set to CSV), nw (corner-rule vertices),
 psd-check (certify a weight matrix), ot (exact transport baseline).
 
 Exit codes: 0 success / certificate passed, 1 input or validation error,
-2 certificate failed, 3 enumeration budget exceeded.
+2 certificate failed, 3 budget exceeded (tables streamed by enumerate,
+row compositions visited by the volume and transport folds).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import fileio
-from .errors import BudgetExceededError, TransportKernelError
+from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
 from .northwest import nw_kernel, nw_permuted, nw_table, sample_permutations
 from .ot import ot_cost, pseudo_kernel
@@ -57,6 +58,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> RunConfig:
+        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValidationError(f"unknown run config keys: {', '.join(unknown)}")
         return cls(**payload)
 
 
@@ -260,8 +264,12 @@ def run(config: RunConfig) -> int:
 
 def run_from_manifest(manifest_path: str | Path) -> int:
     """Re-execute the run recorded in a gram manifest."""
-    manifest = fileio.read_json(manifest_path)
-    return run(RunConfig.from_dict(manifest["config"]))
+    try:
+        config = RunConfig.from_dict(fileio.read_json(manifest_path)["config"])
+    except ValidationError as exc:
+        print(f"error: {manifest_path}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return run(config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,11 +2,12 @@
 
 The transportation problem between equal-mass integral histograms always
 has an integral minimizer, so the exact optimum is the minimum of
-<X, M> over the finite table set. For Monge costs (submodular: adjacent
-2x2 minors tilt toward the diagonal) the northwestern corner vertex is
-already optimal and no enumeration happens. exp(-optimal cost) is a
-useful similarity but not positive definite in general, hence the
-"pseudo" in its name.
+<X, M> over the finite table set: the zero-temperature limit of the
+softmin behind the weighted volume, computed by the same row fold in
+the (min, +) semiring. For Monge costs (submodular: adjacent 2x2 minors
+tilt toward the diagonal) the northwestern corner vertex is already
+optimal and no fold runs. exp(-optimal cost) is a useful similarity but
+not positive definite in general, hence the "pseudo" in its name.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .histograms import ContingencyTable, Histogram, require_compatible
 from .northwest import nw_table
 from .polytope import (
     EnumerationBudget,
     WeightSpec,
-    enumerate_tables,
+    _cells,
+    _fold,
     require_matching_weights,
 )
 
@@ -56,26 +57,27 @@ def ot_cost(
 ) -> TransportSolution:
     """Exact minimum transport cost and a minimizing table.
 
-    Monge costs take the O(d) corner-rule shortcut; everything else
-    scans the enumeration stream and keeps the first strict minimum, so
-    ties resolve to the lexicographically earliest table.
+    Monge costs take the O(d) corner-rule shortcut. Everything else runs
+    the row fold in the (min, +) semiring over (cost, row-major entries)
+    pairs, so ties, infeasible costs included, resolve to the
+    lexicographically earliest table.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)
     m = w.cost
     if monge_check(w):
         plan = nw_table(r, c)
-        return TransportSolution(plan, plan.cost(m))
-    best: ContingencyTable | None = None
-    best_cost = math.inf
-    for table in enumerate_tables(r, c, budget):
-        cost = table.cost(m)
-        if cost < best_cost:
-            best = table
-            best_cost = cost
-    if best is None:
-        raise ValidationError("table set is empty; margins were not validated")
-    return TransportSolution(best, best_cost)
+    else:
+        budget = budget if budget is not None else EnumerationBudget()
+        cells = _cells(r, m, lambda cost, e: (cost * e if e else 0.0, (e,)))
+        # (inf, (inf,)) sorts after every (cost, entries) pair: the identity of min.
+        _, flat = _fold(r, c, cells, _concat, min, (math.inf, (math.inf,)), budget)
+        plan = ContingencyTable(tuple(flat[i : i + r.d] for i in range(0, len(flat), r.d)))
+    return TransportSolution(plan, plan.cost(m))
+
+
+def _concat(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1])
 
 
 def pseudo_kernel(

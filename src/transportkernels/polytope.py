@@ -2,8 +2,10 @@
 
 For two histograms r and c with d bins and equal mass N, the table set
 is the collection of d x d nonnegative integer matrices whose row sums
-are r and whose column sums are c. This module enumerates that set,
-counts it without materializing it, and evaluates two sums over it:
+are r and whose column sums are c. This module enumerates that set and
+folds over it row by row: one memoized recursion over (row, residual
+column sums) that counts it, sums its weights and, in `ot`, finds its
+cheapest table, each in its own semiring. Two sums over the set:
 
 * the weighted volume  T(r, c; K) = sum over tables X of prod k_ij^x_ij,
   a positive definite kernel in (r, c) whenever the entry-weight matrix
@@ -26,7 +28,10 @@ cost even when the matching cost entry is +inf.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -40,16 +45,10 @@ from .histograms import ContingencyTable, Histogram, require_compatible
 
 DEFAULT_MAX_TABLES = 10_000_000
 
-# Regime bounds for plain float accumulation in weighted_volume: beyond
-# either bound the per-table products risk underflow and the sum switches
-# to log-space combination.
-PLAIN_MASS_LIMIT = 64
-PLAIN_WEIGHT_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on how many tables an exhaustive operation may touch."""
+    """Cap on the tables enumeration streams or the row compositions a fold visits."""
 
     max_tables: int = DEFAULT_MAX_TABLES
 
@@ -189,31 +188,61 @@ def _table_stream(
     return rec(0, c.counts)
 
 
-def count_tables(r: Histogram, c: Histogram) -> int:
-    """Exact number of tables with margins (r, c), by DP over rows.
+def _cells(r: Histogram, mat: np.ndarray, value) -> list:
+    """cell[i][j][e] = value(mat[i, j], e) for e up to the row sum r_i."""
+    return [
+        [[value(float(mat[i, j]), e) for e in range(n + 1)] for j in range(r.d)]
+        for i, n in enumerate(r.counts)
+    ]
 
-    No table is materialized; the state is (row index, residual column
-    sums) and the answer is an arbitrary-precision int. Always equals
-    the length of the enumeration stream.
+
+def _fold(r, c, cell, times, plus, zero, budget: EnumerationBudget | None):
+    """`plus` over the tables of (r, c) of the `times` product of their cells.
+
+    cell[i][j][e] is the value of e units in cell (i, j); products run in
+    row-major order. The memo is keyed by (row i, residual column sums) and
+    the last row is forced. A row whose value equals `zero` is skipped with
+    its subtree. More than budget.max_tables row compositions visited raise
+    BudgetExceededError.
     """
-    require_compatible(r, c)
     d = r.d
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    cap = budget.max_tables if budget is not None else math.inf
+    visited = 0
+    memo: dict[tuple[int, tuple[int, ...]], object] = {}
 
-    def rec(i: int, residual: tuple[int, ...]) -> int:
+    def rec(i: int, residual: tuple[int, ...]):
+        nonlocal visited
+        row = cell[i]
         if i == d - 1:
-            return 1
+            return reduce(times, map(list.__getitem__, row, residual))
         key = (i, residual)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        total = 0
+        total = zero
         for x in _bounded_compositions(r.counts[i], residual):
-            total += rec(i + 1, tuple(a - b for a, b in zip(residual, x)))
+            visited += 1
+            if visited > cap:
+                msg = f"more than {cap} row compositions needed for margins {r} / {c}"
+                raise BudgetExceededError(msg, count_so_far=visited - 1)
+            term = reduce(times, map(list.__getitem__, row, x))
+            if term != zero:
+                sub = rec(i + 1, tuple(map(operator.sub, residual, x)))
+                total = plus(total, times(term, sub))
         memo[key] = total
         return total
 
     return rec(0, c.counts)
+
+
+def count_tables(r: Histogram, c: Histogram) -> int:
+    """Exact number of tables with margins (r, c): the row fold over ints.
+
+    Always equals the length of the enumeration stream.
+    """
+    require_compatible(r, c)
+    cells = [[[1] * (n + 1)] * r.d for n in r.counts]
+    return _fold(r, c, cells, operator.mul, operator.add, 0, None)
 
 
 def weighted_volume(
@@ -224,77 +253,23 @@ def weighted_volume(
 ) -> float:
     """T(r, c; K): sum over all tables of the product of k_ij^x_ij.
 
-    Within the plain regime (mass at most 64 and every weight at least
-    1e-12) the sum is accumulated as ordinary float products, factorized
-    row by row over residual column sums. Outside it, per-table log
-    weights are combined by a running log-sum-exp so tiny weights and
-    large masses cannot underflow term by term. 0^0 = 1 throughout.
+    The row fold runs on the float powers k_ij^e. If a power overflows or
+    the result is not a normal float (zero, subnormal, inf or NaN), it
+    runs once more on log weights -e m_ij under logaddexp, so large masses
+    and tiny weights keep their relative accuracy. 0^0 = 1 throughout.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)
     budget = budget if budget is not None else EnumerationBudget()
-    if count_tables(r, c) > budget.max_tables:
-        raise BudgetExceededError(
-            f"more than {budget.max_tables} tables exist for margins {r} / {c}",
-            count_so_far=0,
-        )
-    if r.mass <= PLAIN_MASS_LIMIT and float(w.weight.min()) >= PLAIN_WEIGHT_FLOOR:
-        return _volume_plain(r, c, w.weight)
-    return _volume_logspace(r, c, w, budget)
-
-
-def _volume_plain(r: Histogram, c: Histogram, k: np.ndarray) -> float:
-    d = r.d
-    # pw[i][j][e] = k_ij^e for e up to the row sum; row entries never exceed it.
-    pw = [
-        [[float(k[i, j]) ** e for e in range(r.counts[i] + 1)] for j in range(d)]
-        for i in range(d)
-    ]
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
-
-    def rec(i: int, residual: tuple[int, ...]) -> float:
-        row_pw = pw[i]
-        if i == d - 1:
-            out = 1.0
-            for j, e in enumerate(residual):
-                out *= row_pw[j][e]
-            return out
-        key = (i, residual)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0.0
-        for x in _bounded_compositions(r.counts[i], residual):
-            term = 1.0
-            for j, e in enumerate(x):
-                term *= row_pw[j][e]
-            if term:
-                term *= rec(i + 1, tuple(a - b for a, b in zip(residual, x)))
-                total += term
-        memo[key] = total
-        return total
-
-    return rec(0, c.counts)
-
-
-def _volume_logspace(
-    r: Histogram, c: Histogram, w: WeightSpec, budget: EnumerationBudget
-) -> float:
-    m = w.cost
-    running_max = -math.inf
-    acc = 0.0
-    for table in enumerate_tables(r, c, budget):
-        lw = -table.cost(m)
-        if lw == -math.inf:
-            continue
-        if lw > running_max:
-            acc = acc * math.exp(running_max - lw) + 1.0
-            running_max = lw
-        else:
-            acc += math.exp(lw - running_max)
-    if running_max == -math.inf:
-        return 0.0
-    return _safe_exp(running_max + math.log(acc))
+    try:
+        cells = _cells(r, w.weight, lambda k, e: k**e)
+        value = _fold(r, c, cells, operator.mul, operator.add, 0.0, budget)
+    except OverflowError:
+        value = math.inf
+    if sys.float_info.min <= value < math.inf:
+        return value
+    logs = _cells(r, -w.cost, lambda lk, e: lk * e if e else 0.0)
+    return _safe_exp(_fold(r, c, logs, operator.add, np.logaddexp, -math.inf, budget))
 
 
 def _safe_exp(x: float) -> float:

@@ -19,7 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, KernelEvaluationError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    ConvergenceError,
+    KernelEvaluationError,
+    ValidationError,
+)
 from .histograms import Histogram
 from .polytope import WeightSpec
 
@@ -207,7 +212,8 @@ def build_gram(
 
     All histograms must share both the bin count and the total mass;
     kernels here are defined only within one equal-dimension, equal-mass
-    family. Exactly m(m+1)/2 kernel evaluations are made.
+    family. Exactly m(m+1)/2 kernel evaluations are made; failures other
+    than BudgetExceededError are wrapped in KernelEvaluationError.
     """
     histograms = list(histograms)
     if not histograms:
@@ -231,6 +237,8 @@ def build_gram(
         for q in range(p, m):
             try:
                 v = float(kernel(histograms[p], histograms[q]))
+            except BudgetExceededError:
+                raise
             except Exception as exc:
                 raise KernelEvaluationError(
                     f"kernel evaluation failed at pair ({p}, {q}): {exc}"

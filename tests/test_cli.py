@@ -95,6 +95,17 @@ def test_manifest_reruns_reproduce_artifacts(tmp_path, hists3, weights3):
     assert (out / "gram.csv").read_bytes() == original
 
 
+def test_manifest_with_unknown_key_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = tmp_path / "out"
+    main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+          "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["bogus"] = 1
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
+    assert "unknown run config keys: bogus" in capsys.readouterr().err
+
+
 def test_gram_pseudo_indefinite_exits_2_with_artifacts(tmp_path, capsys):
     hists = write(tmp_path / "h.txt", "1,0,0\n0,1,0\n0,0,1\n")
     w = write(
@@ -133,6 +144,15 @@ def test_enumerate_budget_exit(tmp_path, capsys):
     assert "wrote 7 of 8" in capsys.readouterr().err
     lines = (out / "tables.csv").read_text().splitlines()
     assert len(lines) == 8  # header + the seven tables that fit
+
+
+def test_gram_budget_exit(tmp_path, capsys):
+    hists = write(tmp_path / "h.txt", "7,23\n12,18\n")
+    w = write(tmp_path / "w.txt", "mode: weight\n1.0,0.5\n0.5,1.0\n")
+    code = main(["gram", "--input", hists, "--weights", w, "--kernel", "volume",
+                 "--budget", "7", "--out", str(tmp_path / "out")])
+    assert code == EXIT_BUDGET
+    assert "more than 7 row compositions" in capsys.readouterr().err
 
 
 def test_nw_prints_fixture(pair, capsys):

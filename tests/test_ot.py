@@ -86,7 +86,23 @@ def test_total_variation_closed_form():
         r, c = random_pair(rng, d, int(rng.integers(0, 9)))
         w = total_variation_cost(d)
         expected = sum(abs(a - b) for a, b in zip(r.counts, c.counts)) / 2
-        assert ot_cost(r, c, w).cost == expected
+        sol = ot_cost(r, c, w)
+        assert sol.cost == expected
+        tables = list(enumerate_tables(r, c))
+        costs = [t.cost(w.cost) for t in tables]
+        assert sol.plan == tables[costs.index(min(costs))]
+
+
+def test_infeasible_non_monge_cost_is_inf():
+    # the only table uses a +inf cell
+    inf = float("inf")
+    w = WeightSpec.from_cost([[0.0, 0.0, inf], [0.0, 9.0, 0.0], [inf, 0.0, 0.0]])
+    assert not monge_check(w)
+    r, c = Histogram((1, 0, 0)), Histogram((0, 0, 1))
+    sol = ot_cost(r, c, w)
+    assert sol.cost == inf
+    assert sol.plan.entries == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+    assert pseudo_kernel(r, c, w) == 0.0
 
 
 def test_pseudo_kernel_value():

@@ -130,8 +130,8 @@ def test_volume_matches_generating_function():
         assert v == pytest.approx(g, rel=1e-12)
 
 
-def test_volume_log_path_agrees_with_plain():
-    # force the log-space route with a weight below the plain-path floor
+def test_volume_tiny_weight_matches_direct_sum():
+    # a weight far below 1 keeps full relative accuracy against a direct sum
     r, c = Histogram((3, 2)), Histogram((2, 3))
     tiny = 1e-30
     w = WeightSpec.from_weight([[0.5, tiny], [0.25, 0.75]])
@@ -142,11 +142,38 @@ def test_volume_log_path_agrees_with_plain():
     assert weighted_volume(r, c, w) == pytest.approx(direct, rel=1e-10)
 
 
-def test_volume_large_mass_uses_log_path():
-    # 0.5^70 underflows a naive product chain badly; the log path holds it
+def test_volume_large_mass_keeps_relative_accuracy():
+    # a mass-70 product of weights below 1 comes back at full relative accuracy
     r, c = Histogram((70, 0)), Histogram((0, 70))
     w = WeightSpec.from_weight([[0.3, 0.5], [0.9, 0.1]])
     assert weighted_volume(r, c, w) == pytest.approx(0.5 ** 70, rel=1e-12)
+
+
+def test_volume_rerun_on_log_weights_when_powers_overflow():
+    # e^40 to the 20th power overflows a float; every table is worth exactly 1
+    e = math.exp(1.0)
+    w = WeightSpec.from_weight([[e ** 40, 1.0], [1.0, e ** -40]])
+    r = Histogram((20, 20))
+    assert weighted_volume(r, r, w) == pytest.approx(21.0, rel=1e-12)
+
+
+def test_volume_and_transport_never_enumerate(monkeypatch):
+    import transportkernels.ot as ot
+    import transportkernels.polytope as polytope
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_tables called")
+
+    monkeypatch.setattr(polytope, "enumerate_tables", refuse)
+    assert not hasattr(ot, "enumerate_tables")
+    r, c = Histogram((4, 3, 2, 1)), Histogram((1, 2, 3, 4))
+    d = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    forbidden = WeightSpec.from_cost(np.where(d > 2, np.inf, 0.5 * d))
+    assert weighted_volume(r, c, forbidden) > 0.0
+    rng = np.random.default_rng(3)
+    scan = WeightSpec.from_cost(rng.random((4, 4)))
+    assert not ot.monge_check(scan)
+    assert ot.ot_cost(r, c, scan).plan.col_sums.counts == c.counts
 
 
 def test_softmin_identities():
