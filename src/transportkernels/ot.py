@@ -59,8 +59,9 @@ def ot_cost(
 
     Monge costs take the O(d) corner-rule shortcut. Everything else runs
     the row fold in the (min, +) semiring over (cost, row-major entries)
-    pairs, so ties, infeasible costs included, resolve to the
-    lexicographically earliest table.
+    pairs, so exact ties of the fold's sums, infeasible costs included,
+    resolve to the lexicographically earliest table; costs that differ
+    only in rounding may compare either way.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)

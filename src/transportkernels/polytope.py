@@ -253,21 +253,24 @@ def weighted_volume(
 ) -> float:
     """T(r, c; K): sum over all tables of the product of k_ij^x_ij.
 
-    The row fold runs on the float powers k_ij^e. If a power overflows or
-    the result is not a normal float (zero, subnormal, inf or NaN), it
-    runs once more on log weights -e m_ij under logaddexp, so large masses
-    and tiny weights keep their relative accuracy. 0^0 = 1 throughout.
+    Every partial product of the row fold is at least kmin^N (kmin the
+    smallest nonzero weight capped at 1, N the mass). While that bound is
+    a normal float the fold runs on the float powers k_ij^e; otherwise, or
+    if a power overflows or the result is inf or NaN, it runs on log
+    weights -e m_ij under logaddexp. 0^0 = 1 throughout.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)
     budget = budget if budget is not None else EnumerationBudget()
-    try:
-        cells = _cells(r, w.weight, lambda k, e: k**e)
-        value = _fold(r, c, cells, operator.mul, operator.add, 0.0, budget)
-    except OverflowError:
-        value = math.inf
-    if sys.float_info.min <= value < math.inf:
-        return value
+    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
+    if r.mass * math.log(floor) >= math.log(sys.float_info.min):
+        try:
+            cells = _cells(r, w.weight, lambda k, e: k**e)
+            value = _fold(r, c, cells, operator.mul, operator.add, 0.0, budget)
+        except OverflowError:
+            value = math.inf
+        if value < math.inf:
+            return value
     logs = _cells(r, -w.cost, lambda lk, e: lk * e if e else 0.0)
     return _safe_exp(_fold(r, c, logs, operator.add, np.logaddexp, -math.inf, budget))
 

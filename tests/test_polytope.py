@@ -149,12 +149,28 @@ def test_volume_large_mass_keeps_relative_accuracy():
     assert weighted_volume(r, c, w) == pytest.approx(0.5 ** 70, rel=1e-12)
 
 
-def test_volume_rerun_on_log_weights_when_powers_overflow():
+def test_volume_log_weights_when_powers_leave_float_range():
     # e^40 to the 20th power overflows a float; every table is worth exactly 1
     e = math.exp(1.0)
     w = WeightSpec.from_weight([[e ** 40, 1.0], [1.0, e ** -40]])
     r = Histogram((20, 20))
     assert weighted_volume(r, r, w) == pytest.approx(21.0, rel=1e-12)
+    # 1e160 squared overflows in the first row, the total is about 1e168
+    w = WeightSpec.from_weight([[1e160, 1.0], [1.0, 1e-76]])
+    r = Histogram((2, 2))
+    v = weighted_volume(r, r, w)
+    assert 1e167 < v < math.inf
+    assert v == pytest.approx(generating_function(r, r, w), rel=1e-12, abs=0)
+
+
+def test_volume_intermediate_underflow_keeps_dominant_term():
+    # (1e-170)^2 underflows to 0 in the first row, yet its table is worth
+    # 1e-32 and dominates the 1e-216 of the only other nonzero table
+    w = WeightSpec.from_weight([[1e-170, 1e-100], [1e-100, 1e154]])
+    r = Histogram((2, 2))
+    v = weighted_volume(r, r, w)
+    assert v == pytest.approx(generating_function(r, r, w), rel=1e-12, abs=0)
+    assert v == pytest.approx(1e-32, rel=1e-12, abs=0)
 
 
 def test_volume_and_transport_never_enumerate(monkeypatch):
