@@ -24,7 +24,6 @@ from .ot import ot_cost, pseudo_kernel
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
-    count_tables,
     enumerate_tables,
     weighted_volume,
 )
@@ -177,18 +176,16 @@ def cmd_enumerate(config: RunConfig) -> int:
     r, c = _load_pair(config)
     budget = EnumerationBudget(config.budget)
     out = _out_dir(config)
-    total = count_tables(r, c)
     path = out / "tables.csv"
     written = 0
     with path.open("w") as fh:
-        fh.write(f"# count={total}\n")
         try:
             for table in enumerate_tables(r, c, budget):
                 fh.write(fileio.format_table_row(table.entries) + "\n")
                 written += 1
         except BudgetExceededError as exc:
             print(
-                f"budget exceeded: wrote {exc.count_so_far} of {total} tables",
+                f"budget exceeded: wrote {exc.count_so_far} tables",
                 file=sys.stderr,
             )
             return EXIT_BUDGET

@@ -177,11 +177,10 @@ def nw_cost_matrix(
         ],
         axis=2,
     )
-    marker = np.zeros((1, 1, 2 * d), dtype=np.int64)
-    marker[..., :d] = 1
     order = np.argsort(vals, axis=2, kind="stable")
     svals = np.take_along_axis(vals, order, axis=2)
-    smark = np.take_along_axis(np.broadcast_to(marker, vals.shape), order, axis=2)
+    # Row boundaries come first in vals, so the stable sort marks them.
+    smark = order < d
     masses = np.diff(svals, axis=2, prepend=0)
 
     # Row index of a segment = number of row boundaries strictly before it;
@@ -202,22 +201,15 @@ def nw_cost_matrix(
 
 
 def nw_kernel(
-    r: Histogram,
-    c: Histogram,
-    w: WeightSpec,
-    rset: PermutationSet,
-    normalize: bool = False,
+    r: Histogram, c: Histogram, w: WeightSpec, rset: PermutationSet
 ) -> float:
     """Sampled-vertex kernel: sum of exp(-cost) over all |R|^2 vertex pairs.
 
     Positive definite in (r, c) whenever K = exp(-M) entrywise is a
-    symmetric positive semidefinite matrix. The optional normalization
-    divides by the pair count; it is off by default so kernel values
-    from runs with different set sizes are never silently mixed.
+    symmetric positive semidefinite matrix. The sum is not divided by
+    the pair count, so values from sets of different sizes differ in
+    scale.
     """
     costs = nw_cost_matrix(r, c, w, rset)
     with np.errstate(over="ignore"):
-        total = float(np.exp(-costs).sum())
-    if normalize:
-        total /= len(rset) ** 2
-    return total
+        return float(np.exp(-costs).sum())

@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from transportkernels import ParseError, fileio
+from transportkernels import ParseError, fileio, polytope
 from transportkernels.cli import (
     EXIT_BUDGET,
     EXIT_CERT_FAIL,
@@ -128,11 +129,11 @@ def test_enumerate_header_and_rows(tmp_path, capsys):
     code = main(["enumerate", "--input", pair, "--out", str(out)])
     assert code == EXIT_OK
     lines = (out / "tables.csv").read_text().splitlines()
-    assert lines[0] == "# count=8"
-    assert len(lines) == 9
+    # one row per table, no header
+    assert len(lines) == 8
     # row-major flattening of the first (lexicographically smallest) table
-    assert lines[1] == "0,7,12,11"
-    rows = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
+    assert lines[0] == "0,7,12,11"
+    rows = [tuple(int(v) for v in line.split(",")) for line in lines]
     assert all(r[0] + r[1] == 7 and r[0] + r[2] == 12 for r in rows)
 
 
@@ -141,9 +142,39 @@ def test_enumerate_budget_exit(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["enumerate", "--input", pair, "--budget", "7", "--out", str(out)])
     assert code == EXIT_BUDGET
-    assert "wrote 7 of 8" in capsys.readouterr().err
+    assert "budget exceeded: wrote 7 tables" in capsys.readouterr().err
     lines = (out / "tables.csv").read_text().splitlines()
-    assert len(lines) == 8  # header + the seven tables that fit
+    assert len(lines) == 7  # the seven tables that fit
+
+
+def test_enumerate_streams_without_counting(tmp_path, monkeypatch, capsys):
+    # 79,315,936,751 tables exist for this pair; a budgeted run must stop
+    # after the budget without first folding over the whole table set
+    def no_fold(*args, **kwargs):
+        raise AssertionError("enumerate must not run the row fold")
+
+    monkeypatch.setattr(polytope, "_fold", no_fold)
+    pair = write(tmp_path / "pair.txt", "10,10,10,10,10\n10,10,10,10,10\n")
+    out = tmp_path / "out"
+    code = main(["enumerate", "--input", pair, "--budget", "10", "--out", str(out)])
+    assert code == EXIT_BUDGET
+    assert "budget exceeded: wrote 10 tables" in capsys.readouterr().err
+    assert len((out / "tables.csv").read_text().splitlines()) == 10
+
+
+def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
+    # weights e^40 at mass 40 overflow the volume to inf; the Gram matrix
+    # must refuse it before any arithmetic on inf can warn
+    hists = write(tmp_path / "h.txt", "20,20\n20,20\n25,15\n")
+    w = write(tmp_path / "w.txt", "mode: cost\n-40,0\n0,-40\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["gram", "--input", hists, "--weights", w, "--kernel", "volume",
+                     "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert "Gram matrix has non-finite entries" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_gram_budget_exit(tmp_path, capsys):

@@ -148,16 +148,6 @@ def test_nw_kernel_symmetric_weights_give_symmetric_value():
     )
 
 
-def test_nw_kernel_normalization():
-    rng = np.random.default_rng(29)
-    r, c = random_pair(rng, 3, 9)
-    w = random_psd_weight(rng, 3)
-    rset = sample_permutations(3, 6, seed=2)
-    raw = nw_kernel(r, c, w, rset)
-    scaled = nw_kernel(r, c, w, rset, normalize=True)
-    assert scaled == pytest.approx(raw / len(rset.perms) ** 2, rel=1e-15)
-
-
 def test_nw_kernel_full_group_equals_double_sum():
     # with R = S_d the kernel is the plain double sum over patterns
     rng = np.random.default_rng(31)

@@ -139,14 +139,14 @@ def test_volume_tiny_weight_matches_direct_sum():
         math.prod(w.weight[i, j] ** t.entries[i][j] for i in range(2) for j in range(2))
         for t in enumerate_tables(r, c)
     )
-    assert weighted_volume(r, c, w) == pytest.approx(direct, rel=1e-10)
+    assert weighted_volume(r, c, w) == pytest.approx(direct, rel=1e-10, abs=0)
 
 
 def test_volume_large_mass_keeps_relative_accuracy():
     # a mass-70 product of weights below 1 comes back at full relative accuracy
     r, c = Histogram((70, 0)), Histogram((0, 70))
     w = WeightSpec.from_weight([[0.3, 0.5], [0.9, 0.1]])
-    assert weighted_volume(r, c, w) == pytest.approx(0.5 ** 70, rel=1e-12)
+    assert weighted_volume(r, c, w) == pytest.approx(0.5 ** 70, rel=1e-12, abs=0)
 
 
 def test_volume_log_weights_when_powers_leave_float_range():

@@ -28,7 +28,7 @@ def test_jacobi_two_by_two_exact():
 
 def test_jacobi_matches_reference_solver():
     rng = np.random.default_rng(61)
-    for n in (1, 2, 3, 5, 8, 12):
+    for n in (1, 2, 3, 5, 8, 12, 75, 101):
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2
         vals, vecs = jacobi_eigh(a)
@@ -115,6 +115,8 @@ def test_psd_weight_check():
     asym = WeightSpec.from_cost([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):
         psd_weight_check(asym)
+    with pytest.raises(ValidationError):
+        psd_weight_check(w, tolerance=-1e-8)
 
 
 def test_build_gram_evaluates_upper_triangle_once():
