@@ -114,11 +114,10 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     ring = np.arange(m)
     rounds = []
     for _ in range(m - 1):
-        left, right = ring[: m // 2], ring[::-1][: m // 2]
-        p, q = np.minimum(left, right), np.maximum(left, right)
+        p, q = np.sort([ring[: m // 2], ring[::-1][: m // 2]], axis=0)
         keep = q < n
         rounds.append((p[keep], q[keep]))
-        ring = np.concatenate((ring[:1], np.roll(ring[1:], 1)))
+        ring[1:] = np.roll(ring[1:], 1)
     return rounds
 
 
