@@ -12,13 +12,17 @@ Summing exp(-<M, vertex>) over all pairs drawn from a common permutation
 set R gives a positive definite kernel whenever K = exp(-M) entrywise is
 positive semidefinite, at cost O(d |R|^2): each vertex is priced from
 its staircase segments without materializing the d x d table. The
-staircase is recovered by merging the two cumulative-margin sequences;
-segment boundaries alternate between row and column fills, and a merge
-tie is exactly the zero-mass diagonal step.
+staircase is the merge of the two cumulative-margin sequences: segment
+boundaries alternate between row and column fills, and a tie is the
+zero-mass diagonal step. Each boundary is packed into one int64 key
+(cumulative mass, then side, then index), so a plain sort of a pair's
+2d keys is the merge, and the pairs are sorted in blocks of at most
+BLOCK keys so that memory stays bounded for any |R| and d.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +31,9 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, require_compatible
 from .polytope import WeightSpec, require_matching_weights
+
+# Keys merged per block of sigma rows in nw_cost_matrix (at least one row).
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,13 @@ class PermutationSet:
 
     def __len__(self) -> int:
         return len(self.perms)
+
+    @functools.cached_property
+    def images(self) -> np.ndarray:
+        """Read-only (|R|, d) int64 array; row a holds perms[a]'s 0-based images."""
+        imgs = np.array([perm.image for perm in self.perms], dtype=np.int64) - 1
+        imgs.flags.writeable = False
+        return imgs
 
     def __iter__(self):
         return iter(self.perms)
@@ -153,8 +167,22 @@ def nw_cost_matrix(
 
     Entry (a, b) prices the vertex of (r relabelled by perms[a], c
     relabelled by perms[b]) against the cost matrix, using only the
-    staircase segments of the greedy fill: O(d) per pair after sorting
-    the merged cumulative margins.
+    staircase segments of the greedy fill.
+
+    With b = d.bit_length(), the i-th cumulative margin of each side is
+    packed into the key value << (b+1) | side << b | i, where side is 1
+    for columns. Keys are unique, so one plain sort of a pair's 2d keys
+    orders the boundaries by value, a row before a column of equal
+    value, then by index: the staircase order. The boundary at merged
+    position k with index i has k - i boundaries of the other side
+    before it, which gives the row and column of the segment it closes;
+    the segment's mass is the step in value, and zero-mass segments are
+    priced 0 even where the cost is +inf. Pairs are merged in blocks of
+    sigma rows holding at most BLOCK keys (one row when 2d|R| exceeds
+    it), so each temporary holds max(BLOCK, 2d|R|) entries.
+
+    Raises ValidationError when the mass needs more than 63 - (b+1)
+    bits and so does not fit the keys.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)
@@ -164,40 +192,49 @@ def nw_cost_matrix(
         )
     d = r.d
     p = len(rset)
-    m = w.cost
-    imgs = np.array([[v - 1 for v in perm.image] for perm in rset.perms], dtype=np.intp)
-    cum_r = np.cumsum(np.asarray(r.counts, dtype=np.int64)[imgs], axis=1)
-    cum_c = np.cumsum(np.asarray(c.counts, dtype=np.int64)[imgs], axis=1)
+    shift = d.bit_length() + 1
+    if (r.mass << shift).bit_length() > 63:
+        raise ValidationError(
+            f"mass {r.mass} is too large for the 64-bit merge keys of {d} bins"
+        )
+    col_flag = 1 << (shift - 1)
+    imgs = rset.images
+    index = np.arange(d, dtype=np.int64)
 
-    # Merge the two cumulative sequences for every (sigma, sigma') combo.
-    vals = np.concatenate(
-        [
-            np.broadcast_to(cum_r[:, None, :], (p, p, d)),
-            np.broadcast_to(cum_c[None, :, :], (p, p, d)),
-        ],
-        axis=2,
-    )
-    order = np.argsort(vals, axis=2, kind="stable")
-    svals = np.take_along_axis(vals, order, axis=2)
-    # Row boundaries come first in vals, so the stable sort marks them.
-    smark = order < d
-    masses = np.diff(svals, axis=2, prepend=0)
+    def keys_of(h: Histogram, side: int) -> np.ndarray:
+        cum = np.cumsum(np.asarray(h.counts, dtype=np.int64)[imgs], axis=1)
+        return cum << shift | side | index
 
-    # Row index of a segment = number of row boundaries strictly before it;
-    # column index likewise. Clip past-the-end indices: they only occur on
-    # zero-mass segments after all mass is placed.
-    rows_before = np.cumsum(smark, axis=2) - smark
-    cols_before = np.arange(2 * d)[None, None, :] - rows_before
-    rows_idx = np.minimum(rows_before, d - 1)
-    cols_idx = np.minimum(cols_before, d - 1)
+    row_keys, col_keys = keys_of(r, 0), keys_of(c, col_flag)
 
-    # Map permuted coordinates back to original bins, then price. Zero-mass
-    # segments are masked out so they stay free even at +inf cost.
-    r_bins = imgs[np.arange(p)[:, None, None], rows_idx]
-    c_bins = imgs[np.arange(p)[None, :, None], cols_idx]
-    with np.errstate(invalid="ignore"):
-        priced = np.where(masses > 0, masses * m[r_bins, c_bins], 0.0)
-    return priced.sum(axis=2)
+    # Image tables with one padding column: a boundary count of d occurs
+    # only on zero-mass segments after all mass is placed. Row bins are
+    # premultiplied by d, so row bin + column bin indexes the flat costs.
+    padded = np.pad(imgs, ((0, 0), (0, 1)))
+    row_bins = (padded * d).ravel()
+    col_bins = padded.ravel()
+    costs = w.cost.ravel()
+    pos = np.arange(2 * d)
+    col_pos = (d + 1) * np.arange(p)[:, None] + pos
+
+    out = np.empty((p, p))
+    rows = max(1, BLOCK // (2 * d * p))
+    for a0 in range(0, p, rows):
+        a1 = min(a0 + rows, p)
+        keys = np.empty((a1 - a0, p, 2 * d), dtype=np.int64)
+        keys[:, :, :d] = row_keys[a0:a1, None, :]
+        keys[:, :, d:] = col_keys[None, :, :]
+        keys.sort(axis=2)
+        masses = np.diff(keys >> shift, axis=2, prepend=0)
+        idx = keys & (col_flag - 1)
+        rows_before = np.where(keys & col_flag, pos - idx, idx)
+        cells = row_bins[(d + 1) * np.arange(a0, a1)[:, None, None] + rows_before]
+        cells += col_bins[col_pos - rows_before]
+        # Zero-mass segments stay free even at +inf cost.
+        with np.errstate(invalid="ignore"):
+            priced = np.where(masses > 0, masses * costs[cells], 0.0)
+        out[a0:a1] = priced.sum(axis=2)
+    return out
 
 
 def nw_kernel(

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +163,23 @@ def test_enumerate_streams_without_counting(tmp_path, monkeypatch, capsys):
     code = main(["enumerate", "--input", pair, "--budget", "10", "--out", str(out)])
     assert code == EXIT_BUDGET
     assert "budget exceeded: wrote 10 tables" in capsys.readouterr().err
+    assert len((out / "tables.csv").read_text().splitlines()) == 10
+
+
+def test_module_entry_point_runs_subcommand(tmp_path):
+    # `python -m transportkernels.cli` must run the subcommand and return
+    # its exit code, as the installed `transportkernels` script does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    pair = write(tmp_path / "pair.txt", "10,10,10,10,10\n10,10,10,10,10\n")
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "transportkernels.cli", "enumerate", "--input", pair,
+         "--budget", "10", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_BUDGET, done.stderr
+    assert "budget exceeded: wrote 10 tables" in done.stderr
     assert len((out / "tables.csv").read_text().splitlines()) == 10
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from transportkernels import (
     sample_permutations,
 )
 
-from conftest import random_pair, random_psd_weight
+from transportkernels import northwest
+from transportkernels.northwest import BLOCK
+
+from conftest import random_cost, random_pair, random_psd_weight
 
 
 def test_nw_table_fixture():
@@ -111,6 +115,16 @@ def test_permutation_set_validation():
         PermutationSet((ident, ident), 3, 0, 2)  # duplicates
 
 
+def test_permutation_set_images_are_cached_and_read_only():
+    rset = sample_permutations(5, 4, seed=2)
+    imgs = rset.images
+    assert imgs.dtype == np.int64 and imgs.shape == (4, 5)
+    assert imgs.tolist() == [[v - 1 for v in p.image] for p in rset.perms]
+    assert rset.images is imgs
+    with pytest.raises(ValueError):
+        imgs[0, 0] = 1
+
+
 def test_nw_cost_matrix_matches_direct_pricing():
     rng = np.random.default_rng(19)
     for _ in range(8):
@@ -136,6 +150,96 @@ def test_nw_cost_matrix_handles_infinite_costs():
     costs = nw_cost_matrix(r, c, w, rset)
     assert np.isfinite(costs).any()
     assert not np.isnan(costs).any()
+
+
+def _sparse_histogram(rng, d, mass):
+    # about a third of the bins empty; all mass in bin 0 if every bin drew empty
+    probs = rng.random(d) * (rng.random(d) > 0.35)
+    if not probs.any():
+        probs[0] = 1.0
+    return Histogram(tuple(int(v) for v in rng.multinomial(mass, probs / probs.sum())))
+
+
+@pytest.mark.parametrize("d, size, mass", [(32, 37, 300), (1, 1, 9), (6, 12, 0), (4, 24, 17)])
+def test_nw_cost_matrix_blocks_match_direct_pricing(d, size, mass):
+    # at d=32, |R|=37 a block holds 3 sigma rows, so the last block has one
+    rng = np.random.default_rng([d, size, mass])
+    r, c = _sparse_histogram(rng, d, mass), _sparse_histogram(rng, d, mass)
+    m = rng.random((d, d)) * 2.0
+    # +inf where only zero-mass segments can land, plus a few cells that
+    # some vertices use, so some costs are +inf and none is NaN
+    m[np.array(r.counts) == 0, :] = np.inf
+    m[:, np.array(c.counts) == 0] = np.inf
+    m[rng.random((d, d)) < 0.01] = np.inf
+    rset = sample_permutations(d, size, seed=d + size)
+    costs = nw_cost_matrix(r, c, WeightSpec.from_cost(m), rset)
+    assert costs.shape == (size, size)
+    assert not np.isnan(costs).any()
+    for a, sa in enumerate(rset.perms):
+        for b, sb in enumerate(rset.perms):
+            direct = nw_permuted(r, c, sa, sb).cost(m)
+            assert costs[a, b] == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_nw_cost_matrix_is_independent_of_block_size(monkeypatch):
+    # one sigma row per block, 3 rows (the last block partial), or one block
+    rng = np.random.default_rng(37)
+    r, c = random_pair(rng, 32, 300)
+    w = random_cost(rng, 32)
+    rset = sample_permutations(32, 37, seed=1)
+    results = []
+    for block in (1, BLOCK, 10**9):
+        monkeypatch.setattr(northwest, "BLOCK", block)
+        results.append(nw_cost_matrix(r, c, w, rset))
+    assert max(1, BLOCK // (2 * 32 * 37)) == 3
+    assert all(np.array_equal(results[0], other) for other in results[1:])
+
+
+def test_nw_cost_matrix_memory_is_bounded_per_block():
+    # one pair at |R|=256, d=64: the unblocked merge held about a dozen
+    # (|R|, |R|, 2d) temporaries of 67 MB each
+    rng = np.random.default_rng(64)
+    r, c = random_pair(rng, 64, 500)
+    w = random_cost(rng, 64)
+    rset = sample_permutations(64, 256, seed=8)
+    tracemalloc.start()
+    try:
+        costs = nw_cost_matrix(r, c, w, rset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert costs.shape == (256, 256)
+    assert peak < 16 * 2**20
+    m = w.cost
+    for a, b in [(0, 0), (17, 255), (255, 3)]:
+        direct = nw_permuted(r, c, rset.perms[a], rset.perms[b]).cost(m)
+        assert costs[a, b] == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_nw_cost_matrix_rejects_mass_beyond_keys():
+    # at N = 2**63 the int64 cumulative margins wrap: the identity pair
+    # priced 0 where its corner vertex costs 5
+    w = WeightSpec.from_cost([[0.0, 1.0], [1.0, 0.0]])
+    rset = sample_permutations(2, 2, seed=0)  # identity and the swap
+    big = 2**62
+    r, c = Histogram((big, big)), Histogram((big + 5, big - 5))
+    assert nw_table(r, c).cost(w.cost) == 5.0
+    with pytest.raises(ValidationError):
+        nw_cost_matrix(r, c, w, rset)
+    with pytest.raises(ValidationError):
+        nw_kernel(r, c, w, rset)
+    # d=2 keys spend 3 bits past the mass: 2**60 - 1 is the largest that fits
+    half = 2**59
+    r, c = Histogram((half, half - 1)), Histogram((half + 5, half - 6))
+    costs = nw_cost_matrix(r, c, w, rset)
+    assert costs[0, 0] == 5.0
+    for a, sa in enumerate(rset.perms):
+        for b, sb in enumerate(rset.perms):
+            assert costs[a, b] == pytest.approx(
+                nw_permuted(r, c, sa, sb).cost(w.cost), rel=1e-12, abs=0
+            )
+    with pytest.raises(ValidationError):
+        nw_cost_matrix(Histogram((half, half)), Histogram((half + 5, half - 5)), w, rset)
 
 
 def test_nw_kernel_symmetric_weights_give_symmetric_value():
