@@ -20,6 +20,7 @@ from transportkernels import (
     nw_kernel,
     nw_permuted,
     nw_table,
+    pairwise,
     sample_permutations,
 )
 
@@ -58,7 +59,7 @@ print("corner-rule kernel value:", value)
 rng = np.random.default_rng(0)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(10, np.ones(3) / 3)))
          for _ in range(8)]
-gram = build_gram(hists, lambda a, b: nw_kernel(a, b, w, rset), "nw")
+gram = build_gram(hists, pairwise(lambda a, b: nw_kernel(a, b, w, rset)), "nw")
 cert = certify_psd(gram)
 print("gram certificate:", cert.verdict, "min eigenvalue", cert.min_eigenvalue)
 assert cert.passed

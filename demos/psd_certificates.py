@@ -18,9 +18,9 @@ from transportkernels import (
     build_gram,
     certify_psd,
     jacobi_eigh,
-    pseudo_kernel,
+    pseudo_kernel_row,
     psd_weight_check,
-    weighted_volume,
+    weighted_volume_row,
 )
 
 # the eigensolver on a hand-checkable matrix: eigenvalues -1 and 3
@@ -37,8 +37,9 @@ rng = np.random.default_rng(7)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
          for _ in range(9)]
 
-# the full-sum kernel produces a certified PSD Gram matrix
-volume_gram = build_gram(hists, lambda a, b: weighted_volume(a, b, w), "volume")
+# the full-sum kernel produces a certified PSD Gram matrix; its row form
+# shares one fold over the tables' lower rows across each Gram row
+volume_gram = build_gram(hists, lambda r, cs: weighted_volume_row(r, cs, w), "volume")
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,
       "min eigenvalue", f"{volume_cert.min_eigenvalue:.3e}")
@@ -52,7 +53,7 @@ m = np.array([[0.0, 0.105, 0.105],
               [0.105, 0.0, 2.303],
               [0.105, 2.303, 0.0]])
 wm = WeightSpec.from_cost(m)
-pseudo_gram = build_gram(points, lambda a, b: pseudo_kernel(a, b, wm), "pseudo")
+pseudo_gram = build_gram(points, lambda r, cs: pseudo_kernel_row(r, cs, wm), "pseudo")
 pseudo_cert = certify_psd(pseudo_gram)
 print("min-cost pseudo kernel:", pseudo_cert.verdict,
       "min eigenvalue", f"{pseudo_cert.min_eigenvalue:.3f}")

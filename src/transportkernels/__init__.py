@@ -40,7 +40,13 @@ from .northwest import (
     nw_table,
     sample_permutations,
 )
-from .ot import TransportSolution, monge_check, ot_cost, pseudo_kernel
+from .ot import (
+    TransportSolution,
+    monge_check,
+    ot_cost,
+    pseudo_kernel,
+    pseudo_kernel_row,
+)
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
@@ -51,6 +57,7 @@ from .polytope import (
     generating_function,
     softmin,
     weighted_volume,
+    weighted_volume_row,
 )
 from .psd import (
     GramMatrix,
@@ -59,6 +66,7 @@ from .psd import (
     certify_psd,
     dataset_digest,
     jacobi_eigh,
+    pairwise,
     psd_weight_check,
 )
 
@@ -100,13 +108,16 @@ __all__ = [
     "nw_permuted",
     "nw_table",
     "ot_cost",
+    "pairwise",
     "permuted_sequence",
     "pseudo_kernel",
+    "pseudo_kernel_row",
     "psd_weight_check",
     "require_compatible",
     "sample_permutations",
     "softmin",
     "weighted_volume",
+    "weighted_volume_row",
 ]
 
 __version__ = "0.1.0"

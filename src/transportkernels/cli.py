@@ -20,14 +20,14 @@ from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
 from .northwest import nw_kernel, nw_permuted, nw_table, sample_permutations
-from .ot import ot_cost, pseudo_kernel
+from .ot import ot_cost, pseudo_kernel_row
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
     enumerate_tables,
-    weighted_volume,
+    weighted_volume_row,
 )
-from .psd import build_gram, certify_psd, psd_weight_check
+from .psd import build_gram, certify_psd, pairwise, psd_weight_check, require_tolerance
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,11 +93,9 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--kernel", choices=("volume", "nw", "pseudo"), required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--r-size", type=int, default=8, help="permutation set size")
-    g.set_defaults(out_required=True)
 
     e = sub.add_parser("enumerate", help="stream all tables for one margin pair")
     add_common(e, "input", "budget", "out")
-    e.set_defaults(out_required=True)
 
     n = sub.add_parser("nw", help="print the corner-rule vertex for one margin pair")
     add_common(n, "input", "out")
@@ -129,10 +127,14 @@ def _load_pair(config: RunConfig) -> tuple[Histogram, Histogram]:
     return histograms[0], histograms[1]
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _out_path(config: RunConfig) -> Path:
     if not config.out:
         raise TransportKernelError("--out directory is required for this subcommand")
-    out = Path(config.out)
+    return Path(config.out)
+
+
+def _out_dir(config: RunConfig) -> Path:
+    out = _out_path(config)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -142,22 +144,25 @@ def _parse_permutation(text: str) -> Permutation:
 
 
 def cmd_gram(config: RunConfig) -> int:
+    # Fail on arguments before the Gram and its certificate are computed.
+    out = _out_path(config)
+    require_tolerance(config.tolerance)
     histograms = fileio.parse_histograms(config.input)
     w = fileio.parse_weights(config.weights, config.weights_mode)
     budget = EnumerationBudget(config.budget)
     d = histograms[0].d
     if config.kernel == "volume":
-        kernel = lambda a, b: weighted_volume(a, b, w, budget)
+        kernel = lambda r, cs: weighted_volume_row(r, cs, w, budget)
     elif config.kernel == "pseudo":
-        kernel = lambda a, b: pseudo_kernel(a, b, w, budget)
+        kernel = lambda r, cs: pseudo_kernel_row(r, cs, w, budget)
     elif config.kernel == "nw":
         rset = sample_permutations(d, config.r_size, config.seed)
-        kernel = lambda a, b: nw_kernel(a, b, w, rset)
+        kernel = pairwise(lambda a, b: nw_kernel(a, b, w, rset))
     else:
         raise TransportKernelError(f"unknown kernel {config.kernel!r}")
     gram = build_gram(histograms, kernel, kernel_id=config.kernel)
     certificate = certify_psd(gram, config.tolerance)
-    out = _out_dir(config)
+    out.mkdir(parents=True, exist_ok=True)
     fileio.write_gram_csv(out / "gram.csv", gram.values)
     fileio.write_json(out / "certificate.json", certificate.to_dict())
     manifest = {

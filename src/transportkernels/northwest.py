@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -160,14 +161,23 @@ def nw_permuted(
     return ContingencyTable(entries)
 
 
-def nw_cost_matrix(
-    r: Histogram, c: Histogram, w: WeightSpec, rset: PermutationSet
-) -> np.ndarray:
-    """Costs <M, vertex> for every (sigma, sigma') pair of the set.
+def _staircases(
+    r: Histogram,
+    r_imgs: np.ndarray,
+    cs: Sequence[Histogram],
+    c_imgs: np.ndarray,
+    cost: np.ndarray,
+) -> Iterator[np.ndarray]:
+    """Priced corner-rule staircases of relabelled margin pairs, in row blocks.
 
-    Entry (a, b) prices the vertex of (r relabelled by perms[a], c
-    relabelled by perms[b]) against the cost matrix, using only the
-    staircase segments of the greedy fill.
+    Rows are r relabelled by each row of r_imgs; columns are each c of cs
+    relabelled by each row of c_imgs, c-major. Row a of an image table
+    holds the 0-based original bin of each relabelled bin. Yields one
+    (rows, columns, 2d) array per block of rows: entry k of a pair is the
+    mass of the k-th segment of its staircase times the cost of the
+    original cell that segment fills, and 0 for a zero-mass segment even
+    where the cost is +inf. The nonzero entries of a pair are the nonzero
+    cells of its vertex priced as in ContingencyTable.cost.
 
     With b = d.bit_length(), the i-th cumulative margin of each side is
     packed into the key value << (b+1) | side << b | i, where side is 1
@@ -175,53 +185,44 @@ def nw_cost_matrix(
     orders the boundaries by value, a row before a column of equal
     value, then by index: the staircase order. The boundary at merged
     position k with index i has k - i boundaries of the other side
-    before it, which gives the row and column of the segment it closes;
-    the segment's mass is the step in value, and zero-mass segments are
-    priced 0 even where the cost is +inf. Pairs are merged in blocks of
-    sigma rows holding at most BLOCK keys (one row when 2d|R| exceeds
-    it), so each temporary holds max(BLOCK, 2d|R|) entries.
+    before it, which gives the row and column of the segment it closes,
+    and the segment's mass is the step in value. A block holds at most
+    BLOCK keys (one row when a row's keys exceed it), so each temporary
+    holds max(BLOCK, 2d * columns) entries.
 
     Raises ValidationError when the mass needs more than 63 - (b+1)
     bits and so does not fit the keys.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
-    if rset.d != r.d:
-        raise DimensionMismatchError(
-            f"permutation set on {rset.d} bins applied to {r.d}-bin histograms"
-        )
     d = r.d
-    p = len(rset)
     shift = d.bit_length() + 1
     if (r.mass << shift).bit_length() > 63:
         raise ValidationError(
             f"mass {r.mass} is too large for the 64-bit merge keys of {d} bins"
         )
     col_flag = 1 << (shift - 1)
-    imgs = rset.images
     index = np.arange(d, dtype=np.int64)
-
-    def keys_of(h: Histogram, side: int) -> np.ndarray:
-        cum = np.cumsum(np.asarray(h.counts, dtype=np.int64)[imgs], axis=1)
-        return cum << shift | side | index
-
-    row_keys, col_keys = keys_of(r, 0), keys_of(c, col_flag)
+    rows = np.asarray(r.counts, dtype=np.int64)[r_imgs]
+    cols = np.array([c.counts for c in cs], dtype=np.int64).reshape(len(cs), d)
+    row_keys = np.cumsum(rows, axis=1) << shift | index
+    col_keys = np.cumsum(cols[:, c_imgs].reshape(-1, d), axis=1) << shift | col_flag | index
 
     # Image tables with one padding column: a boundary count of d occurs
     # only on zero-mass segments after all mass is placed. Row bins are
     # premultiplied by d, so row bin + column bin indexes the flat costs.
-    padded = np.pad(imgs, ((0, 0), (0, 1)))
-    row_bins = (padded * d).ravel()
-    col_bins = padded.ravel()
-    costs = w.cost.ravel()
-    pos = np.arange(2 * d)
-    col_pos = (d + 1) * np.arange(p)[:, None] + pos
+    def padded(imgs: np.ndarray) -> np.ndarray:
+        return np.concatenate([imgs, np.zeros((len(imgs), 1), np.int64)], axis=1).ravel()
 
-    out = np.empty((p, p))
-    rows = max(1, BLOCK // (2 * d * p))
-    for a0 in range(0, p, rows):
-        a1 = min(a0 + rows, p)
-        keys = np.empty((a1 - a0, p, 2 * d), dtype=np.int64)
+    row_bins = padded(r_imgs * d)
+    col_bins = padded(np.tile(c_imgs, (len(cs), 1)))
+    costs = cost.ravel()
+    n_rows, n_cols = len(row_keys), len(col_keys)
+    pos = np.arange(2 * d)
+    col_pos = (d + 1) * np.arange(n_cols)[:, None] + pos
+
+    step = max(1, BLOCK // max(1, 2 * d * n_cols))
+    for a0 in range(0, n_rows, step):
+        a1 = min(a0 + step, n_rows)
+        keys = np.empty((a1 - a0, n_cols, 2 * d), dtype=np.int64)
         keys[:, :, :d] = row_keys[a0:a1, None, :]
         keys[:, :, d:] = col_keys[None, :, :]
         keys.sort(axis=2)
@@ -230,11 +231,34 @@ def nw_cost_matrix(
         rows_before = np.where(keys & col_flag, pos - idx, idx)
         cells = row_bins[(d + 1) * np.arange(a0, a1)[:, None, None] + rows_before]
         cells += col_bins[col_pos - rows_before]
-        # Zero-mass segments stay free even at +inf cost.
-        with np.errstate(invalid="ignore"):
+        # Zero-mass segments stay free even at +inf cost; a product too
+        # large for a float is inf, as in ContingencyTable.cost.
+        with np.errstate(invalid="ignore", over="ignore"):
             priced = np.where(masses > 0, masses * costs[cells], 0.0)
-        out[a0:a1] = priced.sum(axis=2)
-    return out
+        yield priced
+
+
+def nw_cost_matrix(
+    r: Histogram, c: Histogram, w: WeightSpec, rset: PermutationSet
+) -> np.ndarray:
+    """Costs <M, vertex> for every (sigma, sigma') pair of the set.
+
+    Entry (a, b) prices the vertex of (r relabelled by perms[a], c
+    relabelled by perms[b]) against the cost matrix, using only the
+    staircase segments of the greedy fill: the sum of the segments that
+    `_staircases` merges from packed int64 keys, in blocks of sigma rows
+    holding at most BLOCK keys.
+
+    Raises ValidationError when the mass is too large for the keys.
+    """
+    require_compatible(r, c)
+    require_matching_weights(r, w)
+    if rset.d != r.d:
+        raise DimensionMismatchError(
+            f"permutation set on {rset.d} bins applied to {r.d}-bin histograms"
+        )
+    blocks = _staircases(r, rset.images, (c,), rset.images, w.cost)
+    return np.concatenate([priced.sum(axis=2) for priced in blocks])
 
 
 def nw_kernel(

@@ -4,24 +4,30 @@ The transportation problem between equal-mass integral histograms always
 has an integral minimizer, so the exact optimum is the minimum of
 <X, M> over the finite table set: the zero-temperature limit of the
 softmin behind the weighted volume, computed by the same row fold in
-the (min, +) semiring. For Monge costs (submodular: adjacent 2x2 minors
-tilt toward the diagonal) the northwestern corner vertex is already
-optimal and no fold runs. exp(-optimal cost) is a useful similarity but
-not positive definite in general, hence the "pseudo" in its name.
+the (min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
+i<k, j<l) the northwestern corner vertex is already optimal and no fold
+runs. exp(-optimal cost) is a useful similarity but not positive
+definite in general, hence the "pseudo" in its name. Its row form
+checks the costs once and shares the work that depends only on the
+row histogram: one staircase merge on Monge costs, one fold otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .histograms import ContingencyTable, Histogram, require_compatible
-from .northwest import nw_table
+from .northwest import _staircases, nw_table
 from .polytope import (
     EnumerationBudget,
     WeightSpec,
     _cells,
     _fold,
+    _safe_exp,
     require_matching_weights,
 )
 
@@ -35,18 +41,52 @@ class TransportSolution:
 
 
 def monge_check(w: WeightSpec) -> bool:
-    """True iff the cost matrix is Monge: m_ij + m_kl <= m_il + m_kj for i<k, j<l.
+    """True only for Monge costs: m_ij + m_kl <= m_il + m_kj for i<k, j<l.
 
-    Checking adjacent quadruples (k = i+1, l = j+1) is sufficient; the
-    general inequality follows by summing adjacent ones.
+    Checks that every adjacent 2x2 minor satisfies the inequality and
+    that no +inf entry lies weakly south-west of one finite entry and
+    weakly north-east of another. Then every quadruple whose anti-
+    diagonal pair is finite spans a finite rectangle, and its inequality
+    is the sum of the adjacent ones inside it; a quadruple with an
+    infinite anti-diagonal entry holds trivially. Without +inf entries
+    the test is exact. Costs whose +inf entries do lie between finite
+    ones are reported as not Monge, even where the inequality holds, and
+    take the fold.
     """
     m = w.cost
-    d = w.d
-    for i in range(d - 1):
-        for j in range(d - 1):
-            if m[i, j] + m[i + 1, j + 1] > m[i, j + 1] + m[i + 1, j]:
-                return False
-    return True
+    with np.errstate(over="ignore"):
+        adjacent = (m[:-1, :-1] + m[1:, 1:] <= m[:-1, 1:] + m[1:, :-1]).all()
+    finite = np.isfinite(m)
+    # Finite entries weakly north-east of, and weakly south-west of, each cell.
+    north_east = np.logical_or.accumulate(
+        np.logical_or.accumulate(finite[:, ::-1], axis=1)[:, ::-1], axis=0
+    )
+    south_west = np.logical_or.accumulate(
+        np.logical_or.accumulate(finite[::-1], axis=0)[::-1], axis=1
+    )
+    return bool(adjacent and not (~finite & north_east & south_west).any())
+
+
+def _cheapest(r: Histogram, m: np.ndarray, budget: EnumerationBudget | None):
+    """plan(c): the table of (r, c) that ot_cost picks off Monge costs.
+
+    The (min, +) row fold over (cost, row-major entries) pairs; one memo
+    serves every c, and the budget caps each call.
+    """
+    budget = budget if budget is not None else EnumerationBudget()
+    cells = _cells(r, m, lambda cost, e: (cost * e if e else 0.0, (e,)))
+    # (inf, (inf,)) sorts after every (cost, entries) pair: the identity of min.
+    fold = _fold(r, cells, _concat, min, (math.inf, (math.inf,)))
+
+    def plan(c: Histogram) -> ContingencyTable:
+        _, flat = fold(c, budget)
+        return ContingencyTable(tuple(flat[i : i + r.d] for i in range(0, len(flat), r.d)))
+
+    return plan
+
+
+def _concat(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1])
 
 
 def ot_cost(
@@ -69,16 +109,38 @@ def ot_cost(
     if monge_check(w):
         plan = nw_table(r, c)
     else:
-        budget = budget if budget is not None else EnumerationBudget()
-        cells = _cells(r, m, lambda cost, e: (cost * e if e else 0.0, (e,)))
-        # (inf, (inf,)) sorts after every (cost, entries) pair: the identity of min.
-        _, flat = _fold(r, c, cells, _concat, min, (math.inf, (math.inf,)), budget)
-        plan = ContingencyTable(tuple(flat[i : i + r.d] for i in range(0, len(flat), r.d)))
+        plan = _cheapest(r, m, budget)(c)
     return TransportSolution(plan, plan.cost(m))
 
 
-def _concat(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1])
+def pseudo_kernel_row(
+    r: Histogram,
+    cs: Sequence[Histogram],
+    w: WeightSpec,
+    budget: EnumerationBudget | None = None,
+) -> list[float]:
+    """[pseudo_kernel(r, c, w) for c in cs]: one row of a pseudo-kernel Gram matrix.
+
+    The cost matrix is checked for the Monge property once per row. On
+    Monge costs every corner vertex of (r, c) is priced by one staircase
+    merge over all of cs, and its nonzero segments are summed with fsum,
+    exactly as ContingencyTable.cost prices the vertex; masses too large
+    for the merge keys raise ValidationError. Other costs share one
+    (min, +) fold over the row and price each plan with its cost.
+    exp(-cost) overflowing returns inf.
+    """
+    for c in cs:
+        require_compatible(r, c)
+    require_matching_weights(r, w)
+    m = w.cost
+    if monge_check(w):
+        identity = np.arange(r.d)[None, :]
+        (priced,) = _staircases(r, identity, cs, identity, m)
+        costs = [math.fsum(segments) for segments in priced[0].tolist()]
+    else:
+        plan = _cheapest(r, m, budget)
+        costs = [plan(c).cost(m) for c in cs]
+    return [_safe_exp(-cost) for cost in costs]
 
 
 def pseudo_kernel(
@@ -90,10 +152,7 @@ def pseudo_kernel(
     """exp(-minimum cost): a similarity that is indefinite in general.
 
     Dominated term by term by the generating function over the same
-    margins, since the optimum is one of the summed costs.
+    margins, since the optimum is one of the summed costs. The
+    one-column row of `pseudo_kernel_row`.
     """
-    solution = ot_cost(r, c, w, budget)
-    try:
-        return math.exp(-solution.cost)
-    except OverflowError:
-        return math.inf
+    return pseudo_kernel_row(r, (c,), w, budget)[0]

@@ -5,7 +5,8 @@ is the collection of d x d nonnegative integer matrices whose row sums
 are r and whose column sums are c. This module enumerates that set and
 folds over it row by row: one memoized recursion over (row, residual
 column sums) that counts it, sums its weights and, in `ot`, finds its
-cheapest table, each in its own semiring. Two sums over the set:
+cheapest table, each in its own semiring. The memo depends only on r,
+so one fold serves every c of a Gram row. Two sums over the set:
 
 * the weighted volume  T(r, c; K) = sum over tables X of prod k_ij^x_ij,
   a positive definite kernel in (r, c) whenever the entry-weight matrix
@@ -32,7 +33,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -196,43 +197,49 @@ def _cells(r: Histogram, mat: np.ndarray, value) -> list:
     ]
 
 
-def _fold(r, c, cell, times, plus, zero, budget: EnumerationBudget | None):
-    """`plus` over the tables of (r, c) of the `times` product of their cells.
+def _fold(r: Histogram, cell, times, plus, zero):
+    """fold(c, budget): `plus` over the tables of (r, c) of the `times` product of their cells.
 
     cell[i][j][e] is the value of e units in cell (i, j); products run in
     row-major order. The memo is keyed by (row i, residual column sums) and
-    the last row is forced. A row whose value equals `zero` is skipped with
-    its subtree. More than budget.max_tables row compositions visited raise
-    BudgetExceededError.
+    the last row is forced. It depends only on r, the cells and the
+    semiring, so one memo serves every c folded against the same r. A row
+    whose value equals `zero` is skipped with its subtree. More than
+    budget.max_tables row compositions visited in one call raise
+    BudgetExceededError; a memo hit left by an earlier call is free.
     """
     d = r.d
-    cap = budget.max_tables if budget is not None else math.inf
-    visited = 0
     memo: dict[tuple[int, tuple[int, ...]], object] = {}
 
-    def rec(i: int, residual: tuple[int, ...]):
-        nonlocal visited
-        row = cell[i]
-        if i == d - 1:
-            return reduce(times, map(list.__getitem__, row, residual))
-        key = (i, residual)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = zero
-        for x in _bounded_compositions(r.counts[i], residual):
-            visited += 1
-            if visited > cap:
-                msg = f"more than {cap} row compositions needed for margins {r} / {c}"
-                raise BudgetExceededError(msg, count_so_far=visited - 1)
-            term = reduce(times, map(list.__getitem__, row, x))
-            if term != zero:
-                sub = rec(i + 1, tuple(map(operator.sub, residual, x)))
-                total = plus(total, times(term, sub))
-        memo[key] = total
-        return total
+    def fold(c: Histogram, budget: EnumerationBudget | None):
+        cap = budget.max_tables if budget is not None else math.inf
+        visited = 0
 
-    return rec(0, c.counts)
+        def rec(i: int, residual: tuple[int, ...]):
+            nonlocal visited
+            row = cell[i]
+            if i == d - 1:
+                return reduce(times, map(list.__getitem__, row, residual))
+            key = (i, residual)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            total = zero
+            for x in _bounded_compositions(r.counts[i], residual):
+                visited += 1
+                if visited > cap:
+                    msg = f"more than {cap} row compositions needed for margins {r} / {c}"
+                    raise BudgetExceededError(msg, count_so_far=visited - 1)
+                term = reduce(times, map(list.__getitem__, row, x))
+                if term != zero:
+                    sub = rec(i + 1, tuple(map(operator.sub, residual, x)))
+                    total = plus(total, times(term, sub))
+            memo[key] = total
+            return total
+
+        return rec(0, c.counts)
+
+    return fold
 
 
 def count_tables(r: Histogram, c: Histogram) -> int:
@@ -242,7 +249,48 @@ def count_tables(r: Histogram, c: Histogram) -> int:
     """
     require_compatible(r, c)
     cells = [[[1] * (n + 1)] * r.d for n in r.counts]
-    return _fold(r, c, cells, operator.mul, operator.add, 0, None)
+    return _fold(r, cells, operator.mul, operator.add, 0)(c, None)
+
+
+def weighted_volume_row(
+    r: Histogram,
+    cs: Sequence[Histogram],
+    w: WeightSpec,
+    budget: EnumerationBudget | None = None,
+) -> list[float]:
+    """[T(r, c; K) for c in cs]: one row of a weighted-volume Gram matrix.
+
+    Every c is folded against one memo for r, so the sums over the lower
+    rows of the tables are shared across the row. Every partial product
+    of the fold is at least kmin^N (kmin the smallest nonzero weight
+    capped at 1, N the mass). While that bound is a normal float and no
+    power k_ij^e overflows, the fold runs on the float powers; otherwise,
+    and for any c whose float value is inf or NaN, it runs on log weights
+    -e m_ij under logaddexp. 0^0 = 1 throughout. The budget caps the row
+    compositions each c visits.
+    """
+    for c in cs:
+        require_compatible(r, c)
+    require_matching_weights(r, w)
+    budget = budget if budget is not None else EnumerationBudget()
+    fold = log_fold = None
+    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
+    if r.mass * math.log(floor) >= math.log(sys.float_info.min):
+        try:
+            cells = _cells(r, w.weight, lambda k, e: k**e)
+            fold = _fold(r, cells, operator.mul, operator.add, 0.0)
+        except OverflowError:
+            pass
+    values = []
+    for c in cs:
+        value = fold(c, budget) if fold is not None else math.inf
+        if not value < math.inf:
+            if log_fold is None:
+                logs = _cells(r, -w.cost, lambda lk, e: lk * e if e else 0.0)
+                log_fold = _fold(r, logs, operator.add, np.logaddexp, -math.inf)
+            value = _safe_exp(log_fold(c, budget))
+        values.append(value)
+    return values
 
 
 def weighted_volume(
@@ -253,26 +301,9 @@ def weighted_volume(
 ) -> float:
     """T(r, c; K): sum over all tables of the product of k_ij^x_ij.
 
-    Every partial product of the row fold is at least kmin^N (kmin the
-    smallest nonzero weight capped at 1, N the mass). While that bound is
-    a normal float the fold runs on the float powers k_ij^e; otherwise, or
-    if a power overflows or the result is inf or NaN, it runs on log
-    weights -e m_ij under logaddexp. 0^0 = 1 throughout.
+    The one-column row of `weighted_volume_row`.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
-    budget = budget if budget is not None else EnumerationBudget()
-    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
-    if r.mass * math.log(floor) >= math.log(sys.float_info.min):
-        try:
-            cells = _cells(r, w.weight, lambda k, e: k**e)
-            value = _fold(r, c, cells, operator.mul, operator.add, 0.0, budget)
-        except OverflowError:
-            value = math.inf
-        if value < math.inf:
-            return value
-    logs = _cells(r, -w.cost, lambda lk, e: lk * e if e else 0.0)
-    return _safe_exp(_fold(r, c, logs, operator.add, np.logaddexp, -math.inf, budget))
+    return weighted_volume_row(r, (c,), w, budget)[0]
 
 
 def _safe_exp(x: float) -> float:

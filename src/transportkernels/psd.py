@@ -35,6 +35,9 @@ OFF_DIAGONAL_FACTOR = 1e-12
 MAX_SWEEPS = 60
 SYMMETRY_REL_TOL = 1e-12
 
+# kernel(r, cs) -> [K(r, c) for c in cs]
+RowKernel = Callable[[Histogram, Sequence[Histogram]], Sequence[float]]
+
 
 def dataset_digest(histograms: Sequence[Histogram]) -> str:
     """SHA-256 over a canonical rendering of the histogram list."""
@@ -172,9 +175,13 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[order], vectors[:, order]
 
 
-def _certify(values: np.ndarray, tolerance: float) -> PsdCertificate:
+def require_tolerance(tolerance: float) -> None:
     if tolerance < 0:
         raise ValidationError(f"tolerance must be nonnegative, got {tolerance}")
+
+
+def _certify(values: np.ndarray, tolerance: float) -> PsdCertificate:
+    require_tolerance(tolerance)
     eigenvalues, _ = jacobi_eigh(values)
     lo = float(eigenvalues[0])
     hi = float(eigenvalues[-1])
@@ -199,17 +206,26 @@ def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
     return _certify((w.weight + w.weight.T) / 2.0, tolerance)
 
 
+def pairwise(f: Callable[[Histogram, Histogram], float]) -> RowKernel:
+    """The row kernel that evaluates a per-pair kernel once per column."""
+    return lambda r, cs: [f(r, c) for c in cs]
+
+
 def build_gram(
     histograms: Sequence[Histogram],
-    kernel: Callable[[Histogram, Histogram], float],
+    kernel: RowKernel,
     kernel_id: str,
 ) -> GramMatrix:
-    """Evaluate a kernel on every unordered pair and mirror the triangle.
+    """Evaluate a row kernel on every suffix of the family and mirror the rows.
 
-    All histograms must share both the bin count and the total mass;
-    kernels here are defined only within one equal-dimension, equal-mass
-    family. Exactly m(m+1)/2 kernel evaluations are made; failures other
-    than BudgetExceededError are wrapped in KernelEvaluationError.
+    kernel(r, cs) returns the values K(r, c) for c in cs. It is called
+    once per p with (histograms[p], histograms[p:]), which fills row p
+    and column p: m calls, m(m+1)/2 values. Use `pairwise` to wrap a
+    per-pair kernel. All histograms must share both the bin count and
+    the total mass; kernels here are defined only within one
+    equal-dimension, equal-mass family. Failures other than
+    BudgetExceededError are wrapped in KernelEvaluationError naming the
+    row, which a row of the wrong length raises too.
     """
     histograms = list(histograms)
     if not histograms:
@@ -230,17 +246,20 @@ def build_gram(
     m = len(histograms)
     values = np.zeros((m, m))
     for p in range(m):
-        for q in range(p, m):
-            try:
-                v = float(kernel(histograms[p], histograms[q]))
-            except BudgetExceededError:
-                raise
-            except Exception as exc:
-                raise KernelEvaluationError(
-                    f"kernel evaluation failed at pair ({p}, {q}): {exc}"
-                ) from exc
-            values[p, q] = v
-            values[q, p] = v
+        try:
+            row = [float(v) for v in kernel(histograms[p], histograms[p:])]
+        except BudgetExceededError:
+            raise
+        except Exception as exc:
+            raise KernelEvaluationError(
+                f"kernel evaluation failed at row {p}: {exc}"
+            ) from exc
+        if len(row) != m - p:
+            raise KernelEvaluationError(
+                f"kernel returned {len(row)} values for the {m - p} columns of row {p}"
+            )
+        values[p, p:] = row
+        values[p:, p] = row
     return GramMatrix(
         values=values, kernel_id=kernel_id, dataset_hash=dataset_digest(histograms)
     )

@@ -49,7 +49,7 @@ from ..histograms import (
     require_compatible,
 )
 from ..polytope import WeightSpec, require_matching_weights
-from ..psd import GramMatrix, dataset_digest
+from ..psd import GramMatrix, build_gram, pairwise
 
 SN_MASS_CAP = 8
 
@@ -177,19 +177,7 @@ def symmetrization_oracle(
     histograms: Sequence[Histogram], w: WeightSpec
 ) -> GramMatrix:
     """Gram matrix of the shuffle-summed kernel over a histogram family."""
-    histograms = list(histograms)
-    if not histograms:
-        raise ValidationError("cannot build a Gram matrix over zero histograms")
-    m = len(histograms)
-    values = [[0.0] * m for _ in range(m)]
-    for p in range(m):
-        for q in range(p, m):
-            v = shuffle_kernel(histograms[p], histograms[q], w)
-            values[p][q] = v
-            values[q][p] = v
-    return GramMatrix(
-        values=values, kernel_id="oracle", dataset_hash=dataset_digest(histograms)
-    )
+    return build_gram(histograms, pairwise(lambda r, c: shuffle_kernel(r, c, w)), "oracle")
 
 
 def brute_force_pattern_counts(

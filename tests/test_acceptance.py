@@ -30,6 +30,7 @@ from transportkernels import (
     nw_permuted,
     nw_table,
     ot_cost,
+    pairwise,
     permuted_sequence,
     pseudo_kernel,
     sample_permutations,
@@ -159,7 +160,7 @@ def test_05_volume_kernel_gram_psd():
         m_count = int(rng.integers(2, 16))
         hists = [random_histogram(rng, d, mass) for _ in range(m_count)]
         w = random_psd_weight(rng, d)
-        gram = build_gram(hists, lambda a, b: weighted_volume(a, b, w), "volume")
+        gram = build_gram(hists, pairwise(lambda a, b: weighted_volume(a, b, w)), "volume")
         cert = certify_psd(gram, tolerance=1e-8)
         worst = min(worst, cert.min_eigenvalue / max(1.0, cert.max_eigenvalue))
         if not cert.passed:
@@ -184,7 +185,7 @@ def test_06_corner_kernel_gram_psd_at_scale():
         hists = [random_histogram(rng, d, mass) for _ in range(m_count)]
         w = random_psd_weight(rng, d, normalize=True)
         rset = sample_permutations(d, r_size, seed=int(rng.integers(0, 2 ** 32)))
-        gram = build_gram(hists, lambda a, b: nw_kernel(a, b, w, rset), "nw")
+        gram = build_gram(hists, pairwise(lambda a, b: nw_kernel(a, b, w, rset)), "nw")
         cert = certify_psd(gram, tolerance=1e-8)
         worst = min(worst, cert.min_eigenvalue / max(1.0, cert.max_eigenvalue))
         if not cert.passed:

@@ -198,6 +198,31 @@ def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ([], "--out directory is required"),
+        (["--tolerance=-1e-8"], "tolerance must be nonnegative"),
+    ],
+)
+def test_gram_rejects_arguments_before_computing(
+    tmp_path, hists3, weights3, monkeypatch, capsys, extra, message
+):
+    import transportkernels.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel must not run")
+
+    monkeypatch.setattr(cli, "weighted_volume_row", refuse)
+    out = tmp_path / "out"
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume"]
+    if extra:
+        argv += ["--out", str(out)] + extra
+    assert main(argv) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gram_budget_exit(tmp_path, capsys):
     hists = write(tmp_path / "h.txt", "7,23\n12,18\n")
     w = write(tmp_path / "w.txt", "mode: weight\n1.0,0.5\n0.5,1.0\n")

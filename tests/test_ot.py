@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from transportkernels import (
     Histogram,
+    ValidationError,
     WeightSpec,
     enumerate_tables,
     monge_check,
     nw_table,
     ot_cost,
     pseudo_kernel,
+    pseudo_kernel_row,
     weighted_volume,
 )
 
-from conftest import integer_monge_cost, random_pair, random_psd_weight
+from conftest import integer_monge_cost, random_histogram, random_pair, random_psd_weight
 
 
 def total_variation_cost(d: int) -> WeightSpec:
@@ -40,6 +42,132 @@ def test_additively_separable_costs_are_monge():
     f = rng.integers(0, 50, size=5).astype(float)
     g = rng.integers(0, 50, size=5).astype(float)
     assert monge_check(WeightSpec.from_cost(f[:, None] + g[None, :]))
+
+
+def _monge_by_definition(m) -> bool:
+    d = len(m)
+    return all(
+        m[i][j] + m[k][l] <= m[i][l] + m[k][j]
+        for i in range(d) for k in range(i + 1, d) for j in range(d) for l in range(j + 1, d)
+    )
+
+
+def test_monge_check_against_definition():
+    # integer costs keep every sum exact; with +inf entries the check may
+    # only err on the side of the fold, never take an unsound shortcut
+    rng = np.random.default_rng(43)
+    verdicts = {(finite, v): 0 for finite in (True, False) for v in (True, False)}
+    for trial in range(400):
+        d = int(rng.integers(1, 7))
+        m = integer_monge_cost(rng, d, lam=int(rng.integers(0, 3))).cost.copy()
+        if trial % 4 == 1:
+            m[rng.integers(d), rng.integers(d)] += rng.integers(-3, 4)
+        if trial % 4 == 2:
+            m[rng.random((d, d)) < 0.3] = np.inf
+        if trial % 4 == 3:
+            gap = np.subtract.outer(np.arange(d), np.arange(d))
+            m[np.abs(gap) > int(rng.integers(0, 3))] = np.inf
+        expected = _monge_by_definition(m.tolist())
+        got = monge_check(WeightSpec.from_cost(m))
+        finite = bool(np.isfinite(m).all())
+        if finite:
+            assert got == expected
+        else:
+            assert expected or not got
+        verdicts[finite, got] += 1
+    assert min(verdicts.values()) > 0
+
+
+def test_monge_check_rejects_inf_between_finite_entries():
+    # every adjacent minor holds (each touches an +inf column or row), yet
+    # 1 + 1 > 0 + 0 on rows 0, 1 and columns 0, 2: the corner vertex costs 2
+    # where the optimum costs 0
+    inf = math.inf
+    m = [[1.0, inf, 0.0], [0.0, inf, 1.0], [inf, inf, inf]]
+    w = WeightSpec.from_cost(m)
+    assert not _monge_by_definition(m)
+    assert not monge_check(w)
+    r, c = Histogram((1, 1, 0)), Histogram((1, 0, 1))
+    assert ot_cost(r, c, w).cost == 0.0
+    assert pseudo_kernel(r, c, w) == 1.0
+
+
+def _corner_value(r, c, w) -> float:
+    try:
+        return math.exp(-nw_table(r, c).cost(w.cost))
+    except OverflowError:
+        return math.inf
+
+
+def test_monge_pseudo_row_matches_corner_vertex():
+    # the staircase merge reproduces exp(-<M, corner vertex>) bit for bit
+    rng = np.random.default_rng(59)
+    cases = []
+    for _ in range(20):
+        d = int(rng.integers(1, 7))
+        mass = int(rng.integers(0, 30))
+        cases.append(([random_histogram(rng, d, mass) for _ in range(8)],
+                      integer_monge_cost(rng, d, lam=int(rng.integers(0, 3)))))
+    for _ in range(10):
+        # real costs, where only an exactly rounded sum matches the vertex
+        d = int(rng.integers(3, 9))
+        x = np.arange(d) + 0.5 * rng.random(d)
+        lam = rng.random() + 0.1
+        m = 3.0 * rng.random((d, 1)) + 3.0 * rng.random((1, d)) - lam * np.outer(x, x)
+        mass = int(rng.integers(5, 40))
+        hists = [random_histogram(rng, d, mass) for _ in range(8)]
+        cases.append((hists, WeightSpec.from_cost(m)))
+    i = np.arange(5)
+    gap = np.subtract.outer(i, i).astype(float)
+    # +inf band beyond |i - j| = 1, real costs; negative costs whose exp overflows
+    cases.append(([random_histogram(rng, 5, 9) for _ in range(8)],
+                  WeightSpec.from_cost(np.where(np.abs(gap) > 1, np.inf, 0.3 * gap**2))))
+    cases.append(([random_histogram(rng, 5, 9) for _ in range(8)],
+                  WeightSpec.from_cost(-40.0 * np.outer(i, i) + 0.1 * gap**2)))
+    cases.append(([Histogram((0,) * 4)] * 3, integer_monge_cost(rng, 4, lam=1)))
+    seen = set()
+    for hists, w in cases:
+        assert monge_check(w)
+        for p, r in enumerate(hists):
+            row = pseudo_kernel_row(r, hists[p:], w)
+            expected = [_corner_value(r, c, w) for c in hists[p:]]
+            assert row == expected
+            assert row == [pseudo_kernel(r, c, w) for c in hists[p:]]
+            seen.update("inf" if v == math.inf else "0" if v == 0.0 else "finite" for v in row)
+    assert seen == {"inf", "0", "finite"}
+
+
+def test_non_monge_pseudo_row_matches_transport():
+    # ties from integer costs, and +inf cells that make some pairs infeasible
+    rng = np.random.default_rng(61)
+    seen_zero = False
+    for trial in range(30):
+        d = int(rng.integers(2, 5))
+        m = rng.integers(0, 3, size=(d, d)).astype(float)
+        if trial % 2:
+            m[rng.random((d, d)) < 0.4] = np.inf
+        w = WeightSpec.from_cost(m)
+        if monge_check(w):
+            continue
+        mass = int(rng.integers(1, 7))
+        hists = [random_histogram(rng, d, mass) for _ in range(6)]
+        for p, r in enumerate(hists):
+            row = pseudo_kernel_row(r, hists[p:], w)
+            assert row == [math.exp(-ot_cost(r, c, w).cost) for c in hists[p:]]
+            assert row == [pseudo_kernel(r, c, w) for c in hists[p:]]
+            seen_zero = seen_zero or 0.0 in row
+    assert seen_zero
+
+
+def test_monge_pseudo_rejects_mass_beyond_keys():
+    # like nw_kernel, the staircase merge needs the mass to fit 64-bit keys
+    w = WeightSpec.from_cost([[0.0, 1.0], [1.0, 0.0]])
+    r = Histogram((2**62, 2**62))
+    assert monge_check(w)
+    with pytest.raises(ValidationError):
+        pseudo_kernel(r, r, w)
+    with pytest.raises(ValidationError):
+        pseudo_kernel_row(r, [r, r], w)
 
 
 def test_monge_fast_path_matches_enumeration():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from transportkernels import (
     generating_function,
     softmin,
     weighted_volume,
+    weighted_volume_row,
 )
 from transportkernels.testing import brute_force_pattern_counts
 
-from conftest import random_pair, random_psd_weight
+from conftest import random_histogram, random_pair, random_psd_weight
 
 
 def test_weight_spec_roundtrip():
@@ -171,6 +173,80 @@ def test_volume_intermediate_underflow_keeps_dominant_term():
     v = weighted_volume(r, r, w)
     assert v == pytest.approx(generating_function(r, r, w), rel=1e-12, abs=0)
     assert v == pytest.approx(1e-32, rel=1e-12, abs=0)
+
+
+def _family(d: int, mass: int) -> list[Histogram]:
+    """Every histogram with d bins and the given mass."""
+    counts = itertools.product(range(mass + 1), repeat=d)
+    return [Histogram(t) for t in counts if sum(t) == mass]
+
+
+def _volume_row_cases():
+    rng = np.random.default_rng(89)
+    for _ in range(12):
+        d = int(rng.integers(2, 5))
+        mass = int(rng.integers(0, 7))
+        yield [random_histogram(rng, d, mass) for _ in range(6)], random_psd_weight(rng, d)
+    e = math.exp(1.0)
+    # log path: kmin^N below the normal range; some values overflow to inf
+    yield _family(2, 6), WeightSpec.from_weight([[1e-170, 1e-100], [1e-100, 1e154]])
+    # log path: (e^40)^20 overflows while the cells are built
+    yield _family(2, 20), WeightSpec.from_weight([[e**40, 1.0], [1.0, e**-40]])
+    # float path, but the (2, 0) column overflows and reruns on log weights
+    yield _family(2, 2), WeightSpec.from_weight([[1e300, 1.0], [1e10, 1e-5]])
+    # forbidden pairs: +inf cost beyond the band |i - j| <= 1
+    gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    yield _family(4, 4), WeightSpec.from_cost(np.where(gap > 1, np.inf, 0.5 * gap))
+
+
+def test_volume_row_matches_pairs():
+    for hists, w in _volume_row_cases():
+        for p, r in enumerate(hists):
+            row = weighted_volume_row(r, hists[p:], w)
+            assert row == [weighted_volume(r, c, w) for c in hists[p:]]
+
+
+def test_volume_row_reruns_only_overflowing_columns():
+    # the other columns keep the float fold's exact sums, which the log
+    # fold would miss in the last digits (1.000000000000024e+295)
+    w = WeightSpec.from_weight([[1e300, 1.0], [1e10, 1e-5]])
+    r = Histogram((1, 1))
+    row = weighted_volume_row(r, [Histogram((2, 0)), r, Histogram((0, 2))], w)
+    assert row == [math.inf, 1e10 + 1e300 * 1e-5, 1.0 * 1e-5]
+
+
+@pytest.mark.parametrize("kernel", ["volume", "pseudo"])
+def test_row_budget_counts_visits_made(kernel):
+    # standalone, (1,2,3) visits 20 row compositions and (2,2,2) visits 27;
+    # after (1,2,3) in one row, (2,2,2) finds most of its memo filled
+    from transportkernels import ot
+
+    r, c1, c2 = Histogram((2, 2, 2)), Histogram((1, 2, 3)), Histogram((2, 2, 2))
+    if kernel == "volume":
+        w = WeightSpec.from_weight([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
+        row_fn, pair_fn = weighted_volume_row, weighted_volume
+    else:
+        w = WeightSpec.from_cost([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        assert not ot.monge_check(w)
+        row_fn, pair_fn = ot.pseudo_kernel_row, ot.pseudo_kernel
+    budget = EnumerationBudget
+
+    def raises(call):
+        try:
+            call()
+        except BudgetExceededError:
+            return True
+        return False
+
+    # the row's first evaluation visits exactly what the standalone call does
+    assert raises(lambda: pair_fn(r, c1, w, budget(19)))
+    assert not raises(lambda: pair_fn(r, c1, w, budget(20)))
+    assert raises(lambda: row_fn(r, [c1, c2], w, budget(19)))
+    assert raises(lambda: pair_fn(r, c2, w, budget(26)))
+    assert not raises(lambda: pair_fn(r, c2, w, budget(27)))
+    # a budget between the shared and standalone counts of the later column
+    assert row_fn(r, [c1, c2], w, budget(20)) == [pair_fn(r, c, w) for c in (c1, c2)]
+    assert raises(lambda: pair_fn(r, c2, w, budget(20)))
 
 
 def test_volume_and_transport_never_enumerate(monkeypatch):

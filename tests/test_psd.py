@@ -11,9 +11,12 @@ from transportkernels import (
     certify_psd,
     dataset_digest,
     jacobi_eigh,
+    pairwise,
     psd_weight_check,
     pseudo_kernel,
+    pseudo_kernel_row,
     weighted_volume,
+    weighted_volume_row,
 )
 
 from conftest import random_histogram, random_psd_weight
@@ -120,23 +123,25 @@ def test_psd_weight_check():
 
 
 def test_build_gram_evaluates_upper_triangle_once():
+    # one row call per histogram, over the suffix that starts at it
     rng = np.random.default_rng(71)
     hists = [random_histogram(rng, 3, 4) for _ in range(5)]
     w = random_psd_weight(rng, 3)
     calls = []
 
-    def kernel(a, b):
-        calls.append((a, b))
-        return weighted_volume(a, b, w)
+    def kernel(r, cs):
+        calls.append((r, list(cs)))
+        return weighted_volume_row(r, cs, w)
 
     gram = build_gram(hists, kernel, "volume")
-    assert len(calls) == 5 * 6 // 2
+    assert calls == [(hists[p], hists[p:]) for p in range(5)]
+    assert sum(len(cs) for _, cs in calls) == 5 * 6 // 2
     assert np.allclose(gram.values, gram.values.T)
 
 
 def test_build_gram_rejects_mixed_families():
     w = random_psd_weight(np.random.default_rng(0), 2)
-    kernel = lambda a, b: weighted_volume(a, b, w)
+    kernel = pairwise(lambda a, b: weighted_volume(a, b, w))
     with pytest.raises(ValidationError):
         build_gram([Histogram((1, 2)), Histogram((2, 2))], kernel, "volume")
     with pytest.raises(ValidationError):
@@ -150,7 +155,42 @@ def test_build_gram_wraps_kernel_failures():
         raise RuntimeError("boom")
 
     with pytest.raises(KernelEvaluationError):
-        build_gram([Histogram((1, 1)), Histogram((2, 0))], broken, "volume")
+        build_gram([Histogram((1, 1)), Histogram((2, 0))], pairwise(broken), "volume")
+
+
+def test_build_gram_names_the_failing_row():
+    hists = [Histogram((1, 1)), Histogram((2, 0)), Histogram((0, 2))]
+
+    def broken_second_row(r, cs):
+        if r == hists[1]:
+            raise RuntimeError("boom")
+        return [1.0] * len(cs)
+
+    with pytest.raises(KernelEvaluationError, match="row 1: boom"):
+        build_gram(hists, broken_second_row, "volume")
+    with pytest.raises(KernelEvaluationError, match="1 values for the 3 columns of row 0"):
+        build_gram(hists, lambda r, cs: [1.0], "volume")
+
+
+def test_row_kernel_grams_equal_pairwise_grams():
+    rng = np.random.default_rng(79)
+    for _ in range(6):
+        d = int(rng.integers(2, 5))
+        mass = int(rng.integers(0, 7))
+        hists = [random_histogram(rng, d, mass) for _ in range(8)]
+        psd_w = random_psd_weight(rng, d)
+        gap = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+        monge_w = WeightSpec.from_cost(0.5 * gap)
+        scan_w = WeightSpec.from_cost(rng.random((d, d)) * 2.0)
+        pairs = [
+            ("volume", weighted_volume_row, weighted_volume, psd_w),
+            ("pseudo", pseudo_kernel_row, pseudo_kernel, monge_w),
+            ("pseudo", pseudo_kernel_row, pseudo_kernel, scan_w),
+        ]
+        for kernel_id, row_fn, pair_fn, w in pairs:
+            rows = build_gram(hists, lambda r, cs: row_fn(r, cs, w), kernel_id)
+            per_pair = build_gram(hists, pairwise(lambda a, b: pair_fn(a, b, w)), kernel_id)
+            assert np.array_equal(rows.values, per_pair.values)
 
 
 def test_dataset_digest_is_order_sensitive_and_stable():
@@ -167,7 +207,7 @@ def test_volume_gram_psd_for_psd_weights():
         mass = int(rng.integers(1, 6))
         hists = [random_histogram(rng, d, mass) for _ in range(6)]
         w = random_psd_weight(rng, d)
-        gram = build_gram(hists, lambda a, b: weighted_volume(a, b, w), "volume")
+        gram = build_gram(hists, pairwise(lambda a, b: weighted_volume(a, b, w)), "volume")
         assert certify_psd(gram).passed
 
 
@@ -179,7 +219,7 @@ def test_pseudo_kernel_point_mass_counterexample():
     near, far = 0.105, 2.303
     m = np.array([[0.0, near, near], [near, 0.0, far], [near, far, 0.0]])
     w = WeightSpec.from_cost(m)
-    gram = build_gram(hists, lambda a, b: pseudo_kernel(a, b, w), "pseudo")
+    gram = build_gram(hists, pairwise(lambda a, b: pseudo_kernel(a, b, w)), "pseudo")
     cert = certify_psd(gram)
     assert not cert.passed
     assert cert.min_eigenvalue < -0.2
@@ -199,8 +239,8 @@ def test_pseudo_fails_where_volume_passes():
         for _ in range(m_count)
     ]
     assert psd_weight_check(w).passed
-    pseudo = build_gram(hists, lambda a, b: pseudo_kernel(a, b, w), "pseudo")
-    volume = build_gram(hists, lambda a, b: weighted_volume(a, b, w), "volume")
+    pseudo = build_gram(hists, pairwise(lambda a, b: pseudo_kernel(a, b, w)), "pseudo")
+    volume = build_gram(hists, pairwise(lambda a, b: weighted_volume(a, b, w)), "volume")
     pseudo_cert = certify_psd(pseudo)
     volume_cert = certify_psd(volume)
     assert volume_cert.passed
