@@ -13,7 +13,6 @@ classical (indefinite) baseline.
 from . import fileio
 from .errors import (
     BudgetExceededError,
-    ConvergenceError,
     DimensionMismatchError,
     KernelEvaluationError,
     LengthMismatchError,
@@ -65,7 +64,6 @@ from .psd import (
     build_gram,
     certify_psd,
     dataset_digest,
-    jacobi_eigh,
     pairwise,
     psd_weight_check,
 )
@@ -73,7 +71,6 @@ from .psd import (
 __all__ = [
     "fileio",
     "BudgetExceededError",
-    "ConvergenceError",
     "ContingencyTable",
     "DEFAULT_MAX_TABLES",
     "DimensionMismatchError",
@@ -101,7 +98,6 @@ __all__ = [
     "enumerate_tables",
     "fisher_yates",
     "generating_function",
-    "jacobi_eigh",
     "monge_check",
     "nw_cost_matrix",
     "nw_kernel",

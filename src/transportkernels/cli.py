@@ -4,9 +4,10 @@ Subcommands: gram (kernel Gram matrix + PSD certificate + manifest),
 enumerate (stream a table set to CSV), nw (corner-rule vertices),
 psd-check (certify a weight matrix), ot (exact transport baseline).
 
-Exit codes: 0 success / certificate passed, 1 input or validation error,
-2 certificate failed, 3 budget exceeded (tables streamed by enumerate,
-row compositions visited by the volume and transport folds).
+Exit codes: 0 success / certificate passed, 1 usage, input or
+validation error, 2 certificate failed, 3 budget exceeded (tables
+streamed by enumerate, row compositions visited by the volume and
+transport folds).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
@@ -63,8 +65,16 @@ class RunConfig:
         return cls(**payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_ERROR on a usage error; exit 2 means a failed certificate."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transportkernels",
         description="Kernels between integral histograms via transportation tables",
     )

@@ -35,10 +35,6 @@ class KernelEvaluationError(TransportKernelError, RuntimeError):
     """A kernel evaluation failed while building a Gram matrix."""
 
 
-class ConvergenceError(TransportKernelError, RuntimeError):
-    """The iterative eigenvalue sweep failed to reach its threshold."""
-
-
 class ParseError(TransportKernelError, ValueError):
     """An input file is malformed; carries the path and 1-based line."""
 

@@ -72,9 +72,6 @@ class Histogram:
             )
         return Histogram(sigma.permute(self.counts))
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.counts) + "]"
 
@@ -121,14 +118,6 @@ class Permutation:
         for pos, v in enumerate(self.image):
             inv[v - 1] = pos + 1
         return Permutation(tuple(inv))
-
-    def compose(self, other: Permutation) -> Permutation:
-        """self after other: (self.compose(other))(i) == self(other(i))."""
-        if self.n != other.n:
-            raise DimensionMismatchError(
-                f"composing permutations of sizes {self.n} and {other.n}"
-            )
-        return Permutation(tuple(self.image[v - 1] for v in other.image))
 
     def permute(self, values: Sequence) -> tuple:
         """Reordered copy of values whose i-th slot holds values[sigma(i)]."""
@@ -211,10 +200,6 @@ class ContingencyTable:
             self, "col_sums", Histogram(tuple(sum(col) for col in zip(*rows)))
         )
 
-    @classmethod
-    def from_array(cls, arr) -> ContingencyTable:
-        return cls(tuple(tuple(int(v) for v in row) for row in np.asarray(arr)))
-
     @property
     def d(self) -> int:
         return len(self.entries)
@@ -222,12 +207,6 @@ class ContingencyTable:
     @property
     def mass(self) -> int:
         return self.row_sums.mass
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-    def transposed(self) -> ContingencyTable:
-        return ContingencyTable(tuple(zip(*self.entries)))
 
     def nonzero_count(self) -> int:
         return sum(1 for row in self.entries for v in row if v)

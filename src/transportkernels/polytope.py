@@ -88,7 +88,14 @@ class WeightSpec:
         _require_square(m)
         if np.isnan(m).any() or np.isneginf(m).any():
             raise ValidationError("cost entries must be reals or +inf")
-        k = np.exp(-m)
+        with np.errstate(over="ignore"):
+            k = np.exp(-m)
+        if np.isinf(k).any():
+            i, j = np.argwhere(np.isinf(k))[0]
+            raise ValidationError(
+                f"cost entry ({i}, {j}) = {float(m[i, j])!r} gives weight exp(-m) "
+                "beyond the float range; weights must be finite"
+            )
         return cls(cost=m, weight=k, origin="cost")
 
     @classmethod

@@ -1,38 +1,31 @@
 """Gram matrices and positive semidefiniteness certificates.
 
 Kernel claims are certified empirically: build the Gram matrix of a
-histogram family, compute its full spectrum, and compare the smallest
-eigenvalue against a relative tolerance. The eigensolver is a Jacobi
-rotation sweep in round-robin order, kept inside the repository so the
-certificate does not depend on a LAPACK build; each step rotates up to
-n/2 disjoint pairs at once, and sweeps stop once the off-diagonal
-Frobenius mass falls below 1e-12 of the matrix norm. Rotations are
-accumulated, so the factorization can be checked by reassembling the
-matrix from its eigenpairs.
+histogram family and compare its smallest eigenvalue against a
+tolerance scaled by its largest. Only those two eigenvalues are
+computed, inside the repository so the certificate does not depend on
+a LAPACK build: Householder reflections reduce the matrix to
+tridiagonal form, and bisection on Sturm counts brackets each extreme
+eigenvalue. Both steps are backward stable, so each eigenvalue is
+accurate to a small multiple of eps * norm(G).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    ConvergenceError,
-    KernelEvaluationError,
-    ValidationError,
-)
+from .errors import BudgetExceededError, KernelEvaluationError, ValidationError
 from .histograms import Histogram
 from .polytope import WeightSpec
 
 KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
 
-OFF_DIAGONAL_FACTOR = 1e-12
-MAX_SWEEPS = 60
 SYMMETRY_REL_TOL = 1e-12
 
 # kernel(r, cs) -> [K(r, c) for c in cs]
@@ -106,32 +99,18 @@ class PsdCertificate:
         }
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rounds of disjoint (p < q) index pairs covering every pair once.
+def _extreme_eigenvalues(a) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a symmetric matrix.
 
-    The circle method on n padded to even: one index stays fixed, the
-    others rotate one place per round, and position i meets position
-    m - 1 - i. Pairs that touch the pad index are dropped.
-    """
-    m = n + n % 2
-    ring = np.arange(m)
-    rounds = []
-    for _ in range(m - 1):
-        p, q = np.sort([ring[: m // 2], ring[::-1][: m // 2]], axis=0)
-        keep = q < n
-        rounds.append((p[keep], q[keep]))
-        ring[1:] = np.roll(ring[1:], 1)
-    return rounds
-
-
-def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum of a symmetric matrix by round-robin Jacobi rotations.
-
-    Returns eigenvalues in ascending order with the matching eigenvector
-    columns. A sweep is n - 1 rounds (n padded to even); each round
-    applies up to n/2 disjoint rotations at once (Brent & Luk, 1985).
-    Sweeps stop when the off-diagonal Frobenius norm drops below
-    OFF_DIAGONAL_FACTOR times the norm of the input.
+    Householder reflections reduce the matrix to a tridiagonal T with
+    the same spectrum, one rank-2 update per column. Each eigenvalue is
+    then bisected from the Gershgorin interval of T on Sturm counts: the
+    number of eigenvalues below x is the number of negative pivots of
+    the LDL^T factorization of T - xI. Bisection stops once the bracket
+    is no wider than 2 eps times the larger magnitude of the Gershgorin
+    bounds, below which the reduction's own rounding (about eps * norm)
+    dominates. That takes at most about 53 halvings, so no iteration cap
+    is needed.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -139,40 +118,57 @@ def jacobi_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     n = a.shape[0]
-    vectors = np.eye(n)
-    target = OFF_DIAGONAL_FACTOR * float(np.linalg.norm(a))
-    off_diag = ~np.eye(n, dtype=bool)
-    rounds = _round_robin(n)
-    for _ in range(MAX_SWEEPS):
-        # Sum off-diagonal squares directly: the difference of two full
-        # sums cancels catastrophically and floors near sqrt(eps)*norm.
-        off = math.sqrt(float((a[off_diag] ** 2).sum()))
-        if off <= target:
-            break
-        for p, q in rounds:
-            apq = a[p, q]
-            nonzero = apq != 0.0
-            p, q, apq = p[nonzero], q[nonzero], apq[nonzero]
-            # tan of the smaller angle that zeroes a[p, q], in a form that
-            # cannot overflow however small the angle.
-            half = (a[q, q] - a[p, p]) / 2.0
-            sign = np.where(half >= 0.0, 1.0, -1.0)
-            t = sign * apq / (np.abs(half) + np.hypot(half, apq))
-            cos = 1.0 / np.sqrt(t * t + 1.0)
-            sin = t * cos
-            # Columns, then rows through the transpose view, then vectors.
-            for x in (a, a.T, vectors):
-                xp, xq = x[:, p], x[:, q]
-                x[:, p] = cos * xp - sin * xq
-                x[:, q] = sin * xp + cos * xq
-            a[p, q] = a[q, p] = 0.0
-    else:
-        raise ConvergenceError(
-            f"off-diagonal mass did not reach {target:.3e} in {MAX_SWEEPS} sweeps"
-        )
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], vectors[:, order]
+    # With the largest entry scaled to 1, the squares below neither
+    # overflow nor underflow.
+    scale = float(np.abs(a).max(initial=0.0)) or 1.0
+    a /= scale
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        norm = math.sqrt(float(x @ x))
+        if norm == 0.0:
+            continue
+        # Reflect x onto -sign(x[0]) * norm * e1; v[0] adds, never cancels.
+        alpha = -math.copysign(norm, x[0])
+        v = x.copy()
+        v[0] -= alpha
+        vv = float(v @ v)
+        block = a[k + 1 :, k + 1 :]
+        p = block @ v * (2.0 / vv)
+        w = p - float(p @ v) / vv * v
+        vw = np.outer(v, w)
+        block -= vw + vw.T
+        a[k + 1, k] = alpha
+    diag = np.diag(a)
+    off = np.abs(np.diag(a, -1))
+    radius = np.pad(off, (1, 0)) + np.pad(off, (0, 1))
+    lower = float((diag - radius).min())
+    upper = float((diag + radius).max())
+    width = 2.0 * sys.float_info.epsilon * max(abs(lower), abs(upper))
+    pivots = list(zip(diag.tolist(), [0.0] + (off * off).tolist()))
+
+    def below(x: float) -> int:
+        count, q = 0, 1.0
+        for d, e2 in pivots:
+            q = d - x - e2 / q
+            # A zero pivot counts as a tiny negative one, so the next
+            # division is defined.
+            if q == 0.0:
+                q = -sys.float_info.min
+            count += q < 0.0
+        return count
+
+    def bisect(k: int) -> float:
+        """The k-th smallest eigenvalue of the input, counting from 1."""
+        lo, hi = lower, upper
+        while hi - lo > width:
+            mid = (lo + hi) / 2.0
+            if below(mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2.0 * scale
+
+    return bisect(1), bisect(n)
 
 
 def require_tolerance(tolerance: float) -> None:
@@ -182,9 +178,7 @@ def require_tolerance(tolerance: float) -> None:
 
 def _certify(values: np.ndarray, tolerance: float) -> PsdCertificate:
     require_tolerance(tolerance)
-    eigenvalues, _ = jacobi_eigh(values)
-    lo = float(eigenvalues[0])
-    hi = float(eigenvalues[-1])
+    lo, hi = _extreme_eigenvalues(values)
     passed = lo >= -tolerance * max(1.0, hi)
     return PsdCertificate(
         min_eigenvalue=lo, max_eigenvalue=hi, tolerance=tolerance, passed=passed

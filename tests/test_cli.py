@@ -223,6 +223,38 @@ def test_gram_rejects_arguments_before_computing(
     assert not out.exists()
 
 
+USAGE_ERRORS = [
+    ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "volume",
+     "--tolerance", "-1e-8", "--out", "o"],
+    ["bogus"],
+    ["gram", "--input", "h.txt", "--weights", "w.txt", "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["tolerance", "subcommand", "kernel"])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is reserved for a failed certificate
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "usage:" in capsys.readouterr().err
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "transportkernels.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_ERROR, done.stderr
+    assert "error:" in done.stderr
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--kernel" in capsys.readouterr().out
+
+
 def test_gram_budget_exit(tmp_path, capsys):
     hists = write(tmp_path / "h.txt", "7,23\n12,18\n")
     w = write(tmp_path / "w.txt", "mode: weight\n1.0,0.5\n0.5,1.0\n")
@@ -257,6 +289,13 @@ def test_psd_check_verdicts(tmp_path, weights3, capsys):
     indef = write(tmp_path / "indef.txt", "mode: weight\n0.0,1.0\n1.0,0.0\n")
     assert main(["psd-check", "--weights", indef]) == EXIT_CERT_FAIL
     assert "verdict fail" in capsys.readouterr().out
+
+
+def test_psd_check_rejects_cost_whose_weight_overflows(tmp_path, capsys):
+    w = write(tmp_path / "w.txt", "mode: cost\n-800,0\n0,0\n")
+    assert main(["psd-check", "--weights", w]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "cost entry (0, 0) = -800.0" in err and "weights must be finite" in err
 
 
 def test_ot_output(tmp_path, pair, capsys):

@@ -16,6 +16,8 @@ def test_demo_runs(demo):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        # the same warning gate pyproject.toml sets for the test suite
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

@@ -50,6 +50,14 @@ def test_weight_spec_validation():
     assert w.weight[0, 0] == 0.0
 
 
+def test_weight_spec_rejects_costs_whose_weight_overflows():
+    # exp(800) is beyond the float range; exp(700) is not
+    with pytest.raises(ValidationError, match=r"cost entry \(0, 0\) = -800.0"):
+        WeightSpec.from_cost([[-800.0, 0.0], [0.0, 0.0]])
+    w = WeightSpec.from_cost([[-700.0, 0.0], [0.0, 0.0]])
+    assert w.weight[0, 0] == np.exp(700.0)
+
+
 def test_weight_arrays_are_frozen():
     w = WeightSpec.from_cost([[1.0]])
     with pytest.raises(ValueError):
