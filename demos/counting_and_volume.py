@@ -30,8 +30,13 @@ print(f"{r} vs {c}: {len(tables)} tables")
 for t in tables:
     print("  ", t.entries)
 
-# the dynamic-programming count never materializes the tables
+# the count never materializes the tables: it reads one coefficient of
+# a generating polynomial, built in exact integers over the column sums
 assert count_tables(r, c) == len(tables)
+ten = Histogram((10,) * 5)
+big = count_tables(ten, ten)
+assert big == 79_315_936_751
+print(f"{ten} vs {ten}: {big:,} tables, counted without listing one")
 
 # a similarity weight per bin pair turns the count into a kernel:
 # each table contributes the product of k[i][j]^x[i][j]

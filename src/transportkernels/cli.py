@@ -6,8 +6,8 @@ psd-check (certify a weight matrix), ot (exact transport baseline).
 
 Exit codes: 0 success / certificate passed, 1 usage, input or
 validation error, 2 certificate failed, 3 budget exceeded (tables
-streamed by enumerate, row compositions visited by the volume and
-transport folds).
+streamed by enumerate, cell updates of a volume recurrence box, row
+compositions visited by the transport fold).
 """
 
 from __future__ import annotations

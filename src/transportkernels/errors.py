@@ -24,7 +24,7 @@ class LengthMismatchError(TransportKernelError, ValueError):
 
 
 class BudgetExceededError(TransportKernelError, RuntimeError):
-    """Enumeration or a row fold hit its budget instead of truncating."""
+    """Enumeration, a volume recurrence or a fold hit its budget instead of truncating."""
 
     def __init__(self, message: str, count_so_far: int):
         super().__init__(message)

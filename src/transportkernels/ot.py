@@ -3,7 +3,7 @@
 The transportation problem between equal-mass integral histograms always
 has an integral minimizer, so the exact optimum is the minimum of
 <X, M> over the finite table set: the zero-temperature limit of the
-softmin behind the weighted volume, computed by the same row fold in
+softmin behind the weighted volume, computed by a memoized row fold in
 the (min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
 i<k, j<l) the northwestern corner vertex is already optimal and no fold
 runs. exp(-optimal cost) is a useful similarity but not positive

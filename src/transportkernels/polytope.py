@@ -3,10 +3,7 @@
 For two histograms r and c with d bins and equal mass N, the table set
 is the collection of d x d nonnegative integer matrices whose row sums
 are r and whose column sums are c. This module enumerates that set and
-folds over it row by row: one memoized recursion over (row, residual
-column sums) that counts it, sums its weights and, in `ot`, finds its
-cheapest table, each in its own semiring. The memo depends only on r,
-so one fold serves every c of a Gram row. Two sums over the set:
+sums over it without enumerating. Two sums over the set:
 
 * the weighted volume  T(r, c; K) = sum over tables X of prod k_ij^x_ij,
   a positive definite kernel in (r, c) whenever the entry-weight matrix
@@ -16,6 +13,19 @@ so one fold serves every c of a Gram row. Two sums over the set:
 
 The two are tied together by the soft minimum: V = exp(-softmin of the
 table costs). With K identically one, T is the plain lattice point count.
+
+T is a coefficient of a generating polynomial:
+T(r, c; K) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
+complete homogeneous polynomial of degree n. One dense recurrence over
+the column exponents e <= max c builds it row by row, a scan along one
+axis per nonzero weight, so one array serves every c of a Gram row. It
+runs in floats and in log space (logaddexp, +) for the weighted volume
+and in exact integers for `count_tables`. Its work is the box cells
+times the scans; the budget caps that number, checked before the box is
+allocated, and a row whose shared box does not fit gives each c its own
+box. `ot` finds the cheapest table with a memoized (min, +) fold over
+(row, residual column sums), kept because its ties must resolve to the
+lexicographically earliest table.
 
 The Fisher-Yates statistic of a table, n(X) = (prod r_i! prod c_j!) /
 prod x_ij!, counts the permutations that induce the table when one
@@ -33,7 +43,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +59,8 @@ DEFAULT_MAX_TABLES = 10_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on the tables enumeration streams or the row compositions a fold visits."""
+    """Cap on the tables enumeration streams, the cell updates of a volume
+    recurrence box, or the row compositions a (min, +) fold visits."""
 
     max_tables: int = DEFAULT_MAX_TABLES
 
@@ -214,6 +225,7 @@ def _fold(r: Histogram, cell, times, plus, zero):
     whose value equals `zero` is skipped with its subtree. More than
     budget.max_tables row compositions visited in one call raise
     BudgetExceededError; a memo hit left by an earlier call is free.
+    `ot` runs it in (min, +) for its plan search.
     """
     d = r.d
     memo: dict[tuple[int, tuple[int, ...]], object] = {}
@@ -249,14 +261,114 @@ def _fold(r: Histogram, cell, times, plus, zero):
     return fold
 
 
-def count_tables(r: Histogram, c: Histogram) -> int:
-    """Exact number of tables with margins (r, c): the row fold over ints.
+class _Semiring(NamedTuple):
+    """(plus, times) as numpy ufuncs, their identities and the array dtype."""
 
-    Always equals the length of the enumeration stream.
+    plus: np.ufunc
+    times: np.ufunc
+    zero: object
+    one: object
+    dtype: type
+
+
+_REAL = _Semiring(np.add, np.multiply, 0.0, 1.0, float)
+_LOG = _Semiring(np.logaddexp, np.add, -math.inf, 0.0, float)
+_EXACT = _Semiring(np.add, np.multiply, 0, 1, object)
+
+
+def _generating_row(
+    r: Histogram,
+    cs: Sequence[Histogram],
+    weights: np.ndarray,
+    ring: _Semiring,
+    budget: EnumerationBudget | None,
+) -> list:
+    """[T(r, c) for c in cs] in `ring`, read from one dense box or one box per c.
+
+    T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
+    complete homogeneous polynomial of degree n. The box holds every
+    exponent e <= extent, the binwise maximum of its columns. Row i
+    multiplies in h_{r_i} one cell (i, j) at a time, by the scan
+    F[e] = F[e] (+) k_ij (x) F[e - unit_j] along axis j, and then resets
+    to `ring.zero` every state whose total is not r_1 + ... + r_i. A cell
+    whose weight is `ring.zero` is skipped, which keeps 0^0 = 1; so are
+    empty rows and axes of extent 0. A box's cell updates are its cells
+    times its scans. The row shares one box while that fits the budget,
+    and otherwise gives each c its own box, which must fit.
+    """
+    rows = [
+        (n, [(j, weights[i, j]) for j in range(r.d) if weights[i, j] != ring.zero])
+        for i, n in enumerate(r.counts)
+        if n
+    ]
+    cap = budget.max_tables if budget is not None else math.inf
+
+    def updates(extent: tuple[int, ...]) -> int:
+        scans = sum(1 for _, row in rows for j, _ in row if extent[j])
+        return math.prod(e + 1 for e in extent) * scans
+
+    shared = tuple(max((c.counts[j] for c in cs), default=0) for j in range(r.d))
+    if updates(shared) <= cap:
+        return _recurrence(r, cs, shared, rows, ring)
+    values = []
+    for c in cs:
+        needed = updates(c.counts)
+        if needed > cap:
+            raise BudgetExceededError(
+                f"margins {r} / {c} need {needed} cell updates, more than {cap}",
+                count_so_far=0,
+            )
+        values += _recurrence(r, (c,), c.counts, rows, ring)
+    return values
+
+
+def _recurrence(
+    r: Histogram,
+    cs: Sequence[Histogram],
+    extent: tuple[int, ...],
+    rows: list,
+    ring: _Semiring,
+) -> list:
+    """The scans of `_generating_row` over the box e <= extent, read at each c."""
+    f = np.full(tuple(e + 1 for e in extent), ring.zero, dtype=ring.dtype)
+    f[(0,) * r.d] = ring.one
+    totals = sum(
+        np.arange(e + 1).reshape((-1,) + (1,) * (r.d - 1 - j)) for j, e in enumerate(extent)
+    )
+    done = 0
+    with np.errstate(over="ignore"):
+        for n, row in rows:
+            for j, k in row:
+                if not extent[j]:
+                    continue
+                # Views of the slices along axis j; `...` keeps them arrays at d = 1.
+                axis = np.moveaxis(f, j, 0)
+                at = [axis[e, ...] for e in range(extent[j] + 1)]
+                step = np.empty_like(at[0])
+                for e in range(1, extent[j] + 1):
+                    if k == ring.one:
+                        ring.plus(at[e], at[e - 1], out=at[e])
+                    else:
+                        ring.times(at[e - 1], k, out=step)
+                        ring.plus(at[e], step, out=at[e])
+            done += n
+            # Every c has total N, so the last row needs no reset.
+            if done < r.mass:
+                f[totals != done] = ring.zero
+    return [f.item(c.counts) for c in cs]
+
+
+def count_tables(r: Histogram, c: Histogram) -> int:
+    """Exact number of tables with margins (r, c), as a Python int.
+
+    The generating-polynomial recurrence with every weight 1, run in
+    exact integers on an object array over the box of e <= c (its
+    prod (c_j + 1) states each hold one count). Unbudgeted. Always
+    equals the length of the enumeration stream.
     """
     require_compatible(r, c)
-    cells = [[[1] * (n + 1)] * r.d for n in r.counts]
-    return _fold(r, cells, operator.mul, operator.add, 0)(c, None)
+    ones = np.ones((r.d, r.d), dtype=object)
+    return _generating_row(r, (c,), ones, _EXACT, None)[0]
 
 
 def weighted_volume_row(
@@ -267,36 +379,31 @@ def weighted_volume_row(
 ) -> list[float]:
     """[T(r, c; K) for c in cs]: one row of a weighted-volume Gram matrix.
 
-    Every c is folded against one memo for r, so the sums over the lower
-    rows of the tables are shared across the row. Every partial product
-    of the fold is at least kmin^N (kmin the smallest nonzero weight
-    capped at 1, N the mass). While that bound is a normal float and no
-    power k_ij^e overflows, the fold runs on the float powers; otherwise,
-    and for any c whose float value is inf or NaN, it runs on log weights
-    -e m_ij under logaddexp. 0^0 = 1 throughout. The budget caps the row
-    compositions each c visits.
+    One dense generating-polynomial recurrence over the column exponents
+    gives the whole row: T(r, c) is its state at e = c. The row shares
+    one box e <= (max over cs of c_j) while its cell updates (box cells
+    times the nonzero weights scanned) fit the budget; otherwise every c
+    gets its own box e <= c, and a box that does not fit raises
+    BudgetExceededError before it is allocated. Every partial product
+    is at least kmin^N (kmin the smallest nonzero weight capped at 1, N
+    the mass). While that bound is a normal float the recurrence runs
+    on the weights; otherwise, and for any c whose float value is inf
+    or NaN (a partial product overflowed), it runs on log weights -m_ij
+    under logaddexp. 0^0 = 1 throughout.
     """
     for c in cs:
         require_compatible(r, c)
     require_matching_weights(r, w)
     budget = budget if budget is not None else EnumerationBudget()
-    fold = log_fold = None
+    values = [math.inf] * len(cs)
     floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
     if r.mass * math.log(floor) >= math.log(sys.float_info.min):
-        try:
-            cells = _cells(r, w.weight, lambda k, e: k**e)
-            fold = _fold(r, cells, operator.mul, operator.add, 0.0)
-        except OverflowError:
-            pass
-    values = []
-    for c in cs:
-        value = fold(c, budget) if fold is not None else math.inf
-        if not value < math.inf:
-            if log_fold is None:
-                logs = _cells(r, -w.cost, lambda lk, e: lk * e if e else 0.0)
-                log_fold = _fold(r, logs, operator.add, np.logaddexp, -math.inf)
-            value = _safe_exp(log_fold(c, budget))
-        values.append(value)
+        values = _generating_row(r, cs, w.weight, _REAL, budget)
+    redo = [p for p, value in enumerate(values) if not value < math.inf]
+    if redo:
+        logs = _generating_row(r, [cs[p] for p in redo], -w.cost, _LOG, budget)
+        for p, log_value in zip(redo, logs):
+            values[p] = _safe_exp(log_value)
     return values
 
 

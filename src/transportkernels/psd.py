@@ -42,9 +42,9 @@ def dataset_digest(histograms: Sequence[Histogram]) -> str:
 class GramMatrix:
     """Symmetric kernel matrix tagged with its provenance.
 
-    Construction rejects non-finite entries, and asymmetry beyond 1e-12
-    relative instead of silently fixing it; within tolerance the matrix
-    is stored averaged with its transpose.
+    Construction rejects an empty matrix, non-finite entries, and
+    asymmetry beyond 1e-12 relative instead of silently fixing it; within
+    tolerance the matrix is stored averaged with its transpose.
     """
 
     values: np.ndarray
@@ -57,12 +57,14 @@ class GramMatrix:
                 f"kernel_id must be one of {KERNEL_IDS}, got {self.kernel_id!r}"
             )
         values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValidationError(f"Gram matrix must be square, got {values.shape}")
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+            raise ValidationError(
+                f"Gram matrix must be square and nonempty, got {values.shape}"
+            )
         if not np.isfinite(values).all():
             raise ValidationError("Gram matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(values).max()) if values.size else 0.0)
-        asym = float(np.abs(values - values.T).max()) if values.size else 0.0
+        scale = max(1.0, float(np.abs(values).max()))
+        asym = float(np.abs(values - values.T).max())
         if asym > SYMMETRY_REL_TOL * scale:
             raise ValidationError(
                 f"Gram matrix asymmetry {asym:.3e} exceeds {SYMMETRY_REL_TOL:.0e} "

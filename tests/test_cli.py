@@ -261,7 +261,9 @@ def test_gram_budget_exit(tmp_path, capsys):
     code = main(["gram", "--input", hists, "--weights", w, "--kernel", "volume",
                  "--budget", "7", "--out", str(tmp_path / "out")])
     assert code == EXIT_BUDGET
-    assert "more than 7 row compositions" in capsys.readouterr().err
+    # the shared box e <= (12, 23) needs 4 * 312 updates; the first
+    # column's own box e <= (7, 23) then needs 4 * 192 = 768
+    assert "need 768 cell updates, more than 7" in capsys.readouterr().err
 
 
 def test_nw_prints_fixture(pair, capsys):

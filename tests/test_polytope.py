@@ -14,6 +14,7 @@ from transportkernels import (
     MassMismatchError,
     ValidationError,
     WeightSpec,
+    build_gram,
     count_tables,
     enumerate_tables,
     fisher_yates,
@@ -99,10 +100,20 @@ def test_budget_exceeded_carries_progress():
 
 
 def test_weighted_volume_respects_budget():
+    # the box e <= (12, 18) has 13 * 19 cells, scanned once per cell of the
+    # two nonempty rows: 4 * 247 = 988 cell updates
     r, c = Histogram((7, 23)), Histogram((12, 18))
     w = WeightSpec.from_weight([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(BudgetExceededError, match="need 988 cell updates, more than 987"):
+        weighted_volume(r, c, w, EnumerationBudget(max_tables=987))
+    assert weighted_volume(r, c, w, EnumerationBudget(max_tables=988)) == 8.0
+    # with (30, 0) beside it the shared box e <= (30, 18) needs 4 * 589 = 2356;
+    # below that each column gets its own box, and (30, 0) needs only 2 * 31
+    row = [c, Histogram((30, 0))]
     with pytest.raises(BudgetExceededError):
-        weighted_volume(r, c, w, EnumerationBudget(max_tables=7))
+        weighted_volume_row(r, row, w, EnumerationBudget(max_tables=987))
+    for cap in (988, 2355, 2356):
+        assert weighted_volume_row(r, row, w, EnumerationBudget(max_tables=cap)) == [8.0, 1.0]
 
 
 def test_two_bin_volume_closed_form():
@@ -225,8 +236,12 @@ def test_volume_row_reruns_only_overflowing_columns():
 
 @pytest.mark.parametrize("kernel", ["volume", "pseudo"])
 def test_row_budget_counts_visits_made(kernel):
-    # standalone, (1,2,3) visits 20 row compositions and (2,2,2) visits 27;
-    # after (1,2,3) in one row, (2,2,2) finds most of its memo filled
+    # pseudo, on the (min, +) fold: standalone, (1,2,3) visits 20 row
+    # compositions and (2,2,2) visits 27; after (1,2,3) in one row,
+    # (2,2,2) finds most of its memo filled.
+    # volume, on the recurrence: every weight is nonzero, so each box is
+    # scanned 9 times; the pair boxes hold 2*3*4 and 3*3*3 cells (216 and
+    # 243 updates), the shared one 3*3*4 (324 updates)
     from transportkernels import ot
 
     r, c1, c2 = Histogram((2, 2, 2)), Histogram((1, 2, 3)), Histogram((2, 2, 2))
@@ -246,6 +261,18 @@ def test_row_budget_counts_visits_made(kernel):
             return True
         return False
 
+    if kernel == "volume":
+        assert raises(lambda: pair_fn(r, c1, w, budget(215)))
+        assert not raises(lambda: pair_fn(r, c1, w, budget(216)))
+        assert raises(lambda: pair_fn(r, c2, w, budget(242)))
+        assert not raises(lambda: pair_fn(r, c2, w, budget(243)))
+        # below 324 the row falls back to one box per column, so it needs
+        # the larger pair count
+        assert raises(lambda: row_fn(r, [c1, c2], w, budget(242)))
+        pairs = [pair_fn(r, c, w) for c in (c1, c2)]
+        for cap in (243, 323, 324):
+            assert row_fn(r, [c1, c2], w, budget(cap)) == pairs
+        return
     # the row's first evaluation visits exactly what the standalone call does
     assert raises(lambda: pair_fn(r, c1, w, budget(19)))
     assert not raises(lambda: pair_fn(r, c1, w, budget(20)))
@@ -255,6 +282,55 @@ def test_row_budget_counts_visits_made(kernel):
     # a budget between the shared and standalone counts of the later column
     assert row_fn(r, [c1, c2], w, budget(20)) == [pair_fn(r, c, w) for c in (c1, c2)]
     assert raises(lambda: pair_fn(r, c2, w, budget(20)))
+
+
+def test_count_tables_five_bins_of_ten():
+    # far beyond what enumeration or a fold over row compositions reaches
+    ten = Histogram((10,) * 5)
+    count = count_tables(ten, ten)
+    assert type(count) is int
+    assert count == 79_315_936_751
+
+
+def test_spike_family_takes_one_box_per_column():
+    # each histogram puts its whole mass in its own bin: the shared box
+    # e <= (10,) * 8 has 11^8 cells, far over the default budget, while
+    # each column's box has 11 cells scanned once
+    d = 8
+    spikes = [Histogram(tuple(10 * (j == b) for j in range(d))) for b in range(d)]
+    gap = np.subtract.outer(np.arange(d), np.arange(d)).astype(float)
+    w = WeightSpec.from_weight(np.exp(-(gap**2) / 8.0))
+    gram = build_gram(spikes, lambda r, cs: weighted_volume_row(r, cs, w), "volume")
+    for p, q in itertools.product(range(d), repeat=2):
+        assert gram.values[p, q] == weighted_volume(spikes[p], spikes[q], w)
+        assert gram.values[p, q] == pytest.approx(w.weight[p, q] ** 10, rel=1e-14, abs=0)
+
+
+def _edge_cases():
+    rng = np.random.default_rng(17)
+    # zero-mass bins on either side
+    yield Histogram((3, 0, 2, 0)), Histogram((0, 4, 0, 1)), random_psd_weight(rng, 4)
+    yield Histogram((0, 5, 0)), Histogram((2, 0, 3)), random_psd_weight(rng, 3)
+    # one bin: the only table is (N)
+    yield Histogram((6,)), Histogram((6,)), WeightSpec.from_weight([[0.7]])
+    yield Histogram((0,)), Histogram((0,)), WeightSpec.from_weight([[0.0]])
+    # the all-zero pair has one table, the empty one, worth 0^0 = 1
+    yield Histogram((0, 0, 0)), Histogram((0, 0, 0)), random_psd_weight(rng, 3)
+    yield Histogram((0, 0)), Histogram((0, 0)), WeightSpec.from_cost([[np.inf] * 2] * 2)
+    # forbidden pairs (+inf cost) beside finite ones
+    gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    band = WeightSpec.from_cost(np.where(gap > 1, np.inf, 0.3 * gap + 0.1))
+    yield Histogram((4, 0, 0, 2)), Histogram((2, 2, 0, 2)), band
+    yield Histogram((1, 2, 3, 0)), Histogram((0, 1, 2, 3)), band
+    # every table uses a forbidden cell: the volume is exactly 0
+    yield Histogram((3, 0, 0, 0)), Histogram((0, 0, 0, 3)), band
+
+
+@pytest.mark.parametrize("r, c, w", list(_edge_cases()))
+def test_volume_edge_cases_match_generating_function(r, c, w):
+    assert weighted_volume(r, c, w) == pytest.approx(
+        generating_function(r, c, w), rel=1e-12, abs=0
+    )
 
 
 def test_volume_and_transport_never_enumerate(monkeypatch):

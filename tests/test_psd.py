@@ -110,6 +110,11 @@ def test_gram_matrix_symmetrizes_roundoff_but_rejects_asymmetry():
         GramMatrix(np.eye(2), "no-such-kernel")
 
 
+def test_gram_matrix_rejects_empty_matrix():
+    with pytest.raises(ValidationError, match="nonempty"):
+        GramMatrix(np.zeros((0, 0)), "volume")
+
+
 def test_certify_psd_verdicts():
     ok = certify_psd(GramMatrix(np.eye(3), "volume"))
     assert ok.passed and ok.verdict == "pass"
