@@ -18,9 +18,9 @@ from transportkernels import (
     certify_psd,
     nw_cost_matrix,
     nw_kernel,
+    nw_kernel_row,
     nw_permuted,
     nw_table,
-    pairwise,
     sample_permutations,
 )
 
@@ -59,7 +59,9 @@ print("corner-rule kernel value:", value)
 rng = np.random.default_rng(0)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(10, np.ones(3) / 3)))
          for _ in range(8)]
-gram = build_gram(hists, pairwise(lambda a, b: nw_kernel(a, b, w, rset)), "nw")
+# (the row kernel prices each Gram row's vertices in one pass)
+gram = build_gram(hists, lambda a, cs: nw_kernel_row(a, cs, w, rset), "nw")
+assert gram.values[0, 1] == nw_kernel(hists[0], hists[1], w, rset)
 cert = certify_psd(gram)
 print("gram certificate:", cert.verdict, "min eigenvalue", cert.min_eigenvalue)
 assert cert.passed

@@ -35,6 +35,7 @@ from .northwest import (
     PermutationSet,
     nw_cost_matrix,
     nw_kernel,
+    nw_kernel_row,
     nw_permuted,
     nw_table,
     sample_permutations,
@@ -101,6 +102,7 @@ __all__ = [
     "monge_check",
     "nw_cost_matrix",
     "nw_kernel",
+    "nw_kernel_row",
     "nw_permuted",
     "nw_table",
     "ot_cost",

@@ -21,7 +21,7 @@ from typing import NoReturn
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
-from .northwest import nw_kernel, nw_permuted, nw_table, sample_permutations
+from .northwest import nw_kernel_row, nw_permuted, nw_table, sample_permutations
 from .ot import ot_cost, pseudo_kernel_row
 from .polytope import (
     DEFAULT_MAX_TABLES,
@@ -29,7 +29,7 @@ from .polytope import (
     enumerate_tables,
     weighted_volume_row,
 )
-from .psd import build_gram, certify_psd, pairwise, psd_weight_check, require_tolerance
+from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -149,8 +149,17 @@ def _out_dir(config: RunConfig) -> Path:
     return out
 
 
-def _parse_permutation(text: str) -> Permutation:
-    return Permutation(tuple(int(f.strip()) for f in text.split(",")))
+def _parse_permutation(flag: str, text: str) -> Permutation:
+    image = []
+    for field in text.split(","):
+        try:
+            image.append(int(field))
+        except ValueError:
+            raise ValidationError(f"{flag}: {field.strip()!r} is not an integer") from None
+    try:
+        return Permutation(tuple(image))
+    except ValidationError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
 
 
 def cmd_gram(config: RunConfig) -> int:
@@ -167,7 +176,7 @@ def cmd_gram(config: RunConfig) -> int:
         kernel = lambda r, cs: pseudo_kernel_row(r, cs, w, budget)
     elif config.kernel == "nw":
         rset = sample_permutations(d, config.r_size, config.seed)
-        kernel = pairwise(lambda a, b: nw_kernel(a, b, w, rset))
+        kernel = lambda r, cs: nw_kernel_row(r, cs, w, rset)
     else:
         raise TransportKernelError(f"unknown kernel {config.kernel!r}")
     gram = build_gram(histograms, kernel, kernel_id=config.kernel)
@@ -213,8 +222,8 @@ def cmd_nw(config: RunConfig) -> int:
     if (config.sigma is None) != (config.sigma_p is None):
         raise TransportKernelError("--sigma and --sigma-p must be given together")
     if config.sigma is not None:
-        sigma = _parse_permutation(config.sigma)
-        sigma_p = _parse_permutation(config.sigma_p)
+        sigma = _parse_permutation("--sigma", config.sigma)
+        sigma_p = _parse_permutation("--sigma-p", config.sigma_p)
         table = nw_permuted(r, c, sigma, sigma_p)
     else:
         table = nw_table(r, c)
@@ -274,10 +283,27 @@ def run(config: RunConfig) -> int:
         return EXIT_ERROR
 
 
-def run_from_manifest(manifest_path: str | Path) -> int:
-    """Re-execute the run recorded in a gram manifest."""
+def _manifest_config(manifest_path: str | Path) -> RunConfig:
     try:
-        config = RunConfig.from_dict(fileio.read_json(manifest_path)["config"])
+        manifest = fileio.read_json(manifest_path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read manifest: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValidationError(f"manifest is not JSON: {exc}") from None
+    config = manifest.get("config") if isinstance(manifest, dict) else None
+    if not isinstance(config, dict):
+        raise ValidationError("manifest has no 'config' object")
+    return RunConfig.from_dict(config)
+
+
+def run_from_manifest(manifest_path: str | Path) -> int:
+    """Re-execute the run recorded in a gram manifest.
+
+    A manifest that cannot be read, is not JSON or holds no valid config
+    prints "error: <path>: ..." and returns EXIT_ERROR.
+    """
+    try:
+        config = _manifest_config(manifest_path)
     except ValidationError as exc:
         print(f"error: {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -16,8 +16,11 @@ staircase is the merge of the two cumulative-margin sequences: segment
 boundaries alternate between row and column fills, and a tie is the
 zero-mass diagonal step. Each boundary is packed into one int64 key
 (cumulative mass, then side, then index), so a plain sort of a pair's
-2d keys is the merge, and the pairs are sorted in blocks of at most
-BLOCK keys so that memory stays bounded for any |R| and d.
+2d keys is the merge. A Gram row prices the vertices of r against every
+column at once (`nw_kernel_row`): the pair grid of r's relabellings
+against every relabelled column is sorted in blocks of whole pairs
+holding at most BLOCK keys, so memory stays bounded for any |R|, d and
+row length.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, require_compatible
 from .polytope import WeightSpec, require_matching_weights
 
-# Keys merged per block of sigma rows in nw_cost_matrix (at least one row).
+# Keys merged per block of whole relabelled pairs (at least one pair).
 BLOCK = 8192
 
 
@@ -168,12 +171,15 @@ def _staircases(
     c_imgs: np.ndarray,
     cost: np.ndarray,
 ) -> Iterator[np.ndarray]:
-    """Priced corner-rule staircases of relabelled margin pairs, in row blocks.
+    """Priced corner-rule staircases of relabelled margin pairs, in pair blocks.
 
     Rows are r relabelled by each row of r_imgs; columns are each c of cs
     relabelled by each row of c_imgs, c-major. Row a of an image table
-    holds the 0-based original bin of each relabelled bin. Yields one
-    (rows, columns, 2d) array per block of rows: entry k of a pair is the
+    holds the 0-based original bin of each relabelled bin. The (row,
+    column) pair grid is walked row-major in blocks of max(1, BLOCK //
+    (2d)) whole pairs, so a block holds at most BLOCK keys (one pair
+    when a pair's 2d keys exceed it) however many columns there are.
+    Yields one (pairs, 2d) array per block: entry k of a pair is the
     mass of the k-th segment of its staircase times the cost of the
     original cell that segment fills, and 0 for a zero-mass segment even
     where the cost is +inf. The nonzero entries of a pair are the nonzero
@@ -185,10 +191,9 @@ def _staircases(
     orders the boundaries by value, a row before a column of equal
     value, then by index: the staircase order. The boundary at merged
     position k with index i has k - i boundaries of the other side
-    before it, which gives the row and column of the segment it closes,
-    and the segment's mass is the step in value. A block holds at most
-    BLOCK keys (one row when a row's keys exceed it), so each temporary
-    holds max(BLOCK, 2d * columns) entries.
+    before it, which gives the row and column of the segment it closes
+    by one lookup of (side, i, k) in a small table, and the segment's
+    mass is the step in value.
 
     Raises ValidationError when the mass needs more than 63 - (b+1)
     bits and so does not fit the keys.
@@ -200,42 +205,91 @@ def _staircases(
             f"mass {r.mass} is too large for the 64-bit merge keys of {d} bins"
         )
     col_flag = 1 << (shift - 1)
+    width = 2 * d
     index = np.arange(d, dtype=np.int64)
     rows = np.asarray(r.counts, dtype=np.int64)[r_imgs]
     cols = np.array([c.counts for c in cs], dtype=np.int64).reshape(len(cs), d)
-    row_keys = np.cumsum(rows, axis=1) << shift | index
-    col_keys = np.cumsum(cols[:, c_imgs].reshape(-1, d), axis=1) << shift | col_flag | index
+    n_rows, n_cols = len(rows), len(cs) * len(c_imgs)
+    # Row keys, then column keys: one table, so one gather fills a block.
+    side_keys = np.concatenate([
+        np.cumsum(rows, axis=1) << shift | index,
+        np.cumsum(cols[:, c_imgs].reshape(-1, d), axis=1) << shift | col_flag | index,
+    ])
 
-    # Image tables with one padding column: a boundary count of d occurs
-    # only on zero-mass segments after all mass is placed. Row bins are
-    # premultiplied by d, so row bin + column bin indexes the flat costs.
+    # Image tables with one padding column, in the same side order: a
+    # boundary count of d occurs only on zero-mass segments after all
+    # mass is placed. Row bins are premultiplied by d, so row bin +
+    # column bin indexes the flat costs.
     def padded(imgs: np.ndarray) -> np.ndarray:
         return np.concatenate([imgs, np.zeros((len(imgs), 1), np.int64)], axis=1).ravel()
 
-    row_bins = padded(r_imgs * d)
-    col_bins = padded(np.tile(c_imgs, (len(cs), 1)))
+    side_bins = np.concatenate([padded(r_imgs * d), padded(np.tile(c_imgs, (len(cs), 1)))])
     costs = cost.ravel()
-    n_rows, n_cols = len(row_keys), len(col_keys)
-    pos = np.arange(2 * d)
-    col_pos = (d + 1) * np.arange(n_cols)[:, None] + pos
+    # Boundaries before the one at merged position k with low key bits
+    # side << b | i, looked up at k * 2^(b+1) + (side << b | i): rows
+    # before it from row_table, columns before it from col_table.
+    pos = np.arange(width, dtype=np.int64)[:, None]
+    low = np.arange(2 * col_flag, dtype=np.int64)
+    row_table = np.where(low & col_flag, pos - (low & (col_flag - 1)), low).ravel()
+    col_table = (pos - row_table.reshape(width, -1)).ravel()
+    offsets = pos.ravel() << shift
 
-    step = max(1, BLOCK // max(1, 2 * d * n_cols))
-    for a0 in range(0, n_rows, step):
-        a1 = min(a0 + step, n_rows)
-        keys = np.empty((a1 - a0, n_cols, 2 * d), dtype=np.int64)
-        keys[:, :, :d] = row_keys[a0:a1, None, :]
-        keys[:, :, d:] = col_keys[None, :, :]
-        keys.sort(axis=2)
-        masses = np.diff(keys >> shift, axis=2, prepend=0)
-        idx = keys & (col_flag - 1)
-        rows_before = np.where(keys & col_flag, pos - idx, idx)
-        cells = row_bins[(d + 1) * np.arange(a0, a1)[:, None, None] + rows_before]
-        cells += col_bins[col_pos - rows_before]
+    step = max(1, BLOCK // width)
+    n_pairs = n_rows * n_cols
+    for p0 in range(0, n_pairs, step):
+        # sides[p] = (row, n_rows + column) of each pair: its side_keys rows.
+        sides = np.empty((min(step, n_pairs - p0), 2), dtype=np.int64)
+        np.divmod(np.arange(p0, p0 + len(sides)), n_cols, out=(sides[:, 0], sides[:, 1]))
+        sides[:, 1] += n_rows
+        keys = side_keys.take(sides, axis=0).reshape(-1, width)
+        keys.sort(axis=1)
+        # Steps in value along the flat block; each pair's first step is from 0.
+        values = (keys >> shift).ravel()
+        masses = np.empty_like(values)
+        np.subtract(values[1:], values[:-1], out=masses[1:])
+        masses = masses.reshape(keys.shape)
+        masses[:, 0] = keys[:, 0] >> shift
+        keys &= (col_flag << 1) - 1
+        keys += offsets
+        bases = (d + 1) * sides
+        at = row_table.take(keys)
+        at += bases[:, :1]
+        cells = side_bins.take(at)
+        at = col_table.take(keys)
+        at += bases[:, 1:]
+        cells += side_bins.take(at)
         # Zero-mass segments stay free even at +inf cost; a product too
         # large for a float is inf, as in ContingencyTable.cost.
-        with np.errstate(invalid="ignore", over="ignore"):
-            priced = np.where(masses > 0, masses * costs[cells], 0.0)
+        priced = costs.take(cells)
+        priced[masses == 0] = 0.0
+        with np.errstate(over="ignore"):
+            priced *= masses
         yield priced
+
+
+def _vertex_costs(
+    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
+) -> np.ndarray:
+    """Vertex costs of a row, shape (|R|, len(cs), |R|).
+
+    Entry (a, j, b) prices the vertex of (r relabelled by perms[a],
+    cs[j] relabelled by perms[b]) as nw_cost_matrix does.
+    """
+    for c in cs:
+        require_compatible(r, c)
+    require_matching_weights(r, w)
+    if rset.d != r.d:
+        raise DimensionMismatchError(
+            f"permutation set on {rset.d} bins applied to {r.d}-bin histograms"
+        )
+    n = len(rset)
+    costs = np.empty((n, len(cs), n))
+    flat = costs.reshape(-1)
+    start = 0
+    for priced in _staircases(r, rset.images, cs, rset.images, w.cost):
+        priced.sum(axis=1, out=flat[start : start + len(priced)])
+        start += len(priced)
+    return costs
 
 
 def nw_cost_matrix(
@@ -246,19 +300,29 @@ def nw_cost_matrix(
     Entry (a, b) prices the vertex of (r relabelled by perms[a], c
     relabelled by perms[b]) against the cost matrix, using only the
     staircase segments of the greedy fill: the sum of the segments that
-    `_staircases` merges from packed int64 keys, in blocks of sigma rows
-    holding at most BLOCK keys.
+    `_staircases` merges from packed int64 keys, in blocks of whole
+    pairs holding at most BLOCK keys.
 
     Raises ValidationError when the mass is too large for the keys.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
-    if rset.d != r.d:
-        raise DimensionMismatchError(
-            f"permutation set on {rset.d} bins applied to {r.d}-bin histograms"
-        )
-    blocks = _staircases(r, rset.images, (c,), rset.images, w.cost)
-    return np.concatenate([priced.sum(axis=2) for priced in blocks])
+    return _vertex_costs(r, (c,), w, rset)[:, 0]
+
+
+def nw_kernel_row(
+    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
+) -> list[float]:
+    """[nw_kernel(r, c, w, rset) for c in cs]: one row of a corner-rule Gram matrix.
+
+    Every vertex of the row is priced by one staircase merge over the
+    pair grid of r's relabellings against every relabelled c, in blocks
+    of whole pairs holding at most BLOCK keys, so memory stays bounded
+    however long cs is. Each value sums exp(-cost) over its column's
+    |R|^2 vertices in the order nw_kernel does; exp(-cost) overflowing
+    returns inf.
+    """
+    costs = _vertex_costs(r, cs, w, rset)
+    with np.errstate(over="ignore"):
+        return [float(np.exp(-costs[:, j]).sum()) for j in range(len(cs))]
 
 
 def nw_kernel(
@@ -269,8 +333,6 @@ def nw_kernel(
     Positive definite in (r, c) whenever K = exp(-M) entrywise is a
     symmetric positive semidefinite matrix. The sum is not divided by
     the pair count, so values from sets of different sizes differ in
-    scale.
+    scale. The one-column row of `nw_kernel_row`.
     """
-    costs = nw_cost_matrix(r, c, w, rset)
-    with np.errstate(over="ignore"):
-        return float(np.exp(-costs).sum())
+    return nw_kernel_row(r, (c,), w, rset)[0]

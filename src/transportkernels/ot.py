@@ -135,8 +135,8 @@ def pseudo_kernel_row(
     m = w.cost
     if monge_check(w):
         identity = np.arange(r.d)[None, :]
-        (priced,) = _staircases(r, identity, cs, identity, m)
-        costs = [math.fsum(segments) for segments in priced[0].tolist()]
+        blocks = _staircases(r, identity, cs, identity, m)
+        costs = [math.fsum(segments) for priced in blocks for segments in priced.tolist()]
     else:
         plan = _cheapest(r, m, budget)
         costs = [plan(c).cost(m) for c in cs]

@@ -111,6 +111,35 @@ def test_manifest_with_unknown_key_is_input_error(tmp_path, hists3, weights3, ca
     assert "unknown run config keys: bogus" in capsys.readouterr().err
 
 
+def test_missing_manifest_is_input_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert run_from_manifest(path) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {path}: cannot read manifest: No such file or directory\n"
+    )
+
+
+def test_manifest_that_is_not_json_is_input_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text('{"config": ')
+    assert run_from_manifest(path) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {path}: manifest is not JSON: ")
+
+
+def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = tmp_path / "out"
+    main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+          "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["config"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {out / 'manifest.json'}: manifest has no 'config' object\n"
+    )
+
+
 def test_gram_pseudo_indefinite_exits_2_with_artifacts(tmp_path, capsys):
     hists = write(tmp_path / "h.txt", "1,0,0\n0,1,0\n0,0,1\n")
     w = write(
@@ -283,6 +312,31 @@ def test_nw_permuted_fixture(pair, capsys, tmp_path):
 def test_nw_requires_both_permutations(pair, capsys):
     assert main(["nw", "--input", pair, "--sigma", "1,2,3"]) == EXIT_ERROR
     assert "--sigma-p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigma, sigma_p, message",
+    [
+        ("a,b", "1,2", "error: --sigma: 'a' is not an integer"),
+        ("1,2,3", "1,,2", "error: --sigma-p: '' is not an integer"),
+        ("1,2,3", "1,3,3", "error: --sigma-p: not a permutation of 1..3"),
+    ],
+)
+def test_nw_bad_permutation_is_input_error(pair, capsys, sigma, sigma_p, message):
+    assert main(["nw", "--input", pair, "--sigma", sigma, "--sigma-p", sigma_p]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
+def test_nw_bad_permutation_exits_1_from_module_entry_point(pair):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "transportkernels.cli", "nw", "--input", pair,
+         "--sigma", "a,b", "--sigma-p", "1,2"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr == "error: --sigma: 'a' is not an integer\n"
 
 
 def test_psd_check_verdicts(tmp_path, weights3, capsys):

@@ -16,6 +16,7 @@ from transportkernels import (
     chi,
     nw_cost_matrix,
     nw_kernel,
+    nw_kernel_row,
     nw_permuted,
     nw_table,
     permuted_sequence,
@@ -25,7 +26,7 @@ from transportkernels import (
 from transportkernels import northwest
 from transportkernels.northwest import BLOCK
 
-from conftest import random_cost, random_pair, random_psd_weight
+from conftest import random_cost, random_histogram, random_pair, random_psd_weight
 
 
 def test_nw_table_fixture():
@@ -162,7 +163,7 @@ def _sparse_histogram(rng, d, mass):
 
 @pytest.mark.parametrize("d, size, mass", [(32, 37, 300), (1, 1, 9), (6, 12, 0), (4, 24, 17)])
 def test_nw_cost_matrix_blocks_match_direct_pricing(d, size, mass):
-    # at d=32, |R|=37 a block holds 3 sigma rows, so the last block has one
+    # at d=32 a block holds 128 pairs, so the 37^2 pairs end in a partial block
     rng = np.random.default_rng([d, size, mass])
     r, c = _sparse_histogram(rng, d, mass), _sparse_histogram(rng, d, mass)
     m = rng.random((d, d)) * 2.0
@@ -182,16 +183,19 @@ def test_nw_cost_matrix_blocks_match_direct_pricing(d, size, mass):
 
 
 def test_nw_cost_matrix_is_independent_of_block_size(monkeypatch):
-    # one sigma row per block, 3 rows (the last block partial), or one block
+    # a block holds max(1, BLOCK // 2d) whole pairs: one pair, 128 pairs
+    # (37^2 = 1369 = 10 * 128 + 89, so the last block is partial), or all
     rng = np.random.default_rng(37)
     r, c = random_pair(rng, 32, 300)
     w = random_cost(rng, 32)
     rset = sample_permutations(32, 37, seed=1)
+    expected_sizes = {1: [1] * 1369, BLOCK: [128] * 10 + [89], 10**9: [1369]}
     results = []
-    for block in (1, BLOCK, 10**9):
+    for block, sizes in expected_sizes.items():
         monkeypatch.setattr(northwest, "BLOCK", block)
+        blocks = northwest._staircases(r, rset.images, (c,), rset.images, w.cost)
+        assert [len(priced) for priced in blocks] == sizes
         results.append(nw_cost_matrix(r, c, w, rset))
-    assert max(1, BLOCK // (2 * 32 * 37)) == 3
     assert all(np.array_equal(results[0], other) for other in results[1:])
 
 
@@ -214,6 +218,67 @@ def test_nw_cost_matrix_memory_is_bounded_per_block():
     for a, b in [(0, 0), (17, 255), (255, 3)]:
         direct = nw_permuted(r, c, rset.perms[a], rset.perms[b]).cost(m)
         assert costs[a, b] == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def _tied_row(rng, d, mass, count):
+    # sparse histograms, r itself (every cumulative margin tied under
+    # equal relabellings) and r with its first and last bins swapped
+    r = _sparse_histogram(rng, d, mass)
+    cs = [r] + [_sparse_histogram(rng, d, mass) for _ in range(count - 2)]
+    counts = list(r.counts)
+    counts[0], counts[-1] = counts[-1], counts[0]
+    return r, cs + [Histogram(tuple(counts))]
+
+
+@pytest.mark.parametrize(
+    "d, size, mass, count", [(5, 24, 9, 7), (1, 1, 4, 3), (3, 6, 0, 2), (8, 40, 30, 5)]
+)
+def test_nw_kernel_row_equals_pair_kernels_exactly(d, size, mass, count):
+    rng = np.random.default_rng([d, size, mass, count])
+    r, cs = _tied_row(rng, d, mass, count)
+    m = rng.random((d, d)) * 3.0
+    m[np.array(r.counts) == 0, :] = np.inf
+    m[rng.random((d, d)) < 0.1] = np.inf
+    w = WeightSpec.from_cost(m)
+    rset = sample_permutations(d, size, seed=d * size)
+    row = nw_kernel_row(r, cs, w, rset)
+    assert row == [nw_kernel(r, c, w, rset) for c in cs]
+    for value, c in zip(row, cs):
+        direct = math.fsum(
+            math.exp(-nw_permuted(r, c, sa, sb).cost(m)) for sa in rset for sb in rset
+        )
+        assert value == pytest.approx(direct, rel=1e-12, abs=0)
+    assert nw_kernel_row(r, [], w, rset) == []
+
+
+def test_nw_kernel_row_is_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(41)
+    r, cs = _tied_row(rng, 12, 50, 6)
+    w = random_cost(rng, 12)
+    rset = sample_permutations(12, 30, seed=4)
+    rows = []
+    for block in (1, BLOCK, 10**9):
+        monkeypatch.setattr(northwest, "BLOCK", block)
+        rows.append(nw_kernel_row(r, cs, w, rset))
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_nw_kernel_row_memory_is_bounded_per_block():
+    # six columns at |R|=256, d=64: 393,216 vertices, 8 bytes of cost each,
+    # merged 64 pairs at a time
+    rng = np.random.default_rng(65)
+    r = random_histogram(rng, 64, 500)
+    cs = [random_histogram(rng, 64, 500) for _ in range(6)]
+    w = random_cost(rng, 64)
+    rset = sample_permutations(64, 256, seed=9)
+    tracemalloc.start()
+    try:
+        row = nw_kernel_row(r, cs, w, rset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert row[2] == nw_kernel(r, cs[2], w, rset)
 
 
 def test_nw_cost_matrix_rejects_mass_beyond_keys():

@@ -16,6 +16,7 @@ from transportkernels import (
     pseudo_kernel_row,
     weighted_volume,
 )
+from transportkernels import northwest
 
 from conftest import integer_monge_cost, random_histogram, random_pair, random_psd_weight
 
@@ -135,6 +136,17 @@ def test_monge_pseudo_row_matches_corner_vertex():
             assert row == [pseudo_kernel(r, c, w) for c in hists[p:]]
             seen.update("inf" if v == math.inf else "0" if v == 0.0 else "finite" for v in row)
     assert seen == {"inf", "0", "finite"}
+
+
+def test_monge_pseudo_row_spans_pair_blocks(monkeypatch):
+    # three pairs per block: a row of eight columns takes three blocks
+    rng = np.random.default_rng(67)
+    w = integer_monge_cost(rng, 4, lam=2)
+    assert monge_check(w)
+    hists = [random_histogram(rng, 4, 11) for _ in range(8)]
+    expected = [_corner_value(hists[0], c, w) for c in hists]
+    monkeypatch.setattr(northwest, "BLOCK", 2 * 4 * 3)
+    assert pseudo_kernel_row(hists[0], hists, w) == expected
 
 
 def test_non_monge_pseudo_row_matches_transport():
