@@ -38,7 +38,7 @@ hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
          for _ in range(9)]
 
 # the full-sum kernel produces a certified PSD Gram matrix; its row form
-# shares one fold over the tables' lower rows across each Gram row
+# reads every column of a Gram row off one generating-polynomial recurrence
 volume_gram = build_gram(hists, lambda r, cs: weighted_volume_row(r, cs, w), "volume")
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,

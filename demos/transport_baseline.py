@@ -34,7 +34,7 @@ for row in sol.plan.entries:
 
 # costs of the form f(i) + g(j) - lam*i*j (lam >= 0) satisfy the
 # quadruple inequalities, and then the greedy corner vertex is already
-# optimal: no row fold runs at all
+# optimal: no recurrence runs at all
 i = np.arange(1.0, 4.0)
 monge = WeightSpec.from_cost(-np.outer(i, i))
 assert monge_check(monge)
@@ -43,7 +43,7 @@ assert fast.plan == nw_table(r, c)
 print("greedy-optimal cost on a Monge matrix:", fast.cost)
 
 # the mismatch cost is not Monge for three or more bins, so that
-# instance above really did run the (min, +) row fold over the table set
+# instance above really did run the (min, +) recurrence over the table set
 assert not monge_check(tv)
 
 # exp(-min cost) is a similarity score but carries no PSD guarantee;

@@ -6,8 +6,9 @@ psd-check (certify a weight matrix), ot (exact transport baseline).
 
 Exit codes: 0 success / certificate passed, 1 usage, input or
 validation error, 2 certificate failed, 3 budget exceeded (tables
-streamed by enumerate, cell updates of a volume recurrence box, row
-compositions visited by the transport fold).
+streamed by enumerate; cell updates of a generating-polynomial
+recurrence box for gram --kernel volume, and for ot and gram --kernel
+pseudo off Monge costs).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class RunConfig:
     out: str | None = None
     sigma: str | None = None
     sigma_p: str | None = None
+    # The JSON values a manifest may give each annotated field type.
+    _JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -62,6 +65,14 @@ class RunConfig:
         unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValidationError(f"unknown run config keys: {', '.join(unknown)}")
+        for name, value in payload.items():
+            kind = cls.__dataclass_fields__[name].type
+            # Python counts a bool as an int; a manifest may not.
+            if isinstance(value, bool) or not isinstance(value, cls._JSON_TYPES[kind]):
+                raise ValidationError(f"run config {name!r} must be {kind}, got {value!r}")
+        subcommand = payload.get("subcommand")
+        if subcommand not in _COMMANDS:
+            raise ValidationError(f"run config names no known subcommand: {subcommand!r}")
         return cls(**payload)
 
 

@@ -24,7 +24,7 @@ class LengthMismatchError(TransportKernelError, ValueError):
 
 
 class BudgetExceededError(TransportKernelError, RuntimeError):
-    """Enumeration, a volume recurrence or a fold hit its budget instead of truncating."""
+    """Enumeration or a recurrence box exceeded its budget; raised instead of truncating."""
 
     def __init__(self, message: str, count_so_far: int):
         super().__init__(message)

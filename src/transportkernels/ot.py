@@ -3,13 +3,13 @@
 The transportation problem between equal-mass integral histograms always
 has an integral minimizer, so the exact optimum is the minimum of
 <X, M> over the finite table set: the zero-temperature limit of the
-softmin behind the weighted volume, computed by a memoized row fold in
-the (min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
-i<k, j<l) the northwestern corner vertex is already optimal and no fold
-runs. exp(-optimal cost) is a useful similarity but not positive
-definite in general, hence the "pseudo" in its name. Its row form
-checks the costs once and shares the work that depends only on the
-row histogram: one staircase merge on Monge costs, one fold otherwise.
+softmin behind the weighted volume, computed by its recurrence in the
+(min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
+i<k, j<l) the northwestern corner vertex is already optimal and no
+recurrence runs. exp(-optimal cost) is a useful similarity but not
+positive definite in general, hence the "pseudo" in its name. Its row
+form checks the costs once and shares the work that depends only on
+the row histogram: one staircase merge on Monge costs, one box otherwise.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from .northwest import _staircases, nw_table
 from .polytope import (
     EnumerationBudget,
     WeightSpec,
-    _cells,
-    _fold,
+    _cheapest_tables,
     _safe_exp,
     require_matching_weights,
 )
@@ -51,7 +50,7 @@ def monge_check(w: WeightSpec) -> bool:
     infinite anti-diagonal entry holds trivially. Without +inf entries
     the test is exact. Costs whose +inf entries do lie between finite
     ones are reported as not Monge, even where the inequality holds, and
-    take the fold.
+    take the recurrence.
     """
     m = w.cost
     with np.errstate(over="ignore"):
@@ -67,28 +66,6 @@ def monge_check(w: WeightSpec) -> bool:
     return bool(adjacent and not (~finite & north_east & south_west).any())
 
 
-def _cheapest(r: Histogram, m: np.ndarray, budget: EnumerationBudget | None):
-    """plan(c): the table of (r, c) that ot_cost picks off Monge costs.
-
-    The (min, +) row fold over (cost, row-major entries) pairs; one memo
-    serves every c, and the budget caps each call.
-    """
-    budget = budget if budget is not None else EnumerationBudget()
-    cells = _cells(r, m, lambda cost, e: (cost * e if e else 0.0, (e,)))
-    # (inf, (inf,)) sorts after every (cost, entries) pair: the identity of min.
-    fold = _fold(r, cells, _concat, min, (math.inf, (math.inf,)))
-
-    def plan(c: Histogram) -> ContingencyTable:
-        _, flat = fold(c, budget)
-        return ContingencyTable(tuple(flat[i : i + r.d] for i in range(0, len(flat), r.d)))
-
-    return plan
-
-
-def _concat(a: tuple, b: tuple) -> tuple:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def ot_cost(
     r: Histogram,
     c: Histogram,
@@ -98,10 +75,10 @@ def ot_cost(
     """Exact minimum transport cost and a minimizing table.
 
     Monge costs take the O(d) corner-rule shortcut. Everything else runs
-    the row fold in the (min, +) semiring over (cost, row-major entries)
-    pairs, so exact ties of the fold's sums, infeasible costs included,
-    resolve to the lexicographically earliest table; costs that differ
-    only in rounding may compare either way.
+    the volume's recurrence in the (min, +) semiring, budgeted alike, so
+    exact ties, infeasible costs included, resolve to the first table
+    `enumerate_tables` streams; costs that differ only in rounding may
+    compare either way.
     """
     require_compatible(r, c)
     require_matching_weights(r, w)
@@ -109,7 +86,7 @@ def ot_cost(
     if monge_check(w):
         plan = nw_table(r, c)
     else:
-        plan = _cheapest(r, m, budget)(c)
+        (plan,) = _cheapest_tables(r, (c,), m, budget)
     return TransportSolution(plan, plan.cost(m))
 
 
@@ -125,8 +102,8 @@ def pseudo_kernel_row(
     Monge costs every corner vertex of (r, c) is priced by one staircase
     merge over all of cs, and its nonzero segments are summed with fsum,
     exactly as ContingencyTable.cost prices the vertex; masses too large
-    for the merge keys raise ValidationError. Other costs share one
-    (min, +) fold over the row and price each plan with its cost.
+    for the merge keys raise ValidationError. Other costs share the
+    (min, +) recurrence boxes of the row and price each plan with its cost.
     exp(-cost) overflowing returns inf.
     """
     for c in cs:
@@ -138,8 +115,7 @@ def pseudo_kernel_row(
         blocks = _staircases(r, identity, cs, identity, m)
         costs = [math.fsum(segments) for priced in blocks for segments in priced.tolist()]
     else:
-        plan = _cheapest(r, m, budget)
-        costs = [plan(c).cost(m) for c in cs]
+        costs = [plan.cost(m) for plan in _cheapest_tables(r, cs, m, budget)]
     return [_safe_exp(-cost) for cost in costs]
 
 

@@ -19,13 +19,11 @@ T(r, c; K) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
 complete homogeneous polynomial of degree n. One dense recurrence over
 the column exponents e <= max c builds it row by row, a scan along one
 axis per nonzero weight, so one array serves every c of a Gram row. It
-runs in floats and in log space (logaddexp, +) for the weighted volume
-and in exact integers for `count_tables`. Its work is the box cells
-times the scans; the budget caps that number, checked before the box is
-allocated, and a row whose shared box does not fit gives each c its own
-box. `ot` finds the cheapest table with a memoized (min, +) fold over
-(row, residual column sums), kept because its ties must resolve to the
-lexicographically earliest table.
+runs in floats and in log space (logaddexp, +) for the weighted volume,
+in exact integers for `count_tables` and in (min, +) on the costs for
+`ot`'s cheapest table. Its work is the box cells times the passes over
+it; the budget caps that number, checked before the box is allocated,
+and a row whose shared box does not fit gives each c its own box.
 
 The Fisher-Yates statistic of a table, n(X) = (prod r_i! prod c_j!) /
 prod x_ij!, counts the permutations that induce the table when one
@@ -38,11 +36,11 @@ cost even when the matching cost entry is +inf.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -59,8 +57,8 @@ DEFAULT_MAX_TABLES = 10_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on the tables enumeration streams, the cell updates of a volume
-    recurrence box, or the row compositions a (min, +) fold visits."""
+    """Cap on the tables enumeration streams, or on the cell updates of one
+    generating-polynomial recurrence box."""
 
     max_tables: int = DEFAULT_MAX_TABLES
 
@@ -207,60 +205,6 @@ def _table_stream(
     return rec(0, c.counts)
 
 
-def _cells(r: Histogram, mat: np.ndarray, value) -> list:
-    """cell[i][j][e] = value(mat[i, j], e) for e up to the row sum r_i."""
-    return [
-        [[value(float(mat[i, j]), e) for e in range(n + 1)] for j in range(r.d)]
-        for i, n in enumerate(r.counts)
-    ]
-
-
-def _fold(r: Histogram, cell, times, plus, zero):
-    """fold(c, budget): `plus` over the tables of (r, c) of the `times` product of their cells.
-
-    cell[i][j][e] is the value of e units in cell (i, j); products run in
-    row-major order. The memo is keyed by (row i, residual column sums) and
-    the last row is forced. It depends only on r, the cells and the
-    semiring, so one memo serves every c folded against the same r. A row
-    whose value equals `zero` is skipped with its subtree. More than
-    budget.max_tables row compositions visited in one call raise
-    BudgetExceededError; a memo hit left by an earlier call is free.
-    `ot` runs it in (min, +) for its plan search.
-    """
-    d = r.d
-    memo: dict[tuple[int, tuple[int, ...]], object] = {}
-
-    def fold(c: Histogram, budget: EnumerationBudget | None):
-        cap = budget.max_tables if budget is not None else math.inf
-        visited = 0
-
-        def rec(i: int, residual: tuple[int, ...]):
-            nonlocal visited
-            row = cell[i]
-            if i == d - 1:
-                return reduce(times, map(list.__getitem__, row, residual))
-            key = (i, residual)
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            total = zero
-            for x in _bounded_compositions(r.counts[i], residual):
-                visited += 1
-                if visited > cap:
-                    msg = f"more than {cap} row compositions needed for margins {r} / {c}"
-                    raise BudgetExceededError(msg, count_so_far=visited - 1)
-                term = reduce(times, map(list.__getitem__, row, x))
-                if term != zero:
-                    sub = rec(i + 1, tuple(map(operator.sub, residual, x)))
-                    total = plus(total, times(term, sub))
-            memo[key] = total
-            return total
-
-        return rec(0, c.counts)
-
-    return fold
-
-
 class _Semiring(NamedTuple):
     """(plus, times) as numpy ufuncs, their identities and the array dtype."""
 
@@ -274,27 +218,27 @@ class _Semiring(NamedTuple):
 _REAL = _Semiring(np.add, np.multiply, 0.0, 1.0, float)
 _LOG = _Semiring(np.logaddexp, np.add, -math.inf, 0.0, float)
 _EXACT = _Semiring(np.add, np.multiply, 0, 1, object)
+# On costs: the least cost over the placements, +inf where there is none.
+_MIN = _Semiring(np.minimum, np.add, math.inf, 0.0, float)
 
 
-def _generating_row(
+def _boxes(
     r: Histogram,
     cs: Sequence[Histogram],
     weights: np.ndarray,
     ring: _Semiring,
     budget: EnumerationBudget | None,
-) -> list:
-    """[T(r, c) for c in cs] in `ring`, read from one dense box or one box per c.
+) -> tuple[list, list]:
+    """(rows, boxes): what `_sweep` runs for a row of cs.
 
-    T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
-    complete homogeneous polynomial of degree n. The box holds every
-    exponent e <= extent, the binwise maximum of its columns. Row i
-    multiplies in h_{r_i} one cell (i, j) at a time, by the scan
-    F[e] = F[e] (+) k_ij (x) F[e - unit_j] along axis j, and then resets
-    to `ring.zero` every state whose total is not r_1 + ... + r_i. A cell
-    whose weight is `ring.zero` is skipped, which keeps 0^0 = 1; so are
-    empty rows and axes of extent 0. A box's cell updates are its cells
-    times its scans. The row shares one box while that fits the budget,
-    and otherwise gives each c its own box, which must fit.
+    rows holds (r_i, [(j, k_ij) for k_ij other than `ring.zero`]) for each
+    nonempty row i, boxes the (extent, columns) of each box e <= extent.
+    A box's cell updates are its cells times its passes: a row passes
+    once per weight on an axis of extent > 0, and at least once, as its
+    reset writes the box. The row of cs shares one box e <= (max over cs
+    of c_j) while that fits the budget; otherwise each c gets its own box
+    e <= c, and one that does not fit raises BudgetExceededError before
+    any box is allocated.
     """
     rows = [
         (n, [(j, weights[i, j]) for j in range(r.d) if weights[i, j] != ring.zero])
@@ -304,13 +248,12 @@ def _generating_row(
     cap = budget.max_tables if budget is not None else math.inf
 
     def updates(extent: tuple[int, ...]) -> int:
-        scans = sum(1 for _, row in rows for j, _ in row if extent[j])
-        return math.prod(e + 1 for e in extent) * scans
+        passes = sum(max(1, sum(1 for j, _ in row if extent[j])) for _, row in rows)
+        return math.prod(e + 1 for e in extent) * passes
 
     shared = tuple(max((c.counts[j] for c in cs), default=0) for j in range(r.d))
     if updates(shared) <= cap:
-        return _recurrence(r, cs, shared, rows, ring)
-    values = []
+        return rows, [(shared, cs)]
     for c in cs:
         needed = updates(c.counts)
         if needed > cap:
@@ -318,26 +261,30 @@ def _generating_row(
                 f"margins {r} / {c} need {needed} cell updates, more than {cap}",
                 count_so_far=0,
             )
-        values += _recurrence(r, (c,), c.counts, rows, ring)
-    return values
+    return rows, [(c.counts, (c,)) for c in cs]
 
 
-def _recurrence(
-    r: Histogram,
-    cs: Sequence[Histogram],
-    extent: tuple[int, ...],
-    rows: list,
-    ring: _Semiring,
-) -> list:
-    """The scans of `_generating_row` over the box e <= extent, read at each c."""
+def _sweep(
+    r: Histogram, extent: tuple[int, ...], rows: list, ring: _Semiring
+) -> Iterator[np.ndarray]:
+    """Yield the box e <= extent before the first of `rows` and after each, updated in place.
+
+    The box starts at `ring.one` on e = 0. A row (n, cells) multiplies in
+    h_n by the scan F[e] = F[e] (+) k (x) F[e - unit_j] along axis j for
+    each cell (j, k), skipping axes of extent 0, then resets to
+    `ring.zero` every state whose total is not the mass of the rows so
+    far. The box then holds, at each e, the `ring` sum over those rows'
+    placements with column sums e.
+    """
     f = np.full(tuple(e + 1 for e in extent), ring.zero, dtype=ring.dtype)
     f[(0,) * r.d] = ring.one
     totals = sum(
         np.arange(e + 1).reshape((-1,) + (1,) * (r.d - 1 - j)) for j, e in enumerate(extent)
     )
+    yield f
     done = 0
-    with np.errstate(over="ignore"):
-        for n, row in rows:
+    for n, row in rows:
+        with np.errstate(over="ignore"):
             for j, k in row:
                 if not extent[j]:
                     continue
@@ -351,11 +298,78 @@ def _recurrence(
                     else:
                         ring.times(at[e - 1], k, out=step)
                         ring.plus(at[e], step, out=at[e])
-            done += n
-            # Every c has total N, so the last row needs no reset.
-            if done < r.mass:
-                f[totals != done] = ring.zero
-    return [f.item(c.counts) for c in cs]
+        done += n
+        # Every c has total N, so the last row needs no reset.
+        if done < r.mass:
+            f[totals != done] = ring.zero
+        yield f
+
+
+def _generating_row(
+    r: Histogram,
+    cs: Sequence[Histogram],
+    weights: np.ndarray,
+    ring: _Semiring,
+    budget: EnumerationBudget | None,
+) -> list:
+    """[T(r, c) for c in cs] in `ring`: the state at e = c after every row of r.
+
+    T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
+    complete homogeneous polynomial of degree n. A weight equal to
+    `ring.zero` is never scanned, which keeps 0^0 = 1.
+    """
+    rows, boxes = _boxes(r, cs, weights, ring, budget)
+    values = []
+    for extent, group in boxes:
+        *_, f = _sweep(r, extent, rows, ring)  # one array, yielded once per row
+        values += [f.item(c.counts) for c in group]
+    return values
+
+
+def _cheapest_tables(
+    r: Histogram, cs: Sequence[Histogram], m: np.ndarray, budget: EnumerationBudget | None
+) -> list[ContingencyTable]:
+    """For each c in cs, the first table of (r, c) in enumeration order of least cost <X, m>.
+
+    The recurrence runs in `_MIN` on the costs over r's nonempty rows
+    bottom-up, never scanning a +inf cost, and keeps a copy of the box
+    before each nonempty row: the least cost of the rows below it at
+    each e. The plan is read top-down: each nonempty row takes the first
+    composition, in enumeration order, that minimizes its own cost plus
+    the copy's at the residual, so exact ties go to the lexicographically
+    earliest table. A +inf minimum means every table costs +inf, and the
+    plan is then the first one enumerated. The top row is read, not
+    scanned, so the copies hold no more cells than `_boxes` admits.
+    """
+    budget = budget if budget is not None else EnumerationBudget()
+    rows, boxes = _boxes(r, cs, m, _MIN, budget)
+    costs = m.tolist()
+    plans = []
+    for extent, group in boxes:
+        sweep = _sweep(r, extent, rows[::-1], _MIN)
+        tails = [f.copy() for f in itertools.islice(sweep, len(rows))]
+        plans += [_read_back(r, c, costs, tails) for c in group]
+    return plans
+
+
+def _read_back(r: Histogram, c: Histogram, m: list, tails: list) -> ContingencyTable:
+    """The plan of `_cheapest_tables` for c; tails[k] is the least cost of the last k rows."""
+    below = reversed(tails)
+    residual, entries = c.counts, []
+    for i, n in enumerate(r.counts):
+        x = (0,) * r.d
+        if n:
+            tail, best = next(below), math.inf
+            for y in _bounded_compositions(n, residual):
+                rest = tuple(map(operator.sub, residual, y))
+                value = sum(v * m[i][j] for j, v in enumerate(y) if v) + tail[rest]
+                if value < best:
+                    best, x = value, y
+            if best == math.inf:
+                return next(enumerate_tables(r, c))
+        entries.append(x)
+        residual = tuple(map(operator.sub, residual, x))
+    return ContingencyTable(tuple(entries))
 
 
 def count_tables(r: Histogram, c: Histogram) -> int:
@@ -380,11 +394,9 @@ def weighted_volume_row(
     """[T(r, c; K) for c in cs]: one row of a weighted-volume Gram matrix.
 
     One dense generating-polynomial recurrence over the column exponents
-    gives the whole row: T(r, c) is its state at e = c. The row shares
-    one box e <= (max over cs of c_j) while its cell updates (box cells
-    times the nonzero weights scanned) fit the budget; otherwise every c
-    gets its own box e <= c, and a box that does not fit raises
-    BudgetExceededError before it is allocated. Every partial product
+    gives the whole row: T(r, c) is its state at e = c, in a box shared
+    by the row or one per c under the budget rule of `_boxes`, which
+    raises BudgetExceededError before allocating. Every partial product
     is at least kmin^N (kmin the smallest nonzero weight capped at 1, N
     the mass). While that bound is a normal float the recurrence runs
     on the weights; otherwise, and for any c whose float value is inf

@@ -126,6 +126,29 @@ def test_manifest_that_is_not_json_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: manifest is not JSON: ")
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"subcommand": "nw", "input": "pair.txt", "seed": "x"}, "'seed' must be int, got 'x'"),
+        ({"subcommand": "gram", "kernel": "volume", "tolerance": "x"},
+         "'tolerance' must be float, got 'x'"),
+        ({"subcommand": "ot", "budget": True}, "'budget' must be int, got True"),
+        ({"subcommand": "gram", "r_size": 1.5}, "'r_size' must be int, got 1.5"),
+        ({"subcommand": "nw", "input": 3}, "'input' must be str | None, got 3"),
+        ({"subcommand": None}, "'subcommand' must be str, got None"),
+        ({"input": "pair.txt"}, "names no known subcommand: None"),
+        ({"subcommand": "bogus"}, "names no known subcommand: 'bogus'"),
+    ],
+    ids=["seed", "tolerance", "bool-budget", "float-r_size", "int-input", "null-subcommand",
+         "no-subcommand", "unknown-subcommand"],
+)
+def test_manifest_with_mistyped_config_is_input_error(tmp_path, capsys, config, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": config}))
+    assert run_from_manifest(path) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}: run config {message}\n"
+
+
 def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, capsys):
     out = tmp_path / "out"
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
@@ -182,11 +205,12 @@ def test_enumerate_budget_exit(tmp_path, capsys):
 
 def test_enumerate_streams_without_counting(tmp_path, monkeypatch, capsys):
     # 79,315,936,751 tables exist for this pair; a budgeted run must stop
-    # after the budget without first folding over the whole table set
-    def no_fold(*args, **kwargs):
-        raise AssertionError("enumerate must not run the row fold")
+    # after the budget without first counting the whole table set, which
+    # would run the generating-polynomial recurrence
+    def no_recurrence(*args, **kwargs):
+        raise AssertionError("enumerate must not run the recurrence")
 
-    monkeypatch.setattr(polytope, "_fold", no_fold)
+    monkeypatch.setattr(polytope, "_sweep", no_recurrence)
     pair = write(tmp_path / "pair.txt", "10,10,10,10,10\n10,10,10,10,10\n")
     out = tmp_path / "out"
     code = main(["enumerate", "--input", pair, "--budget", "10", "--out", str(out)])
@@ -367,6 +391,19 @@ def test_ot_output(tmp_path, pair, capsys):
     plan = payload["plan"]
     assert [sum(row) for row in plan] == [2, 5, 3]
     assert [sum(col) for col in zip(*plan)] == [5, 1, 4]
+
+
+def test_ot_budget_counts_only_finite_cells(tmp_path, capsys):
+    # not Monge, with +inf entries between finite ones; the box e <= (2, 2, 2)
+    # has 27 cells, and only the six finite costs are scanned: 27 * 6 = 162
+    # cell updates, where scanning all nine cells would need 243
+    pair = write(tmp_path / "pair.txt", "2,2,2\n2,2,2\n")
+    w = write(tmp_path / "m.txt", "mode: cost\n0,inf,1\n1,0,inf\ninf,1,0\n")
+    code = main(["ot", "--input", pair, "--weights", w, "--budget", "161"])
+    assert code == EXIT_BUDGET
+    assert "need 162 cell updates, more than 161" in capsys.readouterr().err
+    assert main(["ot", "--input", pair, "--weights", w, "--budget", "162"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ot: cost 0.0\n")
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from transportkernels import (
     Histogram,
@@ -55,7 +55,7 @@ def _monge_by_definition(m) -> bool:
 
 def test_monge_check_against_definition():
     # integer costs keep every sum exact; with +inf entries the check may
-    # only err on the side of the fold, never take an unsound shortcut
+    # only err on the side of the exact plan search, never take an unsound shortcut
     rng = np.random.default_rng(43)
     verdicts = {(finite, v): 0 for finite in (True, False) for v in (True, False)}
     for trial in range(400):
@@ -288,3 +288,35 @@ def test_self_transport_is_free_for_zero_diagonal(d, mass, seed):
     m = rng.random((d, d)) + 0.5
     np.fill_diagonal(m, 0.0)
     assert ot_cost(r, r, WeightSpec.from_cost(m)).cost == 0.0
+
+
+@st.composite
+def _small_transport_cases(draw):
+    d = draw(st.integers(2, 4))
+    mass = draw(st.integers(0, 6))
+    costs = st.sampled_from([0.0, 1.0, 2.0, math.inf])
+    m = draw(st.lists(costs, min_size=d * d, max_size=d * d))
+
+    def histogram():
+        units = draw(st.lists(st.integers(0, d - 1), min_size=mass, max_size=mass))
+        return Histogram(tuple(units.count(j) for j in range(d)))
+
+    return histogram(), histogram(), np.reshape(m, (d, d))
+
+
+# every table crosses the +inf top row, so all of them tie at +inf, while
+# the rows below have a cheaper completion than the first table's
+@example((Histogram((1, 1, 1)), Histogram((1, 1, 1)),
+          np.array([[math.inf] * 3, [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])))
+@given(_small_transport_cases())
+@settings(max_examples=150, deadline=None)
+def test_plan_is_first_least_cost_table(case):
+    # integer costs keep every sum exact, so ties are real ties
+    r, c, m = case
+    w = WeightSpec.from_cost(m)
+    assume(not monge_check(w))
+    tables = list(enumerate_tables(r, c))
+    costs = [t.cost(m) for t in tables]
+    sol = ot_cost(r, c, w)
+    assert sol.plan == tables[costs.index(min(costs))]
+    assert sol.cost == min(costs)

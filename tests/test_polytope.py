@@ -226,8 +226,8 @@ def test_volume_row_matches_pairs():
 
 
 def test_volume_row_reruns_only_overflowing_columns():
-    # the other columns keep the float fold's exact sums, which the log
-    # fold would miss in the last digits (1.000000000000024e+295)
+    # the other columns keep the float recurrence's exact sums, which the log
+    # recurrence would miss in the last digits (1.000000000000024e+295)
     w = WeightSpec.from_weight([[1e300, 1.0], [1e10, 1e-5]])
     r = Histogram((1, 1))
     row = weighted_volume_row(r, [Histogram((2, 0)), r, Histogram((0, 2))], w)
@@ -236,12 +236,10 @@ def test_volume_row_reruns_only_overflowing_columns():
 
 @pytest.mark.parametrize("kernel", ["volume", "pseudo"])
 def test_row_budget_counts_visits_made(kernel):
-    # pseudo, on the (min, +) fold: standalone, (1,2,3) visits 20 row
-    # compositions and (2,2,2) visits 27; after (1,2,3) in one row,
-    # (2,2,2) finds most of its memo filled.
-    # volume, on the recurrence: every weight is nonzero, so each box is
-    # scanned 9 times; the pair boxes hold 2*3*4 and 3*3*3 cells (216 and
-    # 243 updates), the shared one 3*3*4 (324 updates)
+    # both kernels run the recurrence on the same boxes: every weight is
+    # nonzero (every cost finite), so each box is scanned 9 times; the
+    # pair boxes hold 2*3*4 and 3*3*3 cells (216 and 243 updates), the
+    # shared one 3*3*4 (324 updates)
     from transportkernels import ot
 
     r, c1, c2 = Histogram((2, 2, 2)), Histogram((1, 2, 3)), Histogram((2, 2, 2))
@@ -261,31 +259,44 @@ def test_row_budget_counts_visits_made(kernel):
             return True
         return False
 
-    if kernel == "volume":
-        assert raises(lambda: pair_fn(r, c1, w, budget(215)))
-        assert not raises(lambda: pair_fn(r, c1, w, budget(216)))
-        assert raises(lambda: pair_fn(r, c2, w, budget(242)))
-        assert not raises(lambda: pair_fn(r, c2, w, budget(243)))
-        # below 324 the row falls back to one box per column, so it needs
-        # the larger pair count
-        assert raises(lambda: row_fn(r, [c1, c2], w, budget(242)))
-        pairs = [pair_fn(r, c, w) for c in (c1, c2)]
-        for cap in (243, 323, 324):
-            assert row_fn(r, [c1, c2], w, budget(cap)) == pairs
-        return
-    # the row's first evaluation visits exactly what the standalone call does
-    assert raises(lambda: pair_fn(r, c1, w, budget(19)))
-    assert not raises(lambda: pair_fn(r, c1, w, budget(20)))
-    assert raises(lambda: row_fn(r, [c1, c2], w, budget(19)))
-    assert raises(lambda: pair_fn(r, c2, w, budget(26)))
-    assert not raises(lambda: pair_fn(r, c2, w, budget(27)))
-    # a budget between the shared and standalone counts of the later column
-    assert row_fn(r, [c1, c2], w, budget(20)) == [pair_fn(r, c, w) for c in (c1, c2)]
-    assert raises(lambda: pair_fn(r, c2, w, budget(20)))
+    assert raises(lambda: pair_fn(r, c1, w, budget(215)))
+    assert not raises(lambda: pair_fn(r, c1, w, budget(216)))
+    assert raises(lambda: pair_fn(r, c2, w, budget(242)))
+    assert not raises(lambda: pair_fn(r, c2, w, budget(243)))
+    # below 324 the row falls back to one box per column, so it needs
+    # the larger pair count
+    assert raises(lambda: row_fn(r, [c1, c2], w, budget(242)))
+    pairs = [pair_fn(r, c, w) for c in (c1, c2)]
+    for cap in (243, 323, 324):
+        assert row_fn(r, [c1, c2], w, budget(cap)) == pairs
+
+
+def test_rows_that_scan_nothing_still_count_one_pass():
+    # every weight is zero, so nothing is scanned, yet each of the four
+    # nonempty rows resets the box e <= (30,) * 4 of 31^4 cells: the box
+    # must fit the budget before it is allocated
+    from transportkernels import ot
+
+    r = Histogram((30,) * 4)
+    w = WeightSpec.from_weight(np.zeros((4, 4)))
+    needed = 4 * 31**4
+    with pytest.raises(BudgetExceededError, match=f"need {needed} cell updates"):
+        weighted_volume(r, r, w, EnumerationBudget(needed - 1))
+    assert weighted_volume(r, r, w, EnumerationBudget(needed)) == 0.0
+    # the plan search keeps one box per row: the +inf top row scans
+    # nothing and counts once, the other two scan three costs each, over
+    # the 2^3 cells of e <= (1, 1, 1)
+    inf = math.inf
+    w = WeightSpec.from_cost([[inf, inf, inf], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    assert not ot.monge_check(w)
+    r = Histogram((1, 1, 1))
+    with pytest.raises(BudgetExceededError, match="need 56 cell updates, more than 55"):
+        ot.ot_cost(r, r, w, EnumerationBudget(55))
+    assert ot.ot_cost(r, r, w, EnumerationBudget(56)).cost == inf
 
 
 def test_count_tables_five_bins_of_ten():
-    # far beyond what enumeration or a fold over row compositions reaches
+    # far beyond what enumeration reaches
     ten = Histogram((10,) * 5)
     count = count_tables(ten, ten)
     assert type(count) is int
