@@ -19,8 +19,10 @@ from transportkernels import (
     nw_cost_matrix,
     nw_kernel,
     nw_kernel_row,
+    nw_kernel_triangle,
     nw_permuted,
     nw_table,
+    rowwise,
     sample_permutations,
 )
 
@@ -59,9 +61,12 @@ print("corner-rule kernel value:", value)
 rng = np.random.default_rng(0)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(10, np.ones(3) / 3)))
          for _ in range(8)]
-# (the row kernel prices each Gram row's vertices in one pass)
-gram = build_gram(hists, lambda a, cs: nw_kernel_row(a, cs, w, rset), "nw")
+# (the triangle kernel prices every vertex of the upper triangle in one
+# stream; the row kernel, wrapped by `rowwise`, gives the same matrix)
+gram = build_gram(hists, lambda hs: nw_kernel_triangle(hs, w, rset), "nw")
 assert gram.values[0, 1] == nw_kernel(hists[0], hists[1], w, rset)
+by_rows = build_gram(hists, rowwise(lambda a, cs: nw_kernel_row(a, cs, w, rset)), "nw")
+assert np.array_equal(gram.values, by_rows.values)
 cert = certify_psd(gram)
 print("gram certificate:", cert.verdict, "min eigenvalue", cert.min_eigenvalue)
 assert cert.passed

@@ -20,6 +20,7 @@ from transportkernels import (
     certify_psd,
     pseudo_kernel_row,
     psd_weight_check,
+    rowwise,
     weighted_volume_row,
 )
 
@@ -37,9 +38,10 @@ rng = np.random.default_rng(7)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
          for _ in range(9)]
 
-# the full-sum kernel produces a certified PSD Gram matrix; its row form
-# reads every column of a Gram row off one generating-polynomial recurrence
-volume_gram = build_gram(hists, lambda r, cs: weighted_volume_row(r, cs, w), "volume")
+# the full-sum kernel produces a certified PSD Gram matrix. build_gram
+# takes the rows of the upper triangle; `rowwise` makes them from the row
+# form, which reads a whole Gram row off one generating-polynomial recurrence
+volume_gram = build_gram(hists, rowwise(lambda r, cs: weighted_volume_row(r, cs, w)), "volume")
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,
       "min eigenvalue", f"{volume_cert.min_eigenvalue:.3e}")
@@ -53,7 +55,7 @@ m = np.array([[0.0, 0.105, 0.105],
               [0.105, 0.0, 2.303],
               [0.105, 2.303, 0.0]])
 wm = WeightSpec.from_cost(m)
-pseudo_gram = build_gram(points, lambda r, cs: pseudo_kernel_row(r, cs, wm), "pseudo")
+pseudo_gram = build_gram(points, rowwise(lambda r, cs: pseudo_kernel_row(r, cs, wm)), "pseudo")
 pseudo_cert = certify_psd(pseudo_gram)
 print("min-cost pseudo kernel:", pseudo_cert.verdict,
       "min eigenvalue", f"{pseudo_cert.min_eigenvalue:.3f}")

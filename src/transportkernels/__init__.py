@@ -36,6 +36,7 @@ from .northwest import (
     nw_cost_matrix,
     nw_kernel,
     nw_kernel_row,
+    nw_kernel_triangle,
     nw_permuted,
     nw_table,
     sample_permutations,
@@ -46,6 +47,7 @@ from .ot import (
     ot_cost,
     pseudo_kernel,
     pseudo_kernel_row,
+    pseudo_kernel_triangle,
 )
 from .polytope import (
     DEFAULT_MAX_TABLES,
@@ -67,6 +69,7 @@ from .psd import (
     dataset_digest,
     pairwise,
     psd_weight_check,
+    rowwise,
 )
 
 __all__ = [
@@ -103,6 +106,7 @@ __all__ = [
     "nw_cost_matrix",
     "nw_kernel",
     "nw_kernel_row",
+    "nw_kernel_triangle",
     "nw_permuted",
     "nw_table",
     "ot_cost",
@@ -110,8 +114,10 @@ __all__ = [
     "permuted_sequence",
     "pseudo_kernel",
     "pseudo_kernel_row",
+    "pseudo_kernel_triangle",
     "psd_weight_check",
     "require_compatible",
+    "rowwise",
     "sample_permutations",
     "softmin",
     "weighted_volume",

@@ -22,15 +22,15 @@ from typing import NoReturn
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
-from .northwest import nw_kernel_row, nw_permuted, nw_table, sample_permutations
-from .ot import ot_cost, pseudo_kernel_row
+from .northwest import nw_kernel_triangle, nw_permuted, nw_table, sample_permutations
+from .ot import ot_cost, pseudo_kernel_triangle
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
     enumerate_tables,
     weighted_volume_row,
 )
-from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance
+from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance, rowwise
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -182,12 +182,12 @@ def cmd_gram(config: RunConfig) -> int:
     budget = EnumerationBudget(config.budget)
     d = histograms[0].d
     if config.kernel == "volume":
-        kernel = lambda r, cs: weighted_volume_row(r, cs, w, budget)
+        kernel = rowwise(lambda r, cs: weighted_volume_row(r, cs, w, budget))
     elif config.kernel == "pseudo":
-        kernel = lambda r, cs: pseudo_kernel_row(r, cs, w, budget)
+        kernel = lambda hs: pseudo_kernel_triangle(hs, w, budget)
     elif config.kernel == "nw":
         rset = sample_permutations(d, config.r_size, config.seed)
-        kernel = lambda r, cs: nw_kernel_row(r, cs, w, rset)
+        kernel = lambda hs: nw_kernel_triangle(hs, w, rset)
     else:
         raise TransportKernelError(f"unknown kernel {config.kernel!r}")
     gram = build_gram(histograms, kernel, kernel_id=config.kernel)

@@ -111,7 +111,7 @@ def format_table_row(entries: Sequence[Sequence[int]]) -> str:
 
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:
     """One matrix row per line; floats via repr so reruns are byte-identical."""
-    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(values)]
+    lines = [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -16,16 +16,17 @@ staircase is the merge of the two cumulative-margin sequences: segment
 boundaries alternate between row and column fills, and a tie is the
 zero-mass diagonal step. Each boundary is packed into one int64 key
 (cumulative mass, then side, then index), so a plain sort of a pair's
-2d keys is the merge. A Gram row prices the vertices of r against every
-column at once (`nw_kernel_row`): the pair grid of r's relabellings
-against every relabelled column is sorted in blocks of whole pairs
-holding at most BLOCK keys, so memory stays bounded for any |R|, d and
-row length.
+2d keys is the merge. A whole Gram matrix is priced in one stream
+(`nw_kernel_triangle`): the keys of every histogram under every
+relabelling are built once, and the vertices of the upper triangle are
+sorted pair by pair in blocks holding at most BLOCK keys, so memory
+beyond the keys is O(BLOCK + |R|^2) for any |R|, d and family size.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, require_compatible
-from .polytope import WeightSpec, require_matching_weights
+from .polytope import WeightSpec, require_family
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
 BLOCK = 8192
@@ -83,6 +84,8 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
         raise ValidationError("dimension must be at least 1")
     if size_target < 1:
         raise ValidationError("size_target must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if d <= 20 and size_target > math.factorial(d):
         raise ValidationError(
             f"size_target {size_target} exceeds the {math.factorial(d)} "
@@ -165,25 +168,21 @@ def nw_permuted(
 
 
 def _staircases(
-    r: Histogram,
-    r_imgs: np.ndarray,
-    cs: Sequence[Histogram],
-    c_imgs: np.ndarray,
-    cost: np.ndarray,
+    hs: Sequence[Histogram], pairs, imgs: np.ndarray, cost: np.ndarray
 ) -> Iterator[np.ndarray]:
-    """Priced corner-rule staircases of relabelled margin pairs, in pair blocks.
+    """Priced corner-rule staircases of relabelled pairs of a family, in vertex blocks.
 
-    Rows are r relabelled by each row of r_imgs; columns are each c of cs
-    relabelled by each row of c_imgs, c-major. Row a of an image table
-    holds the 0-based original bin of each relabelled bin. The (row,
-    column) pair grid is walked row-major in blocks of max(1, BLOCK //
-    (2d)) whole pairs, so a block holds at most BLOCK keys (one pair
-    when a pair's 2d keys exceed it) however many columns there are.
-    Yields one (pairs, 2d) array per block: entry k of a pair is the
+    For each index pair (p, q) of pairs in turn, the vertices of (hs[p]
+    relabelled by row a of imgs, hs[q] relabelled by row b) come a-major,
+    b-minor, so each pair's |imgs|^2 vertices are contiguous. Row a of
+    imgs holds the 0-based original bin of each relabelled bin. The
+    vertices are walked in blocks of max(1, BLOCK // (2d)), so a block
+    holds at most BLOCK keys (one vertex when its 2d keys exceed it).
+    Yields one (vertices, 2d) array per block: entry k of a vertex is the
     mass of the k-th segment of its staircase times the cost of the
     original cell that segment fills, and 0 for a zero-mass segment even
-    where the cost is +inf. The nonzero entries of a pair are the nonzero
-    cells of its vertex priced as in ContingencyTable.cost.
+    where the cost is +inf. The nonzero entries of a vertex are its
+    nonzero cells priced as in ContingencyTable.cost.
 
     With b = d.bit_length(), the i-th cumulative margin of each side is
     packed into the key value << (b+1) | side << b | i, where side is 1
@@ -193,37 +192,40 @@ def _staircases(
     position k with index i has k - i boundaries of the other side
     before it, which gives the row and column of the segment it closes
     by one lookup of (side, i, k) in a small table, and the segment's
-    mass is the step in value.
+    mass is the step in value. Keys are built once for the family.
 
-    Raises ValidationError when the mass needs more than 63 - (b+1)
+    Raises DimensionMismatchError when imgs relabel another number of
+    bins, and ValidationError when the mass needs more than 63 - (b+1)
     bits and so does not fit the keys.
     """
-    d = r.d
+    d = hs[0].d
+    if imgs.shape[1] != d:
+        raise DimensionMismatchError(
+            f"permutation set on {imgs.shape[1]} bins applied to {d}-bin histograms"
+        )
     shift = d.bit_length() + 1
-    if (r.mass << shift).bit_length() > 63:
+    if (hs[0].mass << shift).bit_length() > 63:
         raise ValidationError(
-            f"mass {r.mass} is too large for the 64-bit merge keys of {d} bins"
+            f"mass {hs[0].mass} is too large for the 64-bit merge keys of {d} bins"
         )
     col_flag = 1 << (shift - 1)
     width = 2 * d
-    index = np.arange(d, dtype=np.int64)
-    rows = np.asarray(r.counts, dtype=np.int64)[r_imgs]
-    cols = np.array([c.counts for c in cs], dtype=np.int64).reshape(len(cs), d)
-    n_rows, n_cols = len(rows), len(cs) * len(c_imgs)
-    # Row keys, then column keys: one table, so one gather fills a block.
-    side_keys = np.concatenate([
-        np.cumsum(rows, axis=1) << shift | index,
-        np.cumsum(cols[:, c_imgs].reshape(-1, d), axis=1) << shift | col_flag | index,
-    ])
+    n = len(imgs)
+    counts = np.array([h.counts for h in hs], dtype=np.int64).reshape(len(hs), d)
+    # Row keys, then column keys of each h relabelled by each a, at h * n + a:
+    # one table, so one gather fills a block.
+    cum = np.cumsum(counts[:, imgs].reshape(-1, d), axis=1) << shift | np.arange(d)
+    side_keys = np.concatenate([cum, cum | col_flag])
 
     # Image tables with one padding column, in the same side order: a
     # boundary count of d occurs only on zero-mass segments after all
     # mass is placed. Row bins are premultiplied by d, so row bin +
     # column bin indexes the flat costs.
     def padded(imgs: np.ndarray) -> np.ndarray:
-        return np.concatenate([imgs, np.zeros((len(imgs), 1), np.int64)], axis=1).ravel()
+        padding = np.zeros((len(imgs), 1), np.int64)
+        return np.tile(np.concatenate([imgs, padding], axis=1).ravel(), len(hs))
 
-    side_bins = np.concatenate([padded(r_imgs * d), padded(np.tile(c_imgs, (len(cs), 1)))])
+    side_bins = np.concatenate([padded(imgs * d), padded(imgs)])
     costs = cost.ravel()
     # Boundaries before the one at merged position k with low key bits
     # side << b | i, looked up at k * 2^(b+1) + (side << b | i): rows
@@ -234,16 +236,19 @@ def _staircases(
     col_table = (pos - row_table.reshape(width, -1)).ravel()
     offsets = pos.ravel() << shift
 
+    # The side_keys rows of each pair's vertex (0, 0), and the offsets (a, b)
+    # of its k-th vertex.
+    pair_sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2) * n + [0, len(hs) * n]
+    within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
     step = max(1, BLOCK // width)
-    n_pairs = n_rows * n_cols
-    for p0 in range(0, n_pairs, step):
-        # sides[p] = (row, n_rows + column) of each pair: its side_keys rows.
-        sides = np.empty((min(step, n_pairs - p0), 2), dtype=np.int64)
-        np.divmod(np.arange(p0, p0 + len(sides)), n_cols, out=(sides[:, 0], sides[:, 1]))
-        sides[:, 1] += n_rows
+    n_vertices = len(pair_sides) * n * n
+    for v0 in range(0, n_vertices, step):
+        pair, k = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
+        sides = pair_sides.take(pair, axis=0)
+        sides += within.take(k, axis=0)
         keys = side_keys.take(sides, axis=0).reshape(-1, width)
         keys.sort(axis=1)
-        # Steps in value along the flat block; each pair's first step is from 0.
+        # Steps in value along the flat block; each vertex's first step is from 0.
         values = (keys >> shift).ravel()
         masses = np.empty_like(values)
         np.subtract(values[1:], values[:-1], out=masses[1:])
@@ -267,29 +272,31 @@ def _staircases(
         yield priced
 
 
-def _vertex_costs(
-    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
-) -> np.ndarray:
-    """Vertex costs of a row, shape (|R|, len(cs), |R|).
+def _triangle_rows(values: Iterator, m: int) -> Iterator[list]:
+    """Cut a stream of one value per pair p <= q of m histograms, row-major, into rows."""
+    for p in range(m):
+        yield list(itertools.islice(values, m - p))
 
-    Entry (a, j, b) prices the vertex of (r relabelled by perms[a],
-    cs[j] relabelled by perms[b]) as nw_cost_matrix does.
+
+def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
+    """np.exp(-costs).sum() over each run of `per` consecutive vertices of the blocks.
+
+    Costs wait in a buffer of at most per + BLOCK floats until their run
+    is complete. exp(-cost) overflowing gives inf.
     """
-    for c in cs:
-        require_compatible(r, c)
-    require_matching_weights(r, w)
-    if rset.d != r.d:
-        raise DimensionMismatchError(
-            f"permutation set on {rset.d} bins applied to {r.d}-bin histograms"
-        )
-    n = len(rset)
-    costs = np.empty((n, len(cs), n))
-    flat = costs.reshape(-1)
-    start = 0
-    for priced in _staircases(r, rset.images, cs, rset.images, w.cost):
-        priced.sum(axis=1, out=flat[start : start + len(priced)])
-        start += len(priced)
-    return costs
+    buf, filled = np.empty(per), 0
+    for priced in blocks:
+        if filled + len(priced) > len(buf):
+            buf = np.resize(buf, filled + len(priced))
+        priced.sum(axis=1, out=buf[filled : filled + len(priced)])
+        filled += len(priced)
+        if filled >= per:
+            whole = filled - filled % per
+            with np.errstate(over="ignore"):
+                sums = np.exp(-buf[:whole]).reshape(-1, per).sum(axis=1).tolist()
+            buf[: filled - whole] = buf[whole:filled]
+            filled -= whole
+            yield from sums
 
 
 def nw_cost_matrix(
@@ -300,12 +307,29 @@ def nw_cost_matrix(
     Entry (a, b) prices the vertex of (r relabelled by perms[a], c
     relabelled by perms[b]) against the cost matrix, using only the
     staircase segments of the greedy fill: the sum of the segments that
-    `_staircases` merges from packed int64 keys, in blocks of whole
-    pairs holding at most BLOCK keys.
+    `_staircases` merges from packed int64 keys, in blocks holding at
+    most BLOCK keys.
 
     Raises ValidationError when the mass is too large for the keys.
     """
-    return _vertex_costs(r, (c,), w, rset)[:, 0]
+    require_family((r, c), w)
+    blocks = _staircases((r, c), [(0, 1)], rset.images, w.cost)
+    return np.concatenate([priced.sum(axis=1) for priced in blocks]).reshape(len(rset), -1)
+
+
+def nw_kernel_triangle(
+    histograms: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
+) -> Iterator[list[float]]:
+    """Rows of a corner-rule Gram matrix: row p holds nw_kernel(h_p, h_q, w, rset), q >= p.
+
+    One staircase stream prices the vertices of the upper triangle pair
+    by pair from merge keys built once, and yields each row as it is
+    done. Memory beyond the keys is O(BLOCK + |R|^2) for any family size.
+    """
+    hs = list(histograms)
+    require_family(hs, w)
+    blocks = _staircases(hs, np.transpose(np.triu_indices(len(hs))), rset.images, w.cost)
+    return _triangle_rows(_exp_sums(blocks, len(rset) ** 2), len(hs))
 
 
 def nw_kernel_row(
@@ -313,16 +337,13 @@ def nw_kernel_row(
 ) -> list[float]:
     """[nw_kernel(r, c, w, rset) for c in cs]: one row of a corner-rule Gram matrix.
 
-    Every vertex of the row is priced by one staircase merge over the
-    pair grid of r's relabellings against every relabelled c, in blocks
-    of whole pairs holding at most BLOCK keys, so memory stays bounded
-    however long cs is. Each value sums exp(-cost) over its column's
-    |R|^2 vertices in the order nw_kernel does; exp(-cost) overflowing
-    returns inf.
+    The staircase stream of `nw_kernel_triangle` over the pairs (r, c),
+    with the same values and the same memory bound.
     """
-    costs = _vertex_costs(r, cs, w, rset)
-    with np.errstate(over="ignore"):
-        return [float(np.exp(-costs[:, j]).sum()) for j in range(len(cs))]
+    hs = [r, *cs]
+    require_family(hs, w)
+    blocks = _staircases(hs, [(0, q) for q in range(1, len(hs))], rset.images, w.cost)
+    return list(_exp_sums(blocks, len(rset) ** 2))
 
 
 def nw_kernel(

@@ -7,28 +7,23 @@ softmin behind the weighted volume, computed by its recurrence in the
 (min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
 i<k, j<l) the northwestern corner vertex is already optimal and no
 recurrence runs. exp(-optimal cost) is a useful similarity but not
-positive definite in general, hence the "pseudo" in its name. Its row
-form checks the costs once and shares the work that depends only on
-the row histogram: one staircase merge on Monge costs, one box otherwise.
+positive definite in general, hence the "pseudo" in its name. Its
+Gram form checks the costs once: on Monge costs one staircase stream
+prices the whole upper triangle, otherwise each row shares the boxes of
+its recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .histograms import ContingencyTable, Histogram, require_compatible
-from .northwest import _staircases, nw_table
-from .polytope import (
-    EnumerationBudget,
-    WeightSpec,
-    _cheapest_tables,
-    _safe_exp,
-    require_matching_weights,
-)
+from .histograms import ContingencyTable, Histogram
+from .northwest import _staircases, _triangle_rows, nw_table
+from .polytope import EnumerationBudget, WeightSpec, _cheapest_tables, _safe_exp, require_family
 
 
 @dataclass(frozen=True)
@@ -80,14 +75,39 @@ def ot_cost(
     `enumerate_tables` streams; costs that differ only in rounding may
     compare either way.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
+    require_family((r, c), w)
     m = w.cost
     if monge_check(w):
         plan = nw_table(r, c)
     else:
         (plan,) = _cheapest_tables(r, (c,), m, budget)
     return TransportSolution(plan, plan.cost(m))
+
+
+def _corner_values(hs: Sequence[Histogram], pairs, m: np.ndarray) -> Iterator[float]:
+    """exp(-cost) of the corner vertex of each pair of hs, segments summed with fsum."""
+    identity = np.arange(hs[0].d)[None, :]
+    for priced in _staircases(hs, pairs, identity, m):
+        yield from (_safe_exp(-math.fsum(segments)) for segments in priced.tolist())
+
+
+def pseudo_kernel_triangle(
+    histograms: Sequence[Histogram],
+    w: WeightSpec,
+    budget: EnumerationBudget | None = None,
+) -> Iterator[list[float]]:
+    """Rows of a pseudo-kernel Gram matrix: row p holds pseudo_kernel(h_p, h_q, w), q >= p.
+
+    As `pseudo_kernel_row`, with one Monge check for the family and, on
+    Monge costs, one staircase stream over the whole upper triangle.
+    """
+    hs, m = list(histograms), w.cost
+    require_family(hs, w)
+    if monge_check(w):
+        pairs = np.transpose(np.triu_indices(len(hs)))
+        return _triangle_rows(_corner_values(hs, pairs, m), len(hs))
+    plans = (_cheapest_tables(hs[p], hs[p:], m, budget) for p in range(len(hs)))
+    return ([_safe_exp(-plan.cost(m)) for plan in row] for row in plans)
 
 
 def pseudo_kernel_row(
@@ -98,25 +118,18 @@ def pseudo_kernel_row(
 ) -> list[float]:
     """[pseudo_kernel(r, c, w) for c in cs]: one row of a pseudo-kernel Gram matrix.
 
-    The cost matrix is checked for the Monge property once per row. On
-    Monge costs every corner vertex of (r, c) is priced by one staircase
-    merge over all of cs, and its nonzero segments are summed with fsum,
-    exactly as ContingencyTable.cost prices the vertex; masses too large
-    for the merge keys raise ValidationError. Other costs share the
-    (min, +) recurrence boxes of the row and price each plan with its cost.
-    exp(-cost) overflowing returns inf.
+    The costs are checked for the Monge property once. On Monge costs
+    one staircase stream prices the corner vertex of every (r, c), its
+    nonzero segments summed with fsum as ContingencyTable.cost sums them;
+    masses too large for the merge keys raise ValidationError. Other
+    costs share the (min, +) recurrence boxes of the row and price each
+    plan with its cost. exp(-cost) overflowing returns inf.
     """
-    for c in cs:
-        require_compatible(r, c)
-    require_matching_weights(r, w)
-    m = w.cost
+    hs, m = [r, *cs], w.cost
+    require_family(hs, w)
     if monge_check(w):
-        identity = np.arange(r.d)[None, :]
-        blocks = _staircases(r, identity, cs, identity, m)
-        costs = [math.fsum(segments) for priced in blocks for segments in priced.tolist()]
-    else:
-        costs = [plan.cost(m) for plan in _cheapest_tables(r, cs, m, budget)]
-    return [_safe_exp(-cost) for cost in costs]
+        return list(_corner_values(hs, [(0, q) for q in range(1, len(hs))], m))
+    return [_safe_exp(-plan.cost(m)) for plan in _cheapest_tables(r, cs, m, budget)]
 
 
 def pseudo_kernel(

@@ -132,10 +132,13 @@ def _require_square(arr: np.ndarray) -> None:
         raise ValidationError(f"matrix must be square and nonempty, got shape {arr.shape}")
 
 
-def require_matching_weights(r: Histogram, w: WeightSpec) -> None:
-    if w.d != r.d:
+def require_family(hs: Sequence[Histogram], w: WeightSpec) -> None:
+    """Reject histograms that share no tables with hs[0], or that w does not fit."""
+    for h in hs:
+        require_compatible(hs[0], h)
+    if hs and w.d != hs[0].d:
         raise DimensionMismatchError(
-            f"weight matrix is {w.d}x{w.d} but histograms have {r.d} bins"
+            f"weight matrix is {w.d}x{w.d} but histograms have {hs[0].d} bins"
         )
 
 
@@ -403,9 +406,7 @@ def weighted_volume_row(
     or NaN (a partial product overflowed), it runs on log weights -m_ij
     under logaddexp. 0^0 = 1 throughout.
     """
-    for c in cs:
-        require_compatible(r, c)
-    require_matching_weights(r, w)
+    require_family([r, *cs], w)
     budget = budget if budget is not None else EnumerationBudget()
     values = [math.inf] * len(cs)
     floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
@@ -452,8 +453,7 @@ def generating_function(
     exp(-softmin of the table costs); both identities are held to 1e-12
     relative by the test suite rather than by sharing code paths.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
+    require_family((r, c), w)
     m = w.cost
     return math.fsum(
         _safe_exp(-table.cost(m)) for table in enumerate_tables(r, c, budget)

@@ -16,7 +16,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
 
 SYMMETRY_REL_TOL = 1e-12
 
-# kernel(r, cs) -> [K(r, c) for c in cs]
-RowKernel = Callable[[Histogram, Sequence[Histogram]], Sequence[float]]
+# kernel(histograms) -> rows; row p holds [K(h_p, h_q) for q >= p]
+TriangleKernel = Callable[[Sequence[Histogram]], Iterable[Sequence[float]]]
 
 
 def dataset_digest(histograms: Sequence[Histogram]) -> str:
@@ -202,26 +202,31 @@ def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
     return _certify((w.weight + w.weight.T) / 2.0, tolerance)
 
 
-def pairwise(f: Callable[[Histogram, Histogram], float]) -> RowKernel:
-    """The row kernel that evaluates a per-pair kernel once per column."""
-    return lambda r, cs: [f(r, c) for c in cs]
+def rowwise(f: Callable[[Histogram, Sequence[Histogram]], Sequence[float]]) -> TriangleKernel:
+    """The triangle kernel that calls a row kernel f(h_p, [h_p, h_p+1, ...]) once per row."""
+    return lambda hs: (f(hs[p], hs[p:]) for p in range(len(hs)))
+
+
+def pairwise(f: Callable[[Histogram, Histogram], float]) -> TriangleKernel:
+    """The triangle kernel that evaluates a per-pair kernel once per pair p <= q."""
+    return rowwise(lambda r, cs: [f(r, c) for c in cs])
 
 
 def build_gram(
     histograms: Sequence[Histogram],
-    kernel: RowKernel,
+    kernel: TriangleKernel,
     kernel_id: str,
 ) -> GramMatrix:
-    """Evaluate a row kernel on every suffix of the family and mirror the rows.
+    """Evaluate a triangle kernel on the family and mirror its rows.
 
-    kernel(r, cs) returns the values K(r, c) for c in cs. It is called
-    once per p with (histograms[p], histograms[p:]), which fills row p
-    and column p: m calls, m(m+1)/2 values. Use `pairwise` to wrap a
+    kernel(histograms) is called once and returns m rows, possibly
+    lazily: row p holds K(h_p, h_q) for q >= p, which fills row p and
+    column p. Use `rowwise` to wrap a row kernel and `pairwise` a
     per-pair kernel. All histograms must share both the bin count and
     the total mass; kernels here are defined only within one
     equal-dimension, equal-mass family. Failures other than
     BudgetExceededError are wrapped in KernelEvaluationError naming the
-    row, which a row of the wrong length raises too.
+    row, which a missing row or a row of the wrong length raises too.
     """
     histograms = list(histograms)
     if not histograms:
@@ -239,11 +244,18 @@ def build_gram(
                 f"histogram {pos} has mass {h.mass} but histogram 0 has {mass}; "
                 "kernels compare histograms within one equal-mass family only"
             )
+
+    def rows():  # calls the kernel at the first row, so its failure names row 0
+        yield from kernel(histograms)
+
     m = len(histograms)
     values = np.zeros((m, m))
+    stream = rows()
     for p in range(m):
         try:
-            row = [float(v) for v in kernel(histograms[p], histograms[p:])]
+            row = [float(v) for v in next(stream)]
+        except StopIteration:
+            raise KernelEvaluationError(f"kernel returned {p} rows for {m} histograms") from None
         except BudgetExceededError:
             raise
         except Exception as exc:

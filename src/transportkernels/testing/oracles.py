@@ -48,7 +48,7 @@ from ..histograms import (
     chi,
     require_compatible,
 )
-from ..polytope import WeightSpec, require_matching_weights
+from ..polytope import WeightSpec, require_family
 from ..psd import GramMatrix, build_gram, pairwise
 
 SN_MASS_CAP = 8
@@ -142,8 +142,7 @@ def permutation_sum_oracle(r: Histogram, c: Histogram, w: WeightSpec) -> float:
     stdlib lexicographic-successor order over index permutations, capped
     at mass 8.
     """
-    require_compatible(r, c)
-    require_matching_weights(r, w)
+    require_family((r, c), w)
     n = r.mass
     if n > SN_MASS_CAP:
         raise ValidationError(

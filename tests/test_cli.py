@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transportkernels import ParseError, fileio, polytope
+from transportkernels import ParseError, fileio, monge_check, polytope
 from transportkernels.cli import (
     EXIT_BUDGET,
     EXIT_CERT_FAIL,
@@ -88,6 +88,92 @@ def test_gram_seed_changes_nw_output(tmp_path, hists3, weights3):
     main(base + ["--seed", "5", "--out", str(tmp_path / "a")])
     main(base + ["--seed", "6", "--out", str(tmp_path / "b")])
     assert (tmp_path / "a/gram.csv").read_text() != (tmp_path / "b/gram.csv").read_text()
+
+
+# gram.csv bytes recorded before the Gram stream replaced the per-row kernels:
+# corner-rule (|R| = 5), Monge and non-Monge pseudo, and volume, on one family
+GOLDEN_HISTOGRAMS = "3,0,2,1\n1,2,2,1\n0,4,1,1\n2,2,0,2\n1,1,1,3\n"
+GOLDEN_GRAMS = {
+    "nw": (
+        "nw",
+        "mode: cost\n0,0.7,1.3,2\n0.7,0,0.4,1.1\n1.3,0.4,0,0.9\n2,1.1,0.9,0\n",
+        (
+            b"9.142435029854212,1.928417328145087,0.9025877697534695,0.824993670045965,0.1945270978466971\n"
+            b"1.928417328145087,5.959299879638392,3.4560696013414143,0.800160316830641,0.5207257676381091\n"
+            b"0.9025877697534695,3.4560696013414143,11.558484216569447,1.2168219506043454,0.5933832895783775\n"
+            b"0.824993670045965,0.800160316830641,1.2168219506043454,7.393759614669698,0.8420829351237706\n"
+            b"0.1945270978466971,0.5207257676381091,0.5933832895783775,0.8420829351237706,6.041527199154518\n"
+        ),
+    ),
+    "monge": (
+        "pseudo",
+        "mode: cost\n0,0.48,1.18,2.1\n0.48,0,0.48,1.18\n1.18,0.48,0,0.48\n2.1,1.18,0.48,0\n",
+        (
+            b"1.0,0.38289288597511206,0.14660696213035015,0.23692775868212176,0.07280286282743559\n"
+            b"0.38289288597511206,1.0,0.38289288597511206,0.23692775868212176,0.23692775868212176\n"
+            b"0.14660696213035015,0.38289288597511206,1.0,0.23692775868212176,0.07280286282743559\n"
+            b"0.23692775868212176,0.23692775868212176,0.23692775868212176,1.0,0.11765484302177924\n"
+            b"0.07280286282743559,0.23692775868212176,0.07280286282743559,0.11765484302177924,1.0\n"
+        ),
+    ),
+    "scan": (
+        "pseudo",
+        "mode: cost\n0,0.7,0.35,inf\n0.7,0,1.05,0.35\n0.35,1.05,0,0.7\ninf,0.35,0.7,0\n",
+        (
+            b"1.0,0.2465969639416065,0.0428521268670402,0.08629358649937054,0.08629358649937054\n"
+            b"0.2465969639416065,1.0,0.17377394345044514,0.34993774911115544,0.34993774911115544\n"
+            b"0.0428521268670402,0.17377394345044514,1.0,0.2465969639416065,0.2465969639416065\n"
+            b"0.08629358649937054,0.34993774911115544,0.2465969639416065,1.0,0.4965853037914095\n"
+            b"0.08629358649937054,0.34993774911115544,0.2465969639416065,0.4965853037914095,1.0\n"
+        ),
+    ),
+    "volume": (
+        "volume",
+        "mode: weight\n1.0,0.5,0.25,0.125\n0.5,1.0,0.5,0.25\n0.25,0.5,1.0,0.5\n0.125,0.25,0.5,1.0\n",
+        (
+            b"1.38189697265625,0.50537109375,0.1220703125,0.249755859375,0.0982666015625\n"
+            b"0.50537109375,2.79296875,0.60546875,0.5361328125,0.59912109375\n"
+            b"0.1220703125,0.60546875,1.703125,0.2109375,0.0986328125\n"
+            b"0.249755859375,0.5361328125,0.2109375,1.45751953125,0.2889404296875\n"
+            b"0.0982666015625,0.59912109375,0.0986328125,0.2889404296875,2.376220703125\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GRAMS))
+def test_gram_csv_matches_recorded_bytes(tmp_path, name):
+    kernel, weights, expected = GOLDEN_GRAMS[name]
+    hists = write(tmp_path / "h.txt", GOLDEN_HISTOGRAMS)
+    w = write(tmp_path / "w.txt", weights)
+    if kernel == "pseudo":
+        assert monge_check(fileio.parse_weights(w)) == (name == "monge")
+    out = tmp_path / "out"
+    argv = ["gram", "--input", hists, "--weights", w, "--kernel", kernel, "--seed", "3",
+            "--r-size", "5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert (out / "gram.csv").read_bytes() == expected
+
+
+def test_negative_seed_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = tmp_path / "out"
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+            "--seed", "-1", "--r-size", "2", "--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+def test_manifest_with_negative_seed_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = tmp_path / "out"
+    main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+          "--seed", "5", "--r-size", "2", "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"]["seed"] = -1
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 def test_manifest_reruns_reproduce_artifacts(tmp_path, hists3, weights3):
@@ -452,6 +538,18 @@ def test_gram_csv_uses_repr_floats(tmp_path):
     fileio.write_gram_csv(tmp_path / "g.csv", np.array([[1 / 3, 1.0], [1.0, 2.0]]))
     text = (tmp_path / "g.csv").read_text()
     assert text.splitlines()[0].split(",")[0] == repr(1 / 3)
+
+
+def test_gram_csv_bytes_match_per_scalar_repr(tmp_path):
+    # the per-numpy-scalar formatting the writer used before, on signed zero,
+    # the smallest subnormal, a large integer-valued float and inexact values
+    special = np.array([[-0.0, 5e-324, 1e16], [0.1, 1 / 3, -2.5]])
+    dense = np.random.default_rng(75).random((75, 75)) * 10.0 ** np.arange(-37, 38)
+    for values in (special, dense, np.array([[1 / 3]]), np.array([[2, 0], [0, 1]])):
+        path = tmp_path / "g.csv"
+        fileio.write_gram_csv(path, values)
+        lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(values)]
+        assert path.read_text() == "\n".join(lines) + "\n"
 
 
 def test_run_config_round_trip():

@@ -13,10 +13,12 @@ from transportkernels import (
     PermutationSet,
     ValidationError,
     WeightSpec,
+    build_gram,
     chi,
     nw_cost_matrix,
     nw_kernel,
     nw_kernel_row,
+    nw_kernel_triangle,
     nw_permuted,
     nw_table,
     permuted_sequence,
@@ -193,7 +195,7 @@ def test_nw_cost_matrix_is_independent_of_block_size(monkeypatch):
     results = []
     for block, sizes in expected_sizes.items():
         monkeypatch.setattr(northwest, "BLOCK", block)
-        blocks = northwest._staircases(r, rset.images, (c,), rset.images, w.cost)
+        blocks = northwest._staircases((r, c), [(0, 1)], rset.images, w.cost)
         assert [len(priced) for priced in blocks] == sizes
         results.append(nw_cost_matrix(r, c, w, rset))
     assert all(np.array_equal(results[0], other) for other in results[1:])
@@ -279,6 +281,43 @@ def test_nw_kernel_row_memory_is_bounded_per_block():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert row[2] == nw_kernel(r, cs[2], w, rset)
+
+
+def test_nw_triangle_is_independent_of_block_size(monkeypatch):
+    # blocks of one vertex, of five vertices (so blocks straddle pairs of
+    # |R|^2 = 36), the default, and the whole triangle at once
+    rng = np.random.default_rng(43)
+    hists = [_sparse_histogram(rng, 6, 20) for _ in range(5)]
+    w = random_cost(rng, 6)
+    rset = sample_permutations(6, 6, seed=2)
+    grams = []
+    for block in (1, 2 * 6 * 5, BLOCK, 10**9):
+        monkeypatch.setattr(northwest, "BLOCK", block)
+        grams.append(list(nw_kernel_triangle(hists, w, rset)))
+    assert all(gram == grams[0] for gram in grams)
+    assert grams[0] == [[nw_kernel(hists[p], c, w, rset) for c in hists[p:]] for p in range(5)]
+
+
+def test_nw_gram_memory_does_not_grow_with_family():
+    # |R| = 256: one pair's 65,536 vertex costs take 512 KiB. The stream holds
+    # at most one pair of them plus a block, so going from 2 to 6 histograms
+    # (3 to 21 pairs) adds only the merge keys of four more histograms (about
+    # 280 KiB at d = 8) to the peak; a Gram row that held all its costs at once
+    # added four pairs' worth, 2 MiB
+    rng = np.random.default_rng(66)
+    w = random_cost(rng, 8)
+    rset = sample_permutations(8, 256, seed=5)
+    hists = [random_histogram(rng, 8, 40) for _ in range(6)]
+
+    def peak(m):
+        tracemalloc.start()
+        try:
+            build_gram(hists[:m], lambda hs: nw_kernel_triangle(hs, w, rset), "nw")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(6) - peak(2) < 256**2 * 8
 
 
 def test_nw_cost_matrix_rejects_mass_beyond_keys():

@@ -19,6 +19,7 @@ from transportkernels import (
     enumerate_tables,
     fisher_yates,
     generating_function,
+    rowwise,
     softmin,
     weighted_volume,
     weighted_volume_row,
@@ -311,7 +312,7 @@ def test_spike_family_takes_one_box_per_column():
     spikes = [Histogram(tuple(10 * (j == b) for j in range(d))) for b in range(d)]
     gap = np.subtract.outer(np.arange(d), np.arange(d)).astype(float)
     w = WeightSpec.from_weight(np.exp(-(gap**2) / 8.0))
-    gram = build_gram(spikes, lambda r, cs: weighted_volume_row(r, cs, w), "volume")
+    gram = build_gram(spikes, rowwise(lambda r, cs: weighted_volume_row(r, cs, w)), "volume")
     for p, q in itertools.product(range(d), repeat=2):
         assert gram.values[p, q] == weighted_volume(spikes[p], spikes[q], w)
         assert gram.values[p, q] == pytest.approx(w.weight[p, q] ** 10, rel=1e-14, abs=0)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportkernels import (
     GramMatrix,
@@ -10,10 +13,16 @@ from transportkernels import (
     build_gram,
     certify_psd,
     dataset_digest,
+    monge_check,
+    nw_kernel,
+    nw_kernel_triangle,
     pairwise,
     psd_weight_check,
     pseudo_kernel,
     pseudo_kernel_row,
+    pseudo_kernel_triangle,
+    rowwise,
+    sample_permutations,
     weighted_volume,
     weighted_volume_row,
 )
@@ -92,7 +101,7 @@ def test_monge_pseudo_gram_verdict_matches_reference():
     hists = [random_histogram(rng, 4, 50) for _ in range(75)]
     gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     w = WeightSpec.from_cost(gap * 4.0 / 50)
-    gram = build_gram(hists, lambda r, cs: pseudo_kernel_row(r, cs, w), "pseudo")
+    gram = build_gram(hists, rowwise(lambda r, cs: pseudo_kernel_row(r, cs, w)), "pseudo")
     cert = certify_psd(gram)
     ref = np.linalg.eigvalsh(gram.values)
     scale = max(1.0, ref[-1])
@@ -147,20 +156,29 @@ def test_psd_weight_check():
 
 
 def test_build_gram_evaluates_upper_triangle_once():
-    # one row call per histogram, over the suffix that starts at it
+    # one triangle-kernel call with the whole family; rowwise calls a row
+    # kernel once per histogram, over the suffix that starts at it
     rng = np.random.default_rng(71)
     hists = [random_histogram(rng, 3, 4) for _ in range(5)]
     w = random_psd_weight(rng, 3)
-    calls = []
+    calls, row_calls = [], []
 
-    def kernel(r, cs):
-        calls.append((r, list(cs)))
+    def row_kernel(r, cs):
+        row_calls.append((r, list(cs)))
         return weighted_volume_row(r, cs, w)
 
+    def kernel(hs):
+        calls.append(list(hs))
+        return rowwise(row_kernel)(hs)
+
     gram = build_gram(hists, kernel, "volume")
-    assert calls == [(hists[p], hists[p:]) for p in range(5)]
-    assert sum(len(cs) for _, cs in calls) == 5 * 6 // 2
-    assert np.allclose(gram.values, gram.values.T)
+    assert calls == [hists]
+    assert row_calls == [(hists[p], hists[p:]) for p in range(5)]
+    assert sum(len(cs) for _, cs in row_calls) == 5 * 6 // 2
+    for p in range(5):
+        for q in range(p, 5):
+            value = weighted_volume(hists[p], hists[q], w)
+            assert gram.values[p, q] == gram.values[q, p] == value
 
 
 def test_build_gram_rejects_mixed_families():
@@ -190,10 +208,24 @@ def test_build_gram_names_the_failing_row():
             raise RuntimeError("boom")
         return [1.0] * len(cs)
 
+    def broken_mid_stream(hs):
+        yield [1.0, 0.5, 0.5]
+        yield [1.0, 0.5]
+        raise RuntimeError("stream broke")
+
+    def broken_at_call(hs):
+        raise RuntimeError("no rows")
+
     with pytest.raises(KernelEvaluationError, match="row 1: boom"):
-        build_gram(hists, broken_second_row, "volume")
+        build_gram(hists, rowwise(broken_second_row), "volume")
+    with pytest.raises(KernelEvaluationError, match="row 2: stream broke"):
+        build_gram(hists, broken_mid_stream, "volume")
+    with pytest.raises(KernelEvaluationError, match="row 0: no rows"):
+        build_gram(hists, broken_at_call, "volume")
     with pytest.raises(KernelEvaluationError, match="1 values for the 3 columns of row 0"):
-        build_gram(hists, lambda r, cs: [1.0], "volume")
+        build_gram(hists, rowwise(lambda r, cs: [1.0]), "volume")
+    with pytest.raises(KernelEvaluationError, match="returned 2 rows for 3 histograms"):
+        build_gram(hists, lambda hs: [[1.0] * 3, [1.0] * 2], "volume")
 
 
 def test_row_kernel_grams_equal_pairwise_grams():
@@ -212,9 +244,56 @@ def test_row_kernel_grams_equal_pairwise_grams():
             ("pseudo", pseudo_kernel_row, pseudo_kernel, scan_w),
         ]
         for kernel_id, row_fn, pair_fn, w in pairs:
-            rows = build_gram(hists, lambda r, cs: row_fn(r, cs, w), kernel_id)
+            rows = build_gram(hists, rowwise(lambda r, cs: row_fn(r, cs, w)), kernel_id)
             per_pair = build_gram(hists, pairwise(lambda a, b: pair_fn(a, b, w)), kernel_id)
             assert np.array_equal(rows.values, per_pair.values)
+
+
+def _sparse_family(rng, m, d, mass):
+    # about a third of the bins empty in each histogram
+    hists = []
+    for _ in range(m):
+        probs = rng.random(d) * (rng.random(d) > 0.35)
+        if not probs.any():
+            probs[0] = 1.0
+        hists.append(Histogram(tuple(int(v) for v in rng.multinomial(mass, probs / probs.sum()))))
+    return hists
+
+
+@given(
+    st.integers(1, 9),
+    st.integers(1, 6),
+    st.integers(0, 12),
+    st.integers(1, 7),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed):
+    # +inf on the row and column of a bin some histogram leaves empty, and on
+    # random cells; the Monge costs are convex in i - j with an +inf band
+    rng = np.random.default_rng(seed)
+    hists = _sparse_family(rng, m, d, mass)
+    cost = rng.random((d, d)) * 3.0
+    empty = [j for j in range(d) if any(h.counts[j] == 0 for h in hists)]
+    if empty:
+        j = empty[int(rng.integers(len(empty)))]
+        cost[j, :] = cost[:, j] = np.inf
+    cost[rng.random((d, d)) < 0.15] = np.inf
+    w = WeightSpec.from_cost(cost)
+    rset = sample_permutations(d, min(size, math.factorial(d)), seed=seed)
+    gap = np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
+    monge_w = WeightSpec.from_cost(
+        np.where(gap > int(rng.integers(1, d + 1)), np.inf, rng.random() * gap + 0.3 * gap**2)
+    )
+    assert monge_check(monge_w)
+    cases = [
+        ("nw", lambda hs: nw_kernel_triangle(hs, w, rset), lambda a, b: nw_kernel(a, b, w, rset)),
+        ("pseudo", lambda hs: pseudo_kernel_triangle(hs, monge_w), lambda a, b: pseudo_kernel(a, b, monge_w)),
+        ("pseudo", lambda hs: pseudo_kernel_triangle(hs, w), lambda a, b: pseudo_kernel(a, b, w)),
+    ]
+    for kernel_id, triangle, pair in cases:
+        gram = build_gram(hists, triangle, kernel_id)
+        assert np.array_equal(gram.values, build_gram(hists, pairwise(pair), kernel_id).values)
 
 
 def test_dataset_digest_is_order_sensitive_and_stable():
