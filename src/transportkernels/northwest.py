@@ -14,13 +14,16 @@ positive semidefinite, at cost O(d |R|^2): each vertex is priced from
 its staircase segments without materializing the d x d table. The
 staircase is the merge of the two cumulative-margin sequences: segment
 boundaries alternate between row and column fills, and a tie is the
-zero-mass diagonal step. Each boundary is packed into one int64 key
+zero-mass diagonal step. Each boundary is packed into one integer key
 (cumulative mass, then side, then index), so a plain sort of a pair's
-2d keys is the merge. A whole Gram matrix is priced in one stream
-(`nw_kernel_triangle`): the keys of every histogram under every
-relabelling are built once, and the vertices of the upper triangle are
-sorted pair by pair in blocks holding at most BLOCK keys, so memory
-beyond the keys is O(BLOCK + |R|^2) for any |R|, d and family size.
+2d keys is the merge; the keys are int32 when the mass leaves them at
+most 31 bits wide, int64 otherwise. A whole Gram matrix of m histograms
+is priced in one stream (`nw_kernel_triangle`): the 2 m |R| d keys of
+every histogram under every relabelling are built once, and so are the
+2 |R| (d + 1) bins of every relabelling, and the vertices of the upper
+triangle are sorted pair by pair in blocks holding at most BLOCK keys,
+so memory beyond the keys is O(BLOCK + |R| d + |R|^2) for any family
+size.
 """
 
 from __future__ import annotations
@@ -186,13 +189,18 @@ def _staircases(
 
     With b = d.bit_length(), the i-th cumulative margin of each side is
     packed into the key value << (b+1) | side << b | i, where side is 1
-    for columns. Keys are unique, so one plain sort of a pair's 2d keys
-    orders the boundaries by value, a row before a column of equal
-    value, then by index: the staircase order. The boundary at merged
-    position k with index i has k - i boundaries of the other side
-    before it, which gives the row and column of the segment it closes
-    by one lookup of (side, i, k) in a small table, and the segment's
-    mass is the step in value. Keys are built once for the family.
+    for columns. The keys are int32 when mass << (b+1) fits in 31 bits
+    and int64 otherwise. Keys are unique, so one plain sort of a pair's
+    2d keys orders the boundaries by value, a row before a column of
+    equal value, then by index: the staircase order. The boundary at
+    merged position k with index i has k - i boundaries of the other
+    side before it, which gives the row and column of the segment it
+    closes by one lookup of (side, i, k) in a small table, and the
+    segment's mass is the step in value. Their original bins come from
+    a table of the relabelled bins of each row of imgs, indexed by the
+    vertex's (a, b): 2 |imgs| (d + 1) entries whatever the family. Keys
+    are built once for the family; besides them and the bin table, a
+    block holds O(BLOCK) values and the walk O(|imgs|^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
     bins, and ValidationError when the mass needs more than 63 - (b+1)
@@ -204,7 +212,8 @@ def _staircases(
             f"permutation set on {imgs.shape[1]} bins applied to {d}-bin histograms"
         )
     shift = d.bit_length() + 1
-    if (hs[0].mass << shift).bit_length() > 63:
+    bits = (hs[0].mass << shift).bit_length()
+    if bits > 63:
         raise ValidationError(
             f"mass {hs[0].mass} is too large for the 64-bit merge keys of {d} bins"
         )
@@ -213,60 +222,70 @@ def _staircases(
     n = len(imgs)
     counts = np.array([h.counts for h in hs], dtype=np.int64).reshape(len(hs), d)
     # Row keys, then column keys of each h relabelled by each a, at h * n + a:
-    # one table, so one gather fills a block.
-    cum = np.cumsum(counts[:, imgs].reshape(-1, d), axis=1) << shift | np.arange(d)
-    side_keys = np.concatenate([cum, cum | col_flag])
+    # one table, so one gather fills a block. Keys of at most 31 bits sort
+    # as int32.
+    side_keys = np.empty((2, len(hs) * n, d), np.int32 if bits <= 31 else np.int64)
+    side_keys[0] = np.cumsum(counts[:, imgs].reshape(-1, d), axis=1) << shift | np.arange(d)
+    side_keys[1] = side_keys[0] | col_flag
+    side_keys = side_keys.reshape(-1, d)
 
-    # Image tables with one padding column, in the same side order: a
-    # boundary count of d occurs only on zero-mass segments after all
-    # mass is placed. Row bins are premultiplied by d, so row bin +
-    # column bin indexes the flat costs.
-    def padded(imgs: np.ndarray) -> np.ndarray:
-        padding = np.zeros((len(imgs), 1), np.int64)
-        return np.tile(np.concatenate([imgs, padding], axis=1).ravel(), len(hs))
-
-    side_bins = np.concatenate([padded(imgs * d), padded(imgs)])
+    # Bins of each relabelling with one padding column, rows at a, columns
+    # at n + b: a boundary count of d occurs only on zero-mass segments
+    # after all mass is placed. Row bins are premultiplied by d, so row bin
+    # + column bin indexes the flat costs.
+    side_bins = np.zeros((2, n, d + 1), np.intp)
+    side_bins[0, :, :d] = imgs * d
+    side_bins[1, :, :d] = imgs
+    side_bins = side_bins.ravel()
     costs = cost.ravel()
+    # Where every cost is finite, a zero-mass segment already prices 0.
+    any_inf = not np.isfinite(costs).all()
     # Boundaries before the one at merged position k with low key bits
     # side << b | i, looked up at k * 2^(b+1) + (side << b | i): rows
     # before it from row_table, columns before it from col_table.
-    pos = np.arange(width, dtype=np.int64)[:, None]
-    low = np.arange(2 * col_flag, dtype=np.int64)
+    pos = np.arange(width, dtype=np.intp)[:, None]
+    low = np.arange(2 * col_flag, dtype=np.intp)
     row_table = np.where(low & col_flag, pos - (low & (col_flag - 1)), low).ravel()
     col_table = (pos - row_table.reshape(width, -1)).ravel()
     offsets = pos.ravel() << shift
 
-    # The side_keys rows of each pair's vertex (0, 0), and the offsets (a, b)
-    # of its k-th vertex.
-    pair_sides = np.asarray(pairs, dtype=np.int64).reshape(-1, 2) * n + [0, len(hs) * n]
+    # The side_keys rows of each pair's vertex (0, 0); the offsets (a, b) of
+    # its k-th vertex into side_keys, and (a, n + b) times d + 1 into side_bins.
+    pair_sides = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2) * n
+    pair_sides += [0, len(hs) * n]
     within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
     step = max(1, BLOCK // width)
     n_vertices = len(pair_sides) * n * n
     for v0 in range(0, n_vertices, step):
         pair, k = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
+        ab = within.take(k, axis=0)
         sides = pair_sides.take(pair, axis=0)
-        sides += within.take(k, axis=0)
+        sides += ab
         keys = side_keys.take(sides, axis=0).reshape(-1, width)
         keys.sort(axis=1)
-        # Steps in value along the flat block; each vertex's first step is from 0.
+        # Steps in value along the flat block, written as floats for the
+        # product; each vertex's first step is from 0.
         values = (keys >> shift).ravel()
-        masses = np.empty_like(values)
+        masses = np.empty(values.shape)
         np.subtract(values[1:], values[:-1], out=masses[1:])
         masses = masses.reshape(keys.shape)
-        masses[:, 0] = keys[:, 0] >> shift
-        keys &= (col_flag << 1) - 1
-        keys += offsets
-        bases = (d + 1) * sides
-        at = row_table.take(keys)
-        at += bases[:, :1]
+        masses[:, 0] = values[::width]
+        # intp indices: take converts any other index type element by element.
+        at_key = np.bitwise_and(keys, 2 * col_flag - 1, dtype=np.intp)
+        at_key += offsets
+        ab += [0, n]
+        ab *= d + 1
+        at = row_table.take(at_key)
+        at += ab[:, :1]
         cells = side_bins.take(at)
-        at = col_table.take(keys)
-        at += bases[:, 1:]
+        at = col_table.take(at_key)
+        at += ab[:, 1:]
         cells += side_bins.take(at)
         # Zero-mass segments stay free even at +inf cost; a product too
         # large for a float is inf, as in ContingencyTable.cost.
         priced = costs.take(cells)
-        priced[masses == 0] = 0.0
+        if any_inf:
+            priced[masses == 0] = 0.0
         with np.errstate(over="ignore"):
             priced *= masses
         yield priced
@@ -307,7 +326,7 @@ def nw_cost_matrix(
     Entry (a, b) prices the vertex of (r relabelled by perms[a], c
     relabelled by perms[b]) against the cost matrix, using only the
     staircase segments of the greedy fill: the sum of the segments that
-    `_staircases` merges from packed int64 keys, in blocks holding at
+    `_staircases` merges from packed integer keys, in blocks holding at
     most BLOCK keys.
 
     Raises ValidationError when the mass is too large for the keys.
@@ -324,7 +343,8 @@ def nw_kernel_triangle(
 
     One staircase stream prices the vertices of the upper triangle pair
     by pair from merge keys built once, and yields each row as it is
-    done. Memory beyond the keys is O(BLOCK + |R|^2) for any family size.
+    done. Memory beyond the keys is O(BLOCK + |R| d + |R|^2) for any
+    family size.
     """
     hs = list(histograms)
     require_family(hs, w)

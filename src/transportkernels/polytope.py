@@ -375,17 +375,21 @@ def _read_back(r: Histogram, c: Histogram, m: list, tails: list) -> ContingencyT
     return ContingencyTable(tuple(entries))
 
 
-def count_tables(r: Histogram, c: Histogram) -> int:
+def count_tables(
+    r: Histogram, c: Histogram, budget: EnumerationBudget | None = None
+) -> int:
     """Exact number of tables with margins (r, c), as a Python int.
 
     The generating-polynomial recurrence with every weight 1, run in
     exact integers on an object array over the box of e <= c (its
-    prod (c_j + 1) states each hold one count). Unbudgeted. Always
-    equals the length of the enumeration stream.
+    prod (c_j + 1) states each hold one count). A budget caps the box's
+    cell updates as for the weighted volume, and a box over it raises
+    BudgetExceededError before it is allocated; without one the count
+    is unbudgeted. Always equals the length of the enumeration stream.
     """
     require_compatible(r, c)
     ones = np.ones((r.d, r.d), dtype=object)
-    return _generating_row(r, (c,), ones, _EXACT, None)[0]
+    return _generating_row(r, (c,), ones, _EXACT, budget)[0]
 
 
 def weighted_volume_row(

@@ -163,7 +163,20 @@ def _sparse_histogram(rng, d, mass):
     return Histogram(tuple(int(v) for v in rng.multinomial(mass, probs / probs.sum())))
 
 
-@pytest.mark.parametrize("d, size, mass", [(32, 37, 300), (1, 1, 9), (6, 12, 0), (4, 24, 17)])
+@pytest.mark.parametrize(
+    "d, size, mass",
+    [
+        (32, 37, 300),
+        (1, 1, 9),
+        (6, 12, 0),
+        (4, 24, 17),
+        # the widest int32 keys at d=4 (31 bits), the narrowest int64 keys
+        # (33 bits), and int64 keys at d=8
+        (4, 24, 2**27 - 5),
+        (4, 24, 2**28 + 3),
+        (8, 20, 2**40),
+    ],
+)
 def test_nw_cost_matrix_blocks_match_direct_pricing(d, size, mass):
     # at d=32 a block holds 128 pairs, so the 37^2 pairs end in a partial block
     rng = np.random.default_rng([d, size, mass])
@@ -301,9 +314,10 @@ def test_nw_triangle_is_independent_of_block_size(monkeypatch):
 def test_nw_gram_memory_does_not_grow_with_family():
     # |R| = 256: one pair's 65,536 vertex costs take 512 KiB. The stream holds
     # at most one pair of them plus a block, so going from 2 to 6 histograms
-    # (3 to 21 pairs) adds only the merge keys of four more histograms (about
-    # 280 KiB at d = 8) to the peak; a Gram row that held all its costs at once
-    # added four pairs' worth, 2 MiB
+    # (3 to 21 pairs) adds only the merge keys of four more histograms to the
+    # peak: 4 * 2 * 256 * 8 int32 keys, 64 KiB. Bin tables tiled over the
+    # family added about 270 KiB more, and a Gram row that held all its costs
+    # at once added four pairs' worth, 2 MiB
     rng = np.random.default_rng(66)
     w = random_cost(rng, 8)
     rset = sample_permutations(8, 256, seed=5)
@@ -317,7 +331,30 @@ def test_nw_gram_memory_does_not_grow_with_family():
         finally:
             tracemalloc.stop()
 
-    assert peak(6) - peak(2) < 256**2 * 8
+    assert peak(6) - peak(2) < 96 * 2**10
+
+
+def test_nw_triangle_blocks_do_not_copy_the_pair_list():
+    # 600 histograms: 180,300 index pairs (2.9 MB of int64), merged 2048
+    # vertices a block. Past the first row, a block allocates a few of its
+    # own arrays, under 1 MiB; a block that copied the pair list allocated
+    # its 2.9 MB each time, so the stream cost O(m^4)
+    rng = np.random.default_rng(67)
+    w = random_cost(rng, 2)
+    rset = sample_permutations(2, 1, seed=0)
+    hists = [random_histogram(rng, 2, 30) for _ in range(600)]
+    tracemalloc.start()
+    try:
+        rows = nw_kernel_triangle(hists, w, rset)
+        first = next(rows)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        lengths = [len(row) for row in rows]
+        rise = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert [len(first)] + lengths == list(range(600, 0, -1))
+    assert rise < 2**20
 
 
 def test_nw_cost_matrix_rejects_mass_beyond_keys():

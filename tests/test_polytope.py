@@ -304,6 +304,20 @@ def test_count_tables_five_bins_of_ten():
     assert count == 79_315_936_751
 
 
+def test_count_tables_respects_budget():
+    # the box e <= (30,) * 6 holds 31^6 Python ints, about 7 GB; it is
+    # refused before it is allocated
+    thirty = Histogram((30,) * 6)
+    needed = 31**6 * 36
+    with pytest.raises(BudgetExceededError, match=f"need {needed} cell updates, more than 1000"):
+        count_tables(thirty, thirty, EnumerationBudget(1000))
+    # (2, 1) / (2, 1): a 3 x 2 box passed four times
+    r = Histogram((2, 1))
+    with pytest.raises(BudgetExceededError, match="need 24 cell updates, more than 23"):
+        count_tables(r, r, EnumerationBudget(23))
+    assert count_tables(r, r, EnumerationBudget(24)) == count_tables(r, r) == 2
+
+
 def test_spike_family_takes_one_box_per_column():
     # each histogram puts its whole mass in its own bin: the shared box
     # e <= (10,) * 8 has 11^8 cells, far over the default budget, while
