@@ -18,11 +18,9 @@ from transportkernels import (
     certify_psd,
     nw_cost_matrix,
     nw_kernel,
-    nw_kernel_row,
-    nw_kernel_triangle,
+    nw_kernel_pairs,
     nw_permuted,
     nw_table,
-    rowwise,
     sample_permutations,
 )
 
@@ -61,12 +59,14 @@ print("corner-rule kernel value:", value)
 rng = np.random.default_rng(0)
 hists = [Histogram(tuple(int(v) for v in rng.multinomial(10, np.ones(3) / 3)))
          for _ in range(8)]
-# (the triangle kernel prices every vertex of the upper triangle in one
-# stream; the row kernel, wrapped by `rowwise`, gives the same matrix)
-gram = build_gram(hists, lambda hs: nw_kernel_triangle(hs, w, rset), "nw")
+# (the pairs kernel prices every vertex of the upper triangle in one
+# stream; one-pair calls give the same matrix)
+gram = build_gram(hists, lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset), "nw")
 assert gram.values[0, 1] == nw_kernel(hists[0], hists[1], w, rset)
-by_rows = build_gram(hists, rowwise(lambda a, cs: nw_kernel_row(a, cs, w, rset)), "nw")
-assert np.array_equal(gram.values, by_rows.values)
+one_by_one = build_gram(
+    hists, lambda hs, pairs: (nw_kernel(hs[p], hs[q], w, rset) for p, q in pairs), "nw"
+)
+assert np.array_equal(gram.values, one_by_one.values)
 cert = certify_psd(gram)
 print("gram certificate:", cert.verdict, "min eigenvalue", cert.min_eigenvalue)
 assert cert.passed

@@ -18,10 +18,9 @@ from transportkernels import (
     WeightSpec,
     build_gram,
     certify_psd,
-    pseudo_kernel_row,
+    pseudo_kernel_pairs,
     psd_weight_check,
-    rowwise,
-    weighted_volume_row,
+    weighted_volume_pairs,
 )
 
 # the certificate on a hand-checkable matrix: eigenvalues -1 and 3
@@ -39,9 +38,9 @@ hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
          for _ in range(9)]
 
 # the full-sum kernel produces a certified PSD Gram matrix. build_gram
-# takes the rows of the upper triangle; `rowwise` makes them from the row
-# form, which reads a whole Gram row off one generating-polynomial recurrence
-volume_gram = build_gram(hists, rowwise(lambda r, cs: weighted_volume_row(r, cs, w)), "volume")
+# asks the kernel for the values of the upper triangle's index pairs;
+# the volume reads a whole Gram row off one generating-polynomial recurrence
+volume_gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,
       "min eigenvalue", f"{volume_cert.min_eigenvalue:.3e}")
@@ -55,7 +54,7 @@ m = np.array([[0.0, 0.105, 0.105],
               [0.105, 0.0, 2.303],
               [0.105, 2.303, 0.0]])
 wm = WeightSpec.from_cost(m)
-pseudo_gram = build_gram(points, rowwise(lambda r, cs: pseudo_kernel_row(r, cs, wm)), "pseudo")
+pseudo_gram = build_gram(points, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, wm), "pseudo")
 pseudo_cert = certify_psd(pseudo_gram)
 print("min-cost pseudo kernel:", pseudo_cert.verdict,
       "min eigenvalue", f"{pseudo_cert.min_eigenvalue:.3f}")

@@ -35,8 +35,7 @@ from .northwest import (
     PermutationSet,
     nw_cost_matrix,
     nw_kernel,
-    nw_kernel_row,
-    nw_kernel_triangle,
+    nw_kernel_pairs,
     nw_permuted,
     nw_table,
     sample_permutations,
@@ -46,8 +45,7 @@ from .ot import (
     monge_check,
     ot_cost,
     pseudo_kernel,
-    pseudo_kernel_row,
-    pseudo_kernel_triangle,
+    pseudo_kernel_pairs,
 )
 from .polytope import (
     DEFAULT_MAX_TABLES,
@@ -59,7 +57,7 @@ from .polytope import (
     generating_function,
     softmin,
     weighted_volume,
-    weighted_volume_row,
+    weighted_volume_pairs,
 )
 from .psd import (
     GramMatrix,
@@ -67,9 +65,7 @@ from .psd import (
     build_gram,
     certify_psd,
     dataset_digest,
-    pairwise,
     psd_weight_check,
-    rowwise,
 )
 
 __all__ = [
@@ -105,23 +101,19 @@ __all__ = [
     "monge_check",
     "nw_cost_matrix",
     "nw_kernel",
-    "nw_kernel_row",
-    "nw_kernel_triangle",
+    "nw_kernel_pairs",
     "nw_permuted",
     "nw_table",
     "ot_cost",
-    "pairwise",
     "permuted_sequence",
     "pseudo_kernel",
-    "pseudo_kernel_row",
-    "pseudo_kernel_triangle",
+    "pseudo_kernel_pairs",
     "psd_weight_check",
     "require_compatible",
-    "rowwise",
     "sample_permutations",
     "softmin",
     "weighted_volume",
-    "weighted_volume_row",
+    "weighted_volume_pairs",
 ]
 
 __version__ = "0.1.0"

@@ -22,15 +22,15 @@ from typing import NoReturn
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
-from .northwest import nw_kernel_triangle, nw_permuted, nw_table, sample_permutations
-from .ot import ot_cost, pseudo_kernel_triangle
+from .northwest import nw_kernel_pairs, nw_permuted, nw_table, sample_permutations
+from .ot import ot_cost, pseudo_kernel_pairs
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
     enumerate_tables,
-    weighted_volume_row,
+    weighted_volume_pairs,
 )
-from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance, rowwise
+from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -103,7 +103,13 @@ def _parser() -> argparse.ArgumentParser:
                 help="how to read the matrix when the file has no mode header",
             )
         if "budget" in names:
-            p.add_argument("--budget", type=int, default=DEFAULT_MAX_TABLES)
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_MAX_TABLES,
+                help="cap on the tables streamed by enumerate, or on the cell updates "
+                "of one recurrence box for gram (volume, and pseudo off Monge costs) and ot",
+            )
         if "tolerance" in names:
             p.add_argument("--tolerance", type=float, default=1e-8)
         if "out" in names:
@@ -182,12 +188,12 @@ def cmd_gram(config: RunConfig) -> int:
     budget = EnumerationBudget(config.budget)
     d = histograms[0].d
     if config.kernel == "volume":
-        kernel = rowwise(lambda r, cs: weighted_volume_row(r, cs, w, budget))
+        kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w, budget)
     elif config.kernel == "pseudo":
-        kernel = lambda hs: pseudo_kernel_triangle(hs, w, budget)
+        kernel = lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w, budget)
     elif config.kernel == "nw":
         rset = sample_permutations(d, config.r_size, config.seed)
-        kernel = lambda hs: nw_kernel_triangle(hs, w, rset)
+        kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset)
     else:
         raise TransportKernelError(f"unknown kernel {config.kernel!r}")
     gram = build_gram(histograms, kernel, kernel_id=config.kernel)

@@ -17,19 +17,18 @@ boundaries alternate between row and column fills, and a tie is the
 zero-mass diagonal step. Each boundary is packed into one integer key
 (cumulative mass, then side, then index), so a plain sort of a pair's
 2d keys is the merge; the keys are int32 when the mass leaves them at
-most 31 bits wide, int64 otherwise. A whole Gram matrix of m histograms
-is priced in one stream (`nw_kernel_triangle`): the 2 m |R| d keys of
-every histogram under every relabelling are built once, and so are the
-2 |R| (d + 1) bins of every relabelling, and the vertices of the upper
-triangle are sorted pair by pair in blocks holding at most BLOCK keys,
-so memory beyond the keys is O(BLOCK + |R| d + |R|^2) for any family
-size.
+most 31 bits wide, int64 otherwise. Any list of index pairs of a family
+of m histograms, such as the upper triangle of its Gram matrix, is
+priced in one stream (`nw_kernel_pairs`): the 2 m |R| d keys of every
+histogram under every relabelling are built once, and so are the
+2 |R| (d + 1) bins of every relabelling, and the vertices are sorted
+pair by pair in blocks holding at most BLOCK keys, so memory beyond the
+keys is O(BLOCK + |R| d + |R|^2) for any number of pairs.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -203,8 +202,10 @@ def _staircases(
     block holds O(BLOCK) values and the walk O(|imgs|^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
-    bins, and ValidationError when the mass needs more than 63 - (b+1)
-    bits and so does not fit the keys.
+    bins, ValidationError when the mass needs more than 63 - (b+1)
+    bits and so does not fit the keys. Indices address hs as a sequence
+    does: a negative one counts from the end, and one outside
+    [-len(hs), len(hs)) raises IndexError.
     """
     d = hs[0].d
     if imgs.shape[1] != d:
@@ -217,6 +218,9 @@ def _staircases(
         raise ValidationError(
             f"mass {hs[0].mass} is too large for the 64-bit merge keys of {d} bins"
         )
+    index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
+        raise IndexError(f"index pair out of range for {len(hs)} histograms")
     col_flag = 1 << (shift - 1)
     width = 2 * d
     n = len(imgs)
@@ -251,7 +255,7 @@ def _staircases(
 
     # The side_keys rows of each pair's vertex (0, 0); the offsets (a, b) of
     # its k-th vertex into side_keys, and (a, n + b) times d + 1 into side_bins.
-    pair_sides = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2) * n
+    pair_sides = index % len(hs) * n
     pair_sides += [0, len(hs) * n]
     within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
     step = max(1, BLOCK // width)
@@ -289,12 +293,6 @@ def _staircases(
         with np.errstate(over="ignore"):
             priced *= masses
         yield priced
-
-
-def _triangle_rows(values: Iterator, m: int) -> Iterator[list]:
-    """Cut a stream of one value per pair p <= q of m histograms, row-major, into rows."""
-    for p in range(m):
-        yield list(itertools.islice(values, m - p))
 
 
 def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
@@ -336,34 +334,18 @@ def nw_cost_matrix(
     return np.concatenate([priced.sum(axis=1) for priced in blocks]).reshape(len(rset), -1)
 
 
-def nw_kernel_triangle(
-    histograms: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
-) -> Iterator[list[float]]:
-    """Rows of a corner-rule Gram matrix: row p holds nw_kernel(h_p, h_q, w, rset), q >= p.
+def nw_kernel_pairs(
+    hs: Sequence[Histogram], pairs, w: WeightSpec, rset: PermutationSet
+) -> Iterator[float]:
+    """nw_kernel(hs[p], hs[q], w, rset) for each index pair (p, q) of pairs, in order.
 
-    One staircase stream prices the vertices of the upper triangle pair
-    by pair from merge keys built once, and yields each row as it is
-    done. Memory beyond the keys is O(BLOCK + |R| d + |R|^2) for any
-    family size.
+    One staircase stream prices the vertices of every pair from merge
+    keys built once for hs, so memory beyond the keys is
+    O(BLOCK + |R| d + |R|^2) however many pairs there are. p and q index
+    hs as a sequence does; one out of range raises IndexError.
     """
-    hs = list(histograms)
     require_family(hs, w)
-    blocks = _staircases(hs, np.transpose(np.triu_indices(len(hs))), rset.images, w.cost)
-    return _triangle_rows(_exp_sums(blocks, len(rset) ** 2), len(hs))
-
-
-def nw_kernel_row(
-    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, rset: PermutationSet
-) -> list[float]:
-    """[nw_kernel(r, c, w, rset) for c in cs]: one row of a corner-rule Gram matrix.
-
-    The staircase stream of `nw_kernel_triangle` over the pairs (r, c),
-    with the same values and the same memory bound.
-    """
-    hs = [r, *cs]
-    require_family(hs, w)
-    blocks = _staircases(hs, [(0, q) for q in range(1, len(hs))], rset.images, w.cost)
-    return list(_exp_sums(blocks, len(rset) ** 2))
+    return _exp_sums(_staircases(hs, pairs, rset.images, w.cost), len(rset) ** 2)
 
 
 def nw_kernel(
@@ -374,6 +356,6 @@ def nw_kernel(
     Positive definite in (r, c) whenever K = exp(-M) entrywise is a
     symmetric positive semidefinite matrix. The sum is not divided by
     the pair count, so values from sets of different sizes differ in
-    scale. The one-column row of `nw_kernel_row`.
+    scale. The one-pair stream of `nw_kernel_pairs`.
     """
-    return nw_kernel_row(r, (c,), w, rset)[0]
+    return next(nw_kernel_pairs((r, c), [(0, 1)], w, rset))

@@ -7,10 +7,11 @@ softmin behind the weighted volume, computed by its recurrence in the
 (min, +) semiring. For Monge costs (m_ij + m_kl <= m_il + m_kj for
 i<k, j<l) the northwestern corner vertex is already optimal and no
 recurrence runs. exp(-optimal cost) is a useful similarity but not
-positive definite in general, hence the "pseudo" in its name. Its
-Gram form checks the costs once: on Monge costs one staircase stream
-prices the whole upper triangle, otherwise each row shares the boxes of
-its recurrence.
+positive definite in general, hence the "pseudo" in its name.
+`pseudo_kernel_pairs` prices a list of index pairs of a family and
+checks the costs once: on Monge costs one staircase stream prices every
+pair, otherwise each run of pairs with the same first index shares the
+boxes of one recurrence.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .histograms import ContingencyTable, Histogram
-from .northwest import _staircases, _triangle_rows, nw_table
-from .polytope import EnumerationBudget, WeightSpec, _cheapest_tables, _safe_exp, require_family
+from .northwest import _staircases, nw_table
+from .polytope import (
+    EnumerationBudget,
+    WeightSpec,
+    _cheapest_tables,
+    _rows,
+    _safe_exp,
+    require_family,
+)
 
 
 @dataclass(frozen=True)
@@ -91,45 +99,29 @@ def _corner_values(hs: Sequence[Histogram], pairs, m: np.ndarray) -> Iterator[fl
         yield from (_safe_exp(-math.fsum(segments)) for segments in priced.tolist())
 
 
-def pseudo_kernel_triangle(
-    histograms: Sequence[Histogram],
+def pseudo_kernel_pairs(
+    hs: Sequence[Histogram],
+    pairs,
     w: WeightSpec,
     budget: EnumerationBudget | None = None,
-) -> Iterator[list[float]]:
-    """Rows of a pseudo-kernel Gram matrix: row p holds pseudo_kernel(h_p, h_q, w), q >= p.
-
-    As `pseudo_kernel_row`, with one Monge check for the family and, on
-    Monge costs, one staircase stream over the whole upper triangle.
-    """
-    hs, m = list(histograms), w.cost
-    require_family(hs, w)
-    if monge_check(w):
-        pairs = np.transpose(np.triu_indices(len(hs)))
-        return _triangle_rows(_corner_values(hs, pairs, m), len(hs))
-    plans = (_cheapest_tables(hs[p], hs[p:], m, budget) for p in range(len(hs)))
-    return ([_safe_exp(-plan.cost(m)) for plan in row] for row in plans)
-
-
-def pseudo_kernel_row(
-    r: Histogram,
-    cs: Sequence[Histogram],
-    w: WeightSpec,
-    budget: EnumerationBudget | None = None,
-) -> list[float]:
-    """[pseudo_kernel(r, c, w) for c in cs]: one row of a pseudo-kernel Gram matrix.
+) -> Iterator[float]:
+    """pseudo_kernel(hs[p], hs[q], w) for each index pair (p, q) of pairs, in order.
 
     The costs are checked for the Monge property once. On Monge costs
-    one staircase stream prices the corner vertex of every (r, c), its
+    one staircase stream prices the corner vertex of every pair, its
     nonzero segments summed with fsum as ContingencyTable.cost sums them;
     masses too large for the merge keys raise ValidationError. Other
-    costs share the (min, +) recurrence boxes of the row and price each
-    plan with its cost. exp(-cost) overflowing returns inf.
+    costs run the (min, +) recurrence once for each run of consecutive
+    pairs with the same p and price each plan with its cost. exp(-cost)
+    overflowing gives inf. p and q index hs as a sequence does; one out
+    of range raises IndexError.
     """
-    hs, m = [r, *cs], w.cost
     require_family(hs, w)
+    m = w.cost
     if monge_check(w):
-        return list(_corner_values(hs, [(0, q) for q in range(1, len(hs))], m))
-    return [_safe_exp(-plan.cost(m)) for plan in _cheapest_tables(r, cs, m, budget)]
+        return _corner_values(hs, pairs, m)
+    tables = (plan for r, cs in _rows(hs, pairs) for plan in _cheapest_tables(r, cs, m, budget))
+    return (_safe_exp(-plan.cost(m)) for plan in tables)
 
 
 def pseudo_kernel(
@@ -141,7 +133,7 @@ def pseudo_kernel(
     """exp(-minimum cost): a similarity that is indefinite in general.
 
     Dominated term by term by the generating function over the same
-    margins, since the optimum is one of the summed costs. The
-    one-column row of `pseudo_kernel_row`.
+    margins, since the optimum is one of the summed costs. The one-pair
+    stream of `pseudo_kernel_pairs`.
     """
-    return pseudo_kernel_row(r, (c,), w, budget)[0]
+    return next(pseudo_kernel_pairs((r, c), [(0, 1)], w, budget))

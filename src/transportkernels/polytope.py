@@ -57,17 +57,23 @@ DEFAULT_MAX_TABLES = 10_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Cap on the tables enumeration streams, or on the cell updates of one
-    generating-polynomial recurrence box."""
+    """A positive cap whose unit depends on the caller.
+
+    `enumerate_tables` (and the `enumerate` subcommand) counts tables
+    streamed. Every generating-polynomial recurrence counts the cell
+    updates of one box, checked before the box is allocated: the
+    weighted volume, `count_tables`, `ot_cost` and the pseudo kernel off
+    Monge costs.
+    """
 
     max_tables: int = DEFAULT_MAX_TABLES
 
     def __post_init__(self) -> None:
-        if int(self.max_tables) != self.max_tables or self.max_tables <= 0:
-            raise ValidationError(
-                f"budget must be a positive integer, got {self.max_tables!r}"
-            )
-        object.__setattr__(self, "max_tables", int(self.max_tables))
+        cap = self.max_tables
+        # Python counts a bool as an int; a budget may not.
+        if isinstance(cap, bool) or int(cap) != cap or cap <= 0:
+            raise ValidationError(f"budget must be a positive integer, got {cap!r}")
+        object.__setattr__(self, "max_tables", int(cap))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,11 +398,8 @@ def count_tables(
     return _generating_row(r, (c,), ones, _EXACT, budget)[0]
 
 
-def weighted_volume_row(
-    r: Histogram,
-    cs: Sequence[Histogram],
-    w: WeightSpec,
-    budget: EnumerationBudget | None = None,
+def _volume_row(
+    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, budget: EnumerationBudget
 ) -> list[float]:
     """[T(r, c; K) for c in cs]: one row of a weighted-volume Gram matrix.
 
@@ -410,8 +413,6 @@ def weighted_volume_row(
     or NaN (a partial product overflowed), it runs on log weights -m_ij
     under logaddexp. 0^0 = 1 throughout.
     """
-    require_family([r, *cs], w)
-    budget = budget if budget is not None else EnumerationBudget()
     values = [math.inf] * len(cs)
     floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
     if r.mass * math.log(floor) >= math.log(sys.float_info.min):
@@ -424,6 +425,29 @@ def weighted_volume_row(
     return values
 
 
+def _rows(hs: Sequence[Histogram], pairs) -> Iterator[tuple[Histogram, list[Histogram]]]:
+    """(hs[p], [hs[q], ...]) for each run of consecutive index pairs (p, q) sharing p."""
+    for p, run in itertools.groupby(pairs, key=operator.itemgetter(0)):
+        yield hs[p], [hs[q] for _, q in run]
+
+
+def weighted_volume_pairs(
+    hs: Sequence[Histogram],
+    pairs,
+    w: WeightSpec,
+    budget: EnumerationBudget | None = None,
+) -> Iterator[float]:
+    """T(hs[p], hs[q]; K) for each index pair (p, q) of pairs, in order.
+
+    Consecutive pairs with the same p share one recurrence, so the
+    row-major upper triangle of a Gram matrix runs one per row. p and q
+    index hs as a sequence does; one out of range raises IndexError.
+    """
+    require_family(hs, w)
+    budget = budget if budget is not None else EnumerationBudget()
+    return (value for r, cs in _rows(hs, pairs) for value in _volume_row(r, cs, w, budget))
+
+
 def weighted_volume(
     r: Histogram,
     c: Histogram,
@@ -432,9 +456,9 @@ def weighted_volume(
 ) -> float:
     """T(r, c; K): sum over all tables of the product of k_ij^x_ij.
 
-    The one-column row of `weighted_volume_row`.
+    The one-pair stream of `weighted_volume_pairs`.
     """
-    return weighted_volume_row(r, (c,), w, budget)[0]
+    return next(weighted_volume_pairs((r, c), [(0, 1)], w, budget))
 
 
 def _safe_exp(x: float) -> float:

@@ -13,6 +13,7 @@ accurate to a small multiple of eps * norm(G).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,9 +28,6 @@ from .polytope import WeightSpec
 KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
 
 SYMMETRY_REL_TOL = 1e-12
-
-# kernel(histograms) -> rows; row p holds [K(h_p, h_q) for q >= p]
-TriangleKernel = Callable[[Sequence[Histogram]], Iterable[Sequence[float]]]
 
 
 def dataset_digest(histograms: Sequence[Histogram]) -> str:
@@ -202,31 +200,23 @@ def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
     return _certify((w.weight + w.weight.T) / 2.0, tolerance)
 
 
-def rowwise(f: Callable[[Histogram, Sequence[Histogram]], Sequence[float]]) -> TriangleKernel:
-    """The triangle kernel that calls a row kernel f(h_p, [h_p, h_p+1, ...]) once per row."""
-    return lambda hs: (f(hs[p], hs[p:]) for p in range(len(hs)))
-
-
-def pairwise(f: Callable[[Histogram, Histogram], float]) -> TriangleKernel:
-    """The triangle kernel that evaluates a per-pair kernel once per pair p <= q."""
-    return rowwise(lambda r, cs: [f(r, c) for c in cs])
-
-
 def build_gram(
     histograms: Sequence[Histogram],
-    kernel: TriangleKernel,
+    kernel: Callable[[list[Histogram], np.ndarray], Iterable[float]],
     kernel_id: str,
 ) -> GramMatrix:
-    """Evaluate a triangle kernel on the family and mirror its rows.
+    """Evaluate a kernel on the upper triangle of the family and mirror it.
 
-    kernel(histograms) is called once and returns m rows, possibly
-    lazily: row p holds K(h_p, h_q) for q >= p, which fills row p and
-    column p. Use `rowwise` to wrap a row kernel and `pairwise` a
-    per-pair kernel. All histograms must share both the bin count and
-    the total mass; kernels here are defined only within one
-    equal-dimension, equal-mass family. Failures other than
-    BudgetExceededError are wrapped in KernelEvaluationError naming the
-    row, which a missing row or a row of the wrong length raises too.
+    kernel(histograms, pairs) is called once, with pairs the (p, q) of
+    the upper triangle q >= p in row-major order as an (m(m+1)/2, 2)
+    integer array, and yields K(h_p, h_q) for each pair in turn, possibly
+    lazily; row p's m - p values fill row p and column p. Every
+    `*_pairs` kernel takes this shape once its other arguments are bound.
+    All histograms must share both the bin count and the total mass;
+    kernels here are defined only within one equal-dimension, equal-mass
+    family. Failures other than BudgetExceededError are wrapped in
+    KernelEvaluationError naming the row, which a stream that ends early
+    or yields one value too many raises too.
     """
     histograms = list(histograms)
     if not histograms:
@@ -244,30 +234,37 @@ def build_gram(
                 f"histogram {pos} has mass {h.mass} but histogram 0 has {mass}; "
                 "kernels compare histograms within one equal-mass family only"
             )
-
-    def rows():  # calls the kernel at the first row, so its failure names row 0
-        yield from kernel(histograms)
-
     m = len(histograms)
-    values = np.zeros((m, m))
-    stream = rows()
-    for p in range(m):
+    pairs = np.transpose(np.triu_indices(m))
+
+    def evaluate():  # calls the kernel at the first value, so its failure names row 0
+        yield from kernel(histograms, pairs)
+
+    stream = evaluate()
+
+    def take(p: int, count: int) -> list[float]:
         try:
-            row = [float(v) for v in next(stream)]
-        except StopIteration:
-            raise KernelEvaluationError(f"kernel returned {p} rows for {m} histograms") from None
+            return [float(v) for v in itertools.islice(stream, count)]
         except BudgetExceededError:
             raise
         except Exception as exc:
             raise KernelEvaluationError(
                 f"kernel evaluation failed at row {p}: {exc}"
             ) from exc
+
+    values = np.zeros((m, m))
+    for p in range(m):
+        row = take(p, m - p)
         if len(row) != m - p:
             raise KernelEvaluationError(
                 f"kernel returned {len(row)} values for the {m - p} columns of row {p}"
             )
         values[p, p:] = row
         values[p:, p] = row
+    if take(m - 1, 1):
+        raise KernelEvaluationError(
+            f"kernel returned more than the {len(pairs)} values of the upper triangle"
+        )
     return GramMatrix(
         values=values, kernel_id=kernel_id, dataset_hash=dataset_digest(histograms)
     )

@@ -49,7 +49,7 @@ from ..histograms import (
     require_compatible,
 )
 from ..polytope import WeightSpec, require_family
-from ..psd import GramMatrix, build_gram, pairwise
+from ..psd import GramMatrix, build_gram
 
 SN_MASS_CAP = 8
 
@@ -176,7 +176,8 @@ def symmetrization_oracle(
     histograms: Sequence[Histogram], w: WeightSpec
 ) -> GramMatrix:
     """Gram matrix of the shuffle-summed kernel over a histogram family."""
-    return build_gram(histograms, pairwise(lambda r, c: shuffle_kernel(r, c, w)), "oracle")
+    kernel = lambda hs, pairs: (shuffle_kernel(hs[p], hs[q], w) for p, q in pairs)
+    return build_gram(histograms, kernel, "oracle")
 
 
 def brute_force_pattern_counts(

@@ -337,6 +337,7 @@ def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("kernel", ["volume", "nw", "pseudo"])
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -345,16 +346,17 @@ def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
     ],
 )
 def test_gram_rejects_arguments_before_computing(
-    tmp_path, hists3, weights3, monkeypatch, capsys, extra, message
+    tmp_path, hists3, weights3, monkeypatch, capsys, extra, message, kernel
 ):
     import transportkernels.cli as cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel must not run")
 
-    monkeypatch.setattr(cli, "weighted_volume_row", refuse)
+    for name in ("weighted_volume_pairs", "nw_kernel_pairs", "pseudo_kernel_pairs"):
+        monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "out"
-    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume"]
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", kernel]
     if extra:
         argv += ["--out", str(out)] + extra
     assert main(argv) == EXIT_ERROR

@@ -17,8 +17,7 @@ from transportkernels import (
     chi,
     nw_cost_matrix,
     nw_kernel,
-    nw_kernel_row,
-    nw_kernel_triangle,
+    nw_kernel_pairs,
     nw_permuted,
     nw_table,
     permuted_sequence,
@@ -256,14 +255,15 @@ def test_nw_kernel_row_equals_pair_kernels_exactly(d, size, mass, count):
     m[rng.random((d, d)) < 0.1] = np.inf
     w = WeightSpec.from_cost(m)
     rset = sample_permutations(d, size, seed=d * size)
-    row = nw_kernel_row(r, cs, w, rset)
+    hs = [r, *cs]
+    row = list(nw_kernel_pairs(hs, [(0, q) for q in range(1, len(hs))], w, rset))
     assert row == [nw_kernel(r, c, w, rset) for c in cs]
     for value, c in zip(row, cs):
         direct = math.fsum(
             math.exp(-nw_permuted(r, c, sa, sb).cost(m)) for sa in rset for sb in rset
         )
         assert value == pytest.approx(direct, rel=1e-12, abs=0)
-    assert nw_kernel_row(r, [], w, rset) == []
+    assert list(nw_kernel_pairs(hs, [], w, rset)) == []
 
 
 def test_nw_kernel_row_is_independent_of_block_size(monkeypatch):
@@ -272,9 +272,10 @@ def test_nw_kernel_row_is_independent_of_block_size(monkeypatch):
     w = random_cost(rng, 12)
     rset = sample_permutations(12, 30, seed=4)
     rows = []
+    hs = [r, *cs]
     for block in (1, BLOCK, 10**9):
         monkeypatch.setattr(northwest, "BLOCK", block)
-        rows.append(nw_kernel_row(r, cs, w, rset))
+        rows.append(list(nw_kernel_pairs(hs, [(0, q) for q in range(1, len(hs))], w, rset)))
     assert rows[0] == rows[1] == rows[2]
 
 
@@ -286,9 +287,10 @@ def test_nw_kernel_row_memory_is_bounded_per_block():
     cs = [random_histogram(rng, 64, 500) for _ in range(6)]
     w = random_cost(rng, 64)
     rset = sample_permutations(64, 256, seed=9)
+    hs = [r, *cs]
     tracemalloc.start()
     try:
-        row = nw_kernel_row(r, cs, w, rset)
+        row = list(nw_kernel_pairs(hs, [(0, q) for q in range(1, len(hs))], w, rset))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,12 +305,13 @@ def test_nw_triangle_is_independent_of_block_size(monkeypatch):
     hists = [_sparse_histogram(rng, 6, 20) for _ in range(5)]
     w = random_cost(rng, 6)
     rset = sample_permutations(6, 6, seed=2)
+    pairs = [(p, q) for p in range(5) for q in range(p, 5)]
     grams = []
     for block in (1, 2 * 6 * 5, BLOCK, 10**9):
         monkeypatch.setattr(northwest, "BLOCK", block)
-        grams.append(list(nw_kernel_triangle(hists, w, rset)))
+        grams.append(list(nw_kernel_pairs(hists, pairs, w, rset)))
     assert all(gram == grams[0] for gram in grams)
-    assert grams[0] == [[nw_kernel(hists[p], c, w, rset) for c in hists[p:]] for p in range(5)]
+    assert grams[0] == [nw_kernel(hists[p], hists[q], w, rset) for p, q in pairs]
 
 
 def test_nw_gram_memory_does_not_grow_with_family():
@@ -326,7 +329,7 @@ def test_nw_gram_memory_does_not_grow_with_family():
     def peak(m):
         tracemalloc.start()
         try:
-            build_gram(hists[:m], lambda hs: nw_kernel_triangle(hs, w, rset), "nw")
+            build_gram(hists[:m], lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset), "nw")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -345,15 +348,15 @@ def test_nw_triangle_blocks_do_not_copy_the_pair_list():
     hists = [random_histogram(rng, 2, 30) for _ in range(600)]
     tracemalloc.start()
     try:
-        rows = nw_kernel_triangle(hists, w, rset)
-        first = next(rows)
+        values = nw_kernel_pairs(hists, np.transpose(np.triu_indices(600)), w, rset)
+        first = list(itertools.islice(values, 600))
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        lengths = [len(row) for row in rows]
+        rest = sum(1 for _ in values)
         rise = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert [len(first)] + lengths == list(range(600, 0, -1))
+    assert len(first) + rest == 600 * 601 // 2
     assert rise < 2**20
 
 

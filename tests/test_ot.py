@@ -13,7 +13,7 @@ from transportkernels import (
     nw_table,
     ot_cost,
     pseudo_kernel,
-    pseudo_kernel_row,
+    pseudo_kernel_pairs,
     weighted_volume,
 )
 from transportkernels import northwest
@@ -130,7 +130,7 @@ def test_monge_pseudo_row_matches_corner_vertex():
     for hists, w in cases:
         assert monge_check(w)
         for p, r in enumerate(hists):
-            row = pseudo_kernel_row(r, hists[p:], w)
+            row = list(pseudo_kernel_pairs(hists, [(p, q) for q in range(p, len(hists))], w))
             expected = [_corner_value(r, c, w) for c in hists[p:]]
             assert row == expected
             assert row == [pseudo_kernel(r, c, w) for c in hists[p:]]
@@ -146,7 +146,7 @@ def test_monge_pseudo_row_spans_pair_blocks(monkeypatch):
     hists = [random_histogram(rng, 4, 11) for _ in range(8)]
     expected = [_corner_value(hists[0], c, w) for c in hists]
     monkeypatch.setattr(northwest, "BLOCK", 2 * 4 * 3)
-    assert pseudo_kernel_row(hists[0], hists, w) == expected
+    assert list(pseudo_kernel_pairs(hists, [(0, q) for q in range(8)], w)) == expected
 
 
 def test_non_monge_pseudo_row_matches_transport():
@@ -164,7 +164,7 @@ def test_non_monge_pseudo_row_matches_transport():
         mass = int(rng.integers(1, 7))
         hists = [random_histogram(rng, d, mass) for _ in range(6)]
         for p, r in enumerate(hists):
-            row = pseudo_kernel_row(r, hists[p:], w)
+            row = list(pseudo_kernel_pairs(hists, [(p, q) for q in range(p, len(hists))], w))
             assert row == [math.exp(-ot_cost(r, c, w).cost) for c in hists[p:]]
             assert row == [pseudo_kernel(r, c, w) for c in hists[p:]]
             seen_zero = seen_zero or 0.0 in row
@@ -179,7 +179,7 @@ def test_monge_pseudo_rejects_mass_beyond_keys():
     with pytest.raises(ValidationError):
         pseudo_kernel(r, r, w)
     with pytest.raises(ValidationError):
-        pseudo_kernel_row(r, [r, r], w)
+        list(pseudo_kernel_pairs([r, r, r], [(0, 1), (0, 2)], w))
 
 
 def test_monge_fast_path_matches_enumeration():

@@ -19,10 +19,9 @@ from transportkernels import (
     enumerate_tables,
     fisher_yates,
     generating_function,
-    rowwise,
     softmin,
     weighted_volume,
-    weighted_volume_row,
+    weighted_volume_pairs,
 )
 from transportkernels.testing import brute_force_pattern_counts
 
@@ -96,8 +95,9 @@ def test_budget_exceeded_carries_progress():
     with pytest.raises(BudgetExceededError) as exc:
         list(enumerate_tables(r, c, EnumerationBudget(max_tables=7)))
     assert exc.value.count_so_far == 7
-    with pytest.raises(ValidationError):
-        EnumerationBudget(max_tables=0)
+    for bad in (0, True):
+        with pytest.raises(ValidationError):
+            EnumerationBudget(max_tables=bad)
 
 
 def test_weighted_volume_respects_budget():
@@ -110,11 +110,12 @@ def test_weighted_volume_respects_budget():
     assert weighted_volume(r, c, w, EnumerationBudget(max_tables=988)) == 8.0
     # with (30, 0) beside it the shared box e <= (30, 18) needs 4 * 589 = 2356;
     # below that each column gets its own box, and (30, 0) needs only 2 * 31
-    row = [c, Histogram((30, 0))]
+    hs, row = [r, c, Histogram((30, 0))], [(0, 1), (0, 2)]
     with pytest.raises(BudgetExceededError):
-        weighted_volume_row(r, row, w, EnumerationBudget(max_tables=987))
+        list(weighted_volume_pairs(hs, row, w, EnumerationBudget(max_tables=987)))
     for cap in (988, 2355, 2356):
-        assert weighted_volume_row(r, row, w, EnumerationBudget(max_tables=cap)) == [8.0, 1.0]
+        values = weighted_volume_pairs(hs, row, w, EnumerationBudget(max_tables=cap))
+        assert list(values) == [8.0, 1.0]
 
 
 def test_two_bin_volume_closed_form():
@@ -222,7 +223,7 @@ def _volume_row_cases():
 def test_volume_row_matches_pairs():
     for hists, w in _volume_row_cases():
         for p, r in enumerate(hists):
-            row = weighted_volume_row(r, hists[p:], w)
+            row = list(weighted_volume_pairs(hists, [(p, q) for q in range(p, len(hists))], w))
             assert row == [weighted_volume(r, c, w) for c in hists[p:]]
 
 
@@ -231,7 +232,8 @@ def test_volume_row_reruns_only_overflowing_columns():
     # recurrence would miss in the last digits (1.000000000000024e+295)
     w = WeightSpec.from_weight([[1e300, 1.0], [1e10, 1e-5]])
     r = Histogram((1, 1))
-    row = weighted_volume_row(r, [Histogram((2, 0)), r, Histogram((0, 2))], w)
+    hs = [r, Histogram((2, 0)), r, Histogram((0, 2))]
+    row = list(weighted_volume_pairs(hs, [(0, 1), (0, 2), (0, 3)], w))
     assert row == [math.inf, 1e10 + 1e300 * 1e-5, 1.0 * 1e-5]
 
 
@@ -246,11 +248,11 @@ def test_row_budget_counts_visits_made(kernel):
     r, c1, c2 = Histogram((2, 2, 2)), Histogram((1, 2, 3)), Histogram((2, 2, 2))
     if kernel == "volume":
         w = WeightSpec.from_weight([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-        row_fn, pair_fn = weighted_volume_row, weighted_volume
+        stream_fn, pair_fn = weighted_volume_pairs, weighted_volume
     else:
         w = WeightSpec.from_cost([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0], [1.0, 2.0, 0.0]])
         assert not ot.monge_check(w)
-        row_fn, pair_fn = ot.pseudo_kernel_row, ot.pseudo_kernel
+        stream_fn, pair_fn = ot.pseudo_kernel_pairs, ot.pseudo_kernel
     budget = EnumerationBudget
 
     def raises(call):
@@ -266,10 +268,11 @@ def test_row_budget_counts_visits_made(kernel):
     assert not raises(lambda: pair_fn(r, c2, w, budget(243)))
     # below 324 the row falls back to one box per column, so it needs
     # the larger pair count
-    assert raises(lambda: row_fn(r, [c1, c2], w, budget(242)))
+    hs, row = [r, c1, c2], [(0, 1), (0, 2)]
+    assert raises(lambda: list(stream_fn(hs, row, w, budget(242))))
     pairs = [pair_fn(r, c, w) for c in (c1, c2)]
     for cap in (243, 323, 324):
-        assert row_fn(r, [c1, c2], w, budget(cap)) == pairs
+        assert list(stream_fn(hs, row, w, budget(cap))) == pairs
 
 
 def test_rows_that_scan_nothing_still_count_one_pass():
@@ -326,7 +329,7 @@ def test_spike_family_takes_one_box_per_column():
     spikes = [Histogram(tuple(10 * (j == b) for j in range(d))) for b in range(d)]
     gap = np.subtract.outer(np.arange(d), np.arange(d)).astype(float)
     w = WeightSpec.from_weight(np.exp(-(gap**2) / 8.0))
-    gram = build_gram(spikes, rowwise(lambda r, cs: weighted_volume_row(r, cs, w)), "volume")
+    gram = build_gram(spikes, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
     for p, q in itertools.product(range(d), repeat=2):
         assert gram.values[p, q] == weighted_volume(spikes[p], spikes[q], w)
         assert gram.values[p, q] == pytest.approx(w.weight[p, q] ** 10, rel=1e-14, abs=0)

@@ -15,17 +15,15 @@ from transportkernels import (
     dataset_digest,
     monge_check,
     nw_kernel,
-    nw_kernel_triangle,
-    pairwise,
+    nw_kernel_pairs,
     psd_weight_check,
     pseudo_kernel,
-    pseudo_kernel_row,
-    pseudo_kernel_triangle,
-    rowwise,
+    pseudo_kernel_pairs,
     sample_permutations,
     weighted_volume,
-    weighted_volume_row,
+    weighted_volume_pairs,
 )
+from transportkernels import polytope
 from transportkernels.psd import _extreme_eigenvalues
 
 from conftest import random_histogram, random_psd_weight
@@ -101,7 +99,7 @@ def test_monge_pseudo_gram_verdict_matches_reference():
     hists = [random_histogram(rng, 4, 50) for _ in range(75)]
     gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     w = WeightSpec.from_cost(gap * 4.0 / 50)
-    gram = build_gram(hists, rowwise(lambda r, cs: pseudo_kernel_row(r, cs, w)), "pseudo")
+    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
     cert = certify_psd(gram)
     ref = np.linalg.eigvalsh(gram.values)
     scale = max(1.0, ref[-1])
@@ -155,24 +153,27 @@ def test_psd_weight_check():
         psd_weight_check(w, tolerance=-1e-8)
 
 
-def test_build_gram_evaluates_upper_triangle_once():
-    # one triangle-kernel call with the whole family; rowwise calls a row
-    # kernel once per histogram, over the suffix that starts at it
+def test_build_gram_evaluates_upper_triangle_once(monkeypatch):
+    # one kernel call with the whole family and the row-major upper triangle;
+    # the volume stream runs one recurrence per row, over the suffix that
+    # starts at it
     rng = np.random.default_rng(71)
     hists = [random_histogram(rng, 3, 4) for _ in range(5)]
     w = random_psd_weight(rng, 3)
     calls, row_calls = [], []
+    volume_row = polytope._volume_row
 
-    def row_kernel(r, cs):
+    def recorded_row(r, cs, *args):
         row_calls.append((r, list(cs)))
-        return weighted_volume_row(r, cs, w)
+        return volume_row(r, cs, *args)
 
-    def kernel(hs):
-        calls.append(list(hs))
-        return rowwise(row_kernel)(hs)
+    def kernel(hs, pairs):
+        calls.append((list(hs), [tuple(pair) for pair in pairs.tolist()]))
+        return weighted_volume_pairs(hs, pairs, w)
 
+    monkeypatch.setattr(polytope, "_volume_row", recorded_row)
     gram = build_gram(hists, kernel, "volume")
-    assert calls == [hists]
+    assert calls == [(hists, [(p, q) for p in range(5) for q in range(p, 5)])]
     assert row_calls == [(hists[p], hists[p:]) for p in range(5)]
     assert sum(len(cs) for _, cs in row_calls) == 5 * 6 // 2
     for p in range(5):
@@ -183,7 +184,7 @@ def test_build_gram_evaluates_upper_triangle_once():
 
 def test_build_gram_rejects_mixed_families():
     w = random_psd_weight(np.random.default_rng(0), 2)
-    kernel = pairwise(lambda a, b: weighted_volume(a, b, w))
+    kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w)
     with pytest.raises(ValidationError):
         build_gram([Histogram((1, 2)), Histogram((2, 2))], kernel, "volume")
     with pytest.raises(ValidationError):
@@ -196,39 +197,44 @@ def test_build_gram_wraps_kernel_failures():
     def broken(a, b):
         raise RuntimeError("boom")
 
+    kernel = lambda hs, pairs: (broken(hs[p], hs[q]) for p, q in pairs)
     with pytest.raises(KernelEvaluationError):
-        build_gram([Histogram((1, 1)), Histogram((2, 0))], pairwise(broken), "volume")
+        build_gram([Histogram((1, 1)), Histogram((2, 0))], kernel, "volume")
 
 
 def test_build_gram_names_the_failing_row():
     hists = [Histogram((1, 1)), Histogram((2, 0)), Histogram((0, 2))]
 
-    def broken_second_row(r, cs):
-        if r == hists[1]:
-            raise RuntimeError("boom")
-        return [1.0] * len(cs)
+    def broken_second_row(hs, pairs):
+        for p, q in pairs:
+            if hs[p] == hists[1]:
+                raise RuntimeError("boom")
+            yield 1.0
 
-    def broken_mid_stream(hs):
-        yield [1.0, 0.5, 0.5]
-        yield [1.0, 0.5]
+    def broken_mid_stream(hs, pairs):
+        yield from [1.0, 0.5, 0.5, 1.0, 0.5]
         raise RuntimeError("stream broke")
 
-    def broken_at_call(hs):
+    def broken_at_call(hs, pairs):
         raise RuntimeError("no rows")
 
     with pytest.raises(KernelEvaluationError, match="row 1: boom"):
-        build_gram(hists, rowwise(broken_second_row), "volume")
+        build_gram(hists, broken_second_row, "volume")
     with pytest.raises(KernelEvaluationError, match="row 2: stream broke"):
         build_gram(hists, broken_mid_stream, "volume")
     with pytest.raises(KernelEvaluationError, match="row 0: no rows"):
         build_gram(hists, broken_at_call, "volume")
     with pytest.raises(KernelEvaluationError, match="1 values for the 3 columns of row 0"):
-        build_gram(hists, rowwise(lambda r, cs: [1.0]), "volume")
-    with pytest.raises(KernelEvaluationError, match="returned 2 rows for 3 histograms"):
-        build_gram(hists, lambda hs: [[1.0] * 3, [1.0] * 2], "volume")
+        build_gram(hists, lambda hs, pairs: [1.0], "volume")
+    with pytest.raises(KernelEvaluationError, match="0 values for the 1 columns of row 2"):
+        build_gram(hists, lambda hs, pairs: [1.0] * 5, "volume")
+    # a value past the last row is an error, not dropped
+    with pytest.raises(KernelEvaluationError, match="more than the 6 values"):
+        build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0], "volume")
 
 
 def test_row_kernel_grams_equal_pairwise_grams():
+    # the family streams against one-pair calls, which share no box
     rng = np.random.default_rng(79)
     for _ in range(6):
         d = int(rng.integers(2, 5))
@@ -239,14 +245,16 @@ def test_row_kernel_grams_equal_pairwise_grams():
         monge_w = WeightSpec.from_cost(0.5 * gap)
         scan_w = WeightSpec.from_cost(rng.random((d, d)) * 2.0)
         pairs = [
-            ("volume", weighted_volume_row, weighted_volume, psd_w),
-            ("pseudo", pseudo_kernel_row, pseudo_kernel, monge_w),
-            ("pseudo", pseudo_kernel_row, pseudo_kernel, scan_w),
+            ("volume", weighted_volume_pairs, weighted_volume, psd_w),
+            ("pseudo", pseudo_kernel_pairs, pseudo_kernel, monge_w),
+            ("pseudo", pseudo_kernel_pairs, pseudo_kernel, scan_w),
         ]
-        for kernel_id, row_fn, pair_fn, w in pairs:
-            rows = build_gram(hists, rowwise(lambda r, cs: row_fn(r, cs, w)), kernel_id)
-            per_pair = build_gram(hists, pairwise(lambda a, b: pair_fn(a, b, w)), kernel_id)
-            assert np.array_equal(rows.values, per_pair.values)
+        for kernel_id, stream_fn, pair_fn, w in pairs:
+            family = build_gram(hists, lambda hs, ps: stream_fn(hs, ps, w), kernel_id)
+            per_pair = build_gram(
+                hists, lambda hs, ps: (pair_fn(hs[p], hs[q], w) for p, q in ps), kernel_id
+            )
+            assert np.array_equal(family.values, per_pair.values)
 
 
 def _sparse_family(rng, m, d, mass):
@@ -266,9 +274,10 @@ def _sparse_family(rng, m, d, mass):
     st.integers(0, 12),
     st.integers(1, 7),
     st.integers(0, 2**32 - 1),
+    st.data(),
 )
 @settings(max_examples=120, deadline=None)
-def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed):
+def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
     # +inf on the row and column of a bin some histogram leaves empty, and on
     # random cells; the Monge costs are convex in i - j with an +inf band
     rng = np.random.default_rng(seed)
@@ -287,13 +296,29 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed):
     )
     assert monge_check(monge_w)
     cases = [
-        ("nw", lambda hs: nw_kernel_triangle(hs, w, rset), lambda a, b: nw_kernel(a, b, w, rset)),
-        ("pseudo", lambda hs: pseudo_kernel_triangle(hs, monge_w), lambda a, b: pseudo_kernel(a, b, monge_w)),
-        ("pseudo", lambda hs: pseudo_kernel_triangle(hs, w), lambda a, b: pseudo_kernel(a, b, w)),
+        ("volume", weighted_volume_pairs, weighted_volume, (w,)),
+        ("nw", nw_kernel_pairs, nw_kernel, (w, rset)),
+        ("pseudo", pseudo_kernel_pairs, pseudo_kernel, (monge_w,)),
+        ("pseudo", pseudo_kernel_pairs, pseudo_kernel, (w,)),
     ]
-    for kernel_id, triangle, pair in cases:
-        gram = build_gram(hists, triangle, kernel_id)
-        assert np.array_equal(gram.values, build_gram(hists, pairwise(pair), kernel_id).values)
+    # Arbitrary pair lists: q < p, out of order, a p that recurs after
+    # another, a repeated pair, negative indices as a sequence takes them,
+    # and none at all; an index past the family raises.
+    index = st.integers(-m, m - 1)
+    drawn = data.draw(st.lists(st.tuples(index, index), max_size=3 * m))
+    last = m - 1
+    pair_lists = [drawn, [(last, 0), (0, last), (last, 0), (0, 0), (last, last)], []]
+    for kernel_id, stream_fn, pair_fn, args in cases:
+        stream = lambda hs, ps: stream_fn(hs, ps, *args)
+        per_pair = lambda hs, ps: (pair_fn(hs[p], hs[q], *args) for p, q in ps)
+        gram = build_gram(hists, stream, kernel_id)
+        assert np.array_equal(gram.values, build_gram(hists, per_pair, kernel_id).values)
+        for pairs in pair_lists:
+            values = list(stream(hists, pairs))
+            assert np.array_equal(values, list(per_pair(hists, pairs)))
+        for beyond in (m, -m - 1):
+            with pytest.raises(IndexError):
+                list(stream(hists, [(beyond, 0)]))
 
 
 def test_dataset_digest_is_order_sensitive_and_stable():
@@ -310,7 +335,7 @@ def test_volume_gram_psd_for_psd_weights():
         mass = int(rng.integers(1, 6))
         hists = [random_histogram(rng, d, mass) for _ in range(6)]
         w = random_psd_weight(rng, d)
-        gram = build_gram(hists, pairwise(lambda a, b: weighted_volume(a, b, w)), "volume")
+        gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
         assert certify_psd(gram).passed
 
 
@@ -322,7 +347,7 @@ def test_pseudo_kernel_point_mass_counterexample():
     near, far = 0.105, 2.303
     m = np.array([[0.0, near, near], [near, 0.0, far], [near, far, 0.0]])
     w = WeightSpec.from_cost(m)
-    gram = build_gram(hists, pairwise(lambda a, b: pseudo_kernel(a, b, w)), "pseudo")
+    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
     cert = certify_psd(gram)
     assert not cert.passed
     assert cert.min_eigenvalue < -0.2
@@ -342,8 +367,8 @@ def test_pseudo_fails_where_volume_passes():
         for _ in range(m_count)
     ]
     assert psd_weight_check(w).passed
-    pseudo = build_gram(hists, pairwise(lambda a, b: pseudo_kernel(a, b, w)), "pseudo")
-    volume = build_gram(hists, pairwise(lambda a, b: weighted_volume(a, b, w)), "volume")
+    pseudo = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
+    volume = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
     pseudo_cert = certify_psd(pseudo)
     volume_cert = certify_psd(volume)
     assert volume_cert.passed
