@@ -14,12 +14,14 @@ positive semidefinite, at cost O(d |R|^2): each vertex is priced from
 its staircase segments without materializing the d x d table. The
 staircase is the merge of the two cumulative-margin sequences: segment
 boundaries alternate between row and column fills, and a tie is the
-zero-mass diagonal step. Each boundary is packed into one integer key
-(cumulative mass, then side, then index), so a plain sort of a pair's
-2d keys is the merge; the keys are int32 when the mass leaves them at
-most 31 bits wide, int64 otherwise. Any list of index pairs of a family
-of m histograms, such as the upper triangle of its Gram matrix, is
-priced in one stream (`nw_kernel_pairs`): the 2 m |R| d keys of every
+zero-mass diagonal step. Each boundary is packed into one integer key,
+its cumulative mass above its own index into a table of relabelled
+bins, so a plain sort of a pair's 2d keys is the merge, and a segment's
+two bins are the key's own and the one its merged position gives. The
+keys are int32 when they fit, int64 when the mass has at most
+63 - bit_length(2 |R| (d + 1) - 1) bits. Any list of index pairs of a
+family of m histograms, such as the upper triangle of its Gram matrix,
+is priced in one stream (`nw_kernel_pairs`): the 2 m |R| d keys of every
 histogram under every relabelling are built once, and so are the
 2 |R| (d + 1) bins of every relabelling, and the vertices are sorted
 pair by pair in blocks holding at most BLOCK keys, so memory beyond the
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -82,6 +85,10 @@ class PermutationSet:
 
 def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
     """Identity plus seeded uniform draws, deduplicated to the target size."""
+    for value in (size_target, seed):
+        # Python counts a bool as an int; a draw recipe may not.
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"size_target {size_target!r}, seed {seed!r}: not ints")
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     if size_target < 1:
@@ -186,25 +193,24 @@ def _staircases(
     where the cost is +inf. The nonzero entries of a vertex are its
     nonzero cells priced as in ContingencyTable.cost.
 
-    With b = d.bit_length(), the i-th cumulative margin of each side is
-    packed into the key value << (b+1) | side << b | i, where side is 1
-    for columns. The keys are int32 when mass << (b+1) fits in 31 bits
-    and int64 otherwise. Keys are unique, so one plain sort of a pair's
-    2d keys orders the boundaries by value, a row before a column of
-    equal value, then by index: the staircase order. The boundary at
-    merged position k with index i has k - i boundaries of the other
-    side before it, which gives the row and column of the segment it
-    closes by one lookup of (side, i, k) in a small table, and the
-    segment's mass is the step in value. Their original bins come from
-    a table of the relabelled bins of each row of imgs, indexed by the
-    vertex's (a, b): 2 |imgs| (d + 1) entries whatever the family. Keys
-    are built once for the family; besides them and the bin table, a
-    block holds O(BLOCK) values and the walk O(|imgs|^2) indices.
+    With n = |imgs|, the i-th cumulative margin of each side is packed
+    into the key value << shift | F, F being the key's own index into the
+    bin table: a (d + 1) + i for row i under relabelling a, (n + b)(d + 1)
+    + i for column i under b, and shift = bit_length(2 n (d + 1) - 1).
+    Keys are int32 when mass << shift fits in 31 bits, int64 otherwise.
+    Row F lie below column F and grow with i, so one plain sort of a
+    pair's 2d keys orders the boundaries by value, a row before a column
+    of equal value, then by index: the staircase order. The k-th segment
+    fills row i and column j with i + j = k, so with one bin at F its
+    other is at k + (a + n + b)(d + 1) - F; its mass is the step in value.
+    The bin table holds 2 n (d + 1) entries whatever the family. Keys are
+    built once for the family; besides them and the bin table, a block
+    holds O(BLOCK) values and the walk O(n^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
-    bins, ValidationError when the mass needs more than 63 - (b+1)
-    bits and so does not fit the keys. Indices address hs as a sequence
-    does: a negative one counts from the end, and one outside
+    bins, ValidationError when the mass needs more than 63 - shift bits
+    and so does not fit the keys. Indices address hs as a sequence does:
+    a negative one counts from the end, and one outside
     [-len(hs), len(hs)) raises IndexError.
     """
     d = hs[0].d
@@ -212,25 +218,28 @@ def _staircases(
         raise DimensionMismatchError(
             f"permutation set on {imgs.shape[1]} bins applied to {d}-bin histograms"
         )
-    shift = d.bit_length() + 1
+    n = len(imgs)
+    shift = (2 * n * (d + 1) - 1).bit_length()
     bits = (hs[0].mass << shift).bit_length()
     if bits > 63:
         raise ValidationError(
-            f"mass {hs[0].mass} is too large for the 64-bit merge keys of {d} bins"
+            f"mass {hs[0].mass} needs {bits} bits of merge key at d={d} and "
+            f"|R|={n}, more than the 63 of int64"
         )
     index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
     if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
         raise IndexError(f"index pair out of range for {len(hs)} histograms")
-    col_flag = 1 << (shift - 1)
     width = 2 * d
-    n = len(imgs)
-    counts = np.array([h.counts for h in hs], dtype=np.int64).reshape(len(hs), d)
+    # Keys of at most 31 bits sort as int32; the mass then fits int32 too.
+    dtype = np.int32 if bits <= 31 else np.int64
+    counts = np.array([h.counts for h in hs], dtype=dtype).reshape(len(hs), d)
     # Row keys, then column keys of each h relabelled by each a, at h * n + a:
-    # one table, so one gather fills a block. Keys of at most 31 bits sort
-    # as int32.
-    side_keys = np.empty((2, len(hs) * n, d), np.int32 if bits <= 31 else np.int64)
-    side_keys[0] = np.cumsum(counts[:, imgs].reshape(-1, d), axis=1) << shift | np.arange(d)
-    side_keys[1] = side_keys[0] | col_flag
+    # one table, so one gather fills a block.
+    side_keys = np.empty((2, len(hs), n, d), dtype)
+    np.cumsum(counts[:, imgs], axis=2, out=side_keys[0])
+    side_keys[0] <<= shift
+    side_keys[0] |= np.arange(n * (d + 1)).reshape(n, d + 1)[:, :d]
+    np.add(side_keys[0], n * (d + 1), out=side_keys[1])
     side_keys = side_keys.reshape(-1, d)
 
     # Bins of each relabelling with one padding column, rows at a, columns
@@ -244,27 +253,21 @@ def _staircases(
     costs = cost.ravel()
     # Where every cost is finite, a zero-mass segment already prices 0.
     any_inf = not np.isfinite(costs).all()
-    # Boundaries before the one at merged position k with low key bits
-    # side << b | i, looked up at k * 2^(b+1) + (side << b | i): rows
-    # before it from row_table, columns before it from col_table.
-    pos = np.arange(width, dtype=np.intp)[:, None]
-    low = np.arange(2 * col_flag, dtype=np.intp)
-    row_table = np.where(low & col_flag, pos - (low & (col_flag - 1)), low).ravel()
-    col_table = (pos - row_table.reshape(width, -1)).ravel()
-    offsets = pos.ravel() << shift
 
     # The side_keys rows of each pair's vertex (0, 0); the offsets (a, b) of
-    # its k-th vertex into side_keys, and (a, n + b) times d + 1 into side_bins.
+    # its other vertices into side_keys, and (a + n + b)(d + 1), which a
+    # key's merged position k adds to reach the bin its own F does not.
     pair_sides = index % len(hs) * n
     pair_sides += [0, len(hs) * n]
     within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
+    reach = (within.sum(axis=1) + n) * (d + 1)
+    pos = np.arange(width, dtype=np.intp)
     step = max(1, BLOCK // width)
     n_vertices = len(pair_sides) * n * n
     for v0 in range(0, n_vertices, step):
-        pair, k = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
-        ab = within.take(k, axis=0)
+        pair, ab = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
         sides = pair_sides.take(pair, axis=0)
-        sides += ab
+        sides += within.take(ab, axis=0)
         keys = side_keys.take(sides, axis=0).reshape(-1, width)
         keys.sort(axis=1)
         # Steps in value along the flat block, written as floats for the
@@ -275,16 +278,11 @@ def _staircases(
         masses = masses.reshape(keys.shape)
         masses[:, 0] = values[::width]
         # intp indices: take converts any other index type element by element.
-        at_key = np.bitwise_and(keys, 2 * col_flag - 1, dtype=np.intp)
-        at_key += offsets
-        ab += [0, n]
-        ab *= d + 1
-        at = row_table.take(at_key)
-        at += ab[:, :1]
-        cells = side_bins.take(at)
-        at = col_table.take(at_key)
-        at += ab[:, 1:]
-        cells += side_bins.take(at)
+        own = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
+        other = reach.take(ab)[:, None] + pos
+        other -= own
+        cells = side_bins.take(own)
+        cells += side_bins.take(other)
         # Zero-mass segments stay free even at +inf cost; a product too
         # large for a float is inf, as in ContingencyTable.cost.
         priced = costs.take(cells)

@@ -70,8 +70,12 @@ class EnumerationBudget:
 
     def __post_init__(self) -> None:
         cap = self.max_tables
-        # Python counts a bool as an int; a budget may not.
-        if isinstance(cap, bool) or int(cap) != cap or cap <= 0:
+        try:
+            # Python counts a bool as an int; a budget may not.
+            valid = not isinstance(cap, bool) and int(cap) == cap and cap > 0
+        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
+            valid = False
+        if not valid:
             raise ValidationError(f"budget must be a positive integer, got {cap!r}")
         object.__setattr__(self, "max_tables", int(cap))
 

@@ -107,6 +107,15 @@ def test_sample_permutations_rejects_oversized_request():
     assert sample_permutations(4, 1, seed=9).perms[0].image == (1, 2, 3, 4)
 
 
+def test_sample_permutations_rejects_bools_and_non_ints():
+    # True would draw as seed 1, or ask for one permutation; the others
+    # raised TypeError, or recorded a float target
+    for size_target, seed in [(2, True), (True, 1), (2, 1.5), (2, "1"), (2, None), (2.0, 1)]:
+        with pytest.raises(ValidationError, match="not ints"):
+            sample_permutations(3, size_target, seed)
+    assert sample_permutations(3, 2, np.int64(1)) == sample_permutations(3, 2, seed=1)
+
+
 def test_permutation_set_validation():
     ident = Permutation.identity(3)
     other = Permutation((2, 1, 3))
@@ -169,10 +178,11 @@ def _sparse_histogram(rng, d, mass):
         (1, 1, 9),
         (6, 12, 0),
         (4, 24, 17),
-        # the widest int32 keys at d=4 (31 bits), the narrowest int64 keys
-        # (33 bits), and int64 keys at d=8
-        (4, 24, 2**27 - 5),
-        (4, 24, 2**28 + 3),
+        # at d=4, |R|=24 the keys spend bit_length(2 * 24 * 5 - 1) = 8 bits
+        # past the mass: the widest int32 keys (31 bits), the narrowest int64
+        # keys (32 bits), and int64 keys at d=8
+        (4, 24, 2**23 - 5),
+        (4, 24, 2**23 + 3),
         (8, 20, 2**40),
     ],
 )
@@ -372,8 +382,9 @@ def test_nw_cost_matrix_rejects_mass_beyond_keys():
         nw_cost_matrix(r, c, w, rset)
     with pytest.raises(ValidationError):
         nw_kernel(r, c, w, rset)
-    # d=2 keys spend 3 bits past the mass: 2**60 - 1 is the largest that fits
-    half = 2**59
+    # keys at d=2, |R|=2 spend bit_length(2 * 2 * 3 - 1) = 4 bits past the
+    # mass: 2**59 - 1 is the largest that fits
+    half = 2**58
     r, c = Histogram((half, half - 1)), Histogram((half + 5, half - 6))
     costs = nw_cost_matrix(r, c, w, rset)
     assert costs[0, 0] == 5.0
@@ -382,7 +393,8 @@ def test_nw_cost_matrix_rejects_mass_beyond_keys():
             assert costs[a, b] == pytest.approx(
                 nw_permuted(r, c, sa, sb).cost(w.cost), rel=1e-12, abs=0
             )
-    with pytest.raises(ValidationError):
+    message = r"needs 64 bits of merge key at d=2 and \|R\|=2"
+    with pytest.raises(ValidationError, match=message):
         nw_cost_matrix(Histogram((half, half)), Histogram((half + 5, half - 5)), w, rset)
 
 
@@ -428,3 +440,43 @@ def test_nw_table_in_polytope_property(d, mass, seed):
     assert t.row_sums.counts == r.counts
     assert t.col_sums.counts == c.counts
     assert all(e >= 0 for row in t.entries for e in row)
+
+
+@st.composite
+def _priced_families(draw):
+    # d, |R| and a mass up to the largest the merge keys hold; cut points that
+    # coincide leave bins empty, and costs are negative, zero, finite or +inf
+    d = draw(st.integers(1, 6))
+    size = draw(st.integers(1, min(6, math.factorial(d))))
+    widest = 63 - (2 * size * (d + 1) - 1).bit_length()
+    mass = draw(st.one_of(st.just(0), st.integers(0, 12), st.integers(0, 2**widest - 1)))
+
+    def histogram():
+        cuts = sorted(draw(st.lists(st.integers(0, mass), min_size=d - 1, max_size=d - 1)))
+        return Histogram(tuple(b - a for a, b in zip([0, *cuts], [*cuts, mass])))
+
+    hists = [histogram() for _ in range(draw(st.integers(1, 3)))]
+    entry = st.one_of(st.floats(-5.0, 5.0), st.just(0.0), st.just(math.inf))
+    m = np.array(draw(st.lists(entry, min_size=d * d, max_size=d * d))).reshape(d, d)
+    return hists, m, sample_permutations(d, size, seed=draw(st.integers(0, 99)))
+
+
+@given(_priced_families())
+@settings(max_examples=80, deadline=None)
+def test_nw_staircase_segments_are_the_vertex_cells_priced(family):
+    # each priced segment is one nonzero cell of the vertex times its cost,
+    # compared as multisets with no tolerance, so a segment that reads the
+    # wrong row or column bin fails whatever order the sums take
+    hists, m, rset = family
+    pairs = [(p, q) for p in range(len(hists)) for q in range(len(hists))]
+    blocks = northwest._staircases(hists, pairs, rset.images, m)
+    rows = iter(np.concatenate(list(blocks)).tolist())
+    for p, q in pairs:
+        for sa in rset:
+            for sb in rset:
+                table = nw_permuted(hists[p], hists[q], sa, sb).entries
+                cells = [
+                    x * m[i, j] for i, row in enumerate(table) for j, x in enumerate(row) if x
+                ]
+                assert sorted(filter(None, next(rows))) == sorted(filter(None, cells))
+    assert next(rows, None) is None

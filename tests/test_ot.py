@@ -180,6 +180,20 @@ def test_monge_pseudo_rejects_mass_beyond_keys():
         pseudo_kernel(r, r, w)
     with pytest.raises(ValidationError):
         list(pseudo_kernel_pairs([r, r, r], [(0, 1), (0, 2)], w))
+    # the corner vertex alone (|R| = 1) spends bit_length(2 * 3 - 1) = 3 bits
+    # past the mass at d=2: 2**60 - 1 is the largest that fits
+    half = 2**59
+    r, c = Histogram((half, half - 1)), Histogram((half + 5, half - 6))
+    assert nw_table(r, c).cost(w.cost) == 5.0
+    assert pseudo_kernel(r, c, w) == math.exp(-5.0)
+    assert list(pseudo_kernel_pairs([r, c], [(0, 1), (1, 0), (0, 0)], w)) == [
+        math.exp(-5.0),
+        math.exp(-5.0),
+        1.0,
+    ]
+    r, c = Histogram((half, half)), Histogram((half + 5, half - 5))
+    with pytest.raises(ValidationError, match="needs 64 bits"):
+        pseudo_kernel(r, c, w)
 
 
 def test_monge_fast_path_matches_enumeration():

@@ -95,7 +95,7 @@ def test_budget_exceeded_carries_progress():
     with pytest.raises(BudgetExceededError) as exc:
         list(enumerate_tables(r, c, EnumerationBudget(max_tables=7)))
     assert exc.value.count_so_far == 7
-    for bad in (0, True):
+    for bad in (0, True, "a", float("nan"), None, float("inf")):
         with pytest.raises(ValidationError):
             EnumerationBudget(max_tables=bad)
 
