@@ -9,13 +9,16 @@ validation error, 2 certificate failed, 3 budget exceeded (tables
 streamed by enumerate; cell updates of a generating-polynomial
 recurrence box for gram --kernel volume, and for ot and gram --kernel
 pseudo off Monge costs).
+
+A gram run records in manifest.json, under "argv", its subcommand and
+every parsed option as --name=value: a command line that
+`run_from_manifest` replays through the same parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -36,44 +39,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERT_FAIL = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, serializable description of one CLI run."""
-
-    subcommand: str
-    input: str | None = None
-    weights: str | None = None
-    weights_mode: str | None = None
-    kernel: str | None = None
-    seed: int = 0
-    r_size: int = 8
-    budget: int = DEFAULT_MAX_TABLES
-    tolerance: float = 1e-8
-    out: str | None = None
-    sigma: str | None = None
-    sigma_p: str | None = None
-    # The JSON values a manifest may give each annotated field type.
-    _JSON_TYPES = {"str": str, "str | None": (str, type(None)), "int": int, "float": (int, float)}
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RunConfig:
-        unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise ValidationError(f"unknown run config keys: {', '.join(unknown)}")
-        for name, value in payload.items():
-            kind = cls.__dataclass_fields__[name].type
-            # Python counts a bool as an int; a manifest may not.
-            if isinstance(value, bool) or not isinstance(value, cls._JSON_TYPES[kind]):
-                raise ValidationError(f"run config {name!r} must be {kind}, got {value!r}")
-        subcommand = payload.get("subcommand")
-        if subcommand not in _COMMANDS:
-            raise ValidationError(f"run config names no known subcommand: {subcommand!r}")
-        return cls(**payload)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,30 +103,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = RunConfig.__dataclass_fields__
-    payload = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    return RunConfig(**payload)
-
-
-def _load_pair(config: RunConfig) -> tuple[Histogram, Histogram]:
-    histograms = fileio.parse_histograms(config.input)
+def _load_pair(args: argparse.Namespace) -> tuple[Histogram, Histogram]:
+    histograms = fileio.parse_histograms(args.input)
     if len(histograms) != 2:
         raise TransportKernelError(
-            f"{config.input}: expected exactly two histograms (margins), "
+            f"{args.input}: expected exactly two histograms (margins), "
             f"found {len(histograms)}"
         )
     return histograms[0], histograms[1]
 
 
-def _out_path(config: RunConfig) -> Path:
-    if not config.out:
+def _out_path(args: argparse.Namespace) -> Path:
+    if not args.out:
         raise TransportKernelError("--out directory is required for this subcommand")
-    return Path(config.out)
+    return Path(args.out)
 
 
-def _out_dir(config: RunConfig) -> Path:
-    out = _out_path(config)
+def _out_dir(args: argparse.Namespace) -> Path:
+    out = _out_path(args)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -179,44 +138,42 @@ def _parse_permutation(flag: str, text: str) -> Permutation:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
-def cmd_gram(config: RunConfig) -> int:
+def cmd_gram(args: argparse.Namespace) -> int:
     # Fail on arguments before the Gram and its certificate are computed.
-    out = _out_path(config)
-    require_tolerance(config.tolerance)
-    histograms = fileio.parse_histograms(config.input)
-    w = fileio.parse_weights(config.weights, config.weights_mode)
-    budget = EnumerationBudget(config.budget)
+    out = _out_path(args)
+    require_tolerance(args.tolerance)
+    histograms = fileio.parse_histograms(args.input)
+    w = fileio.parse_weights(args.weights, args.weights_mode)
+    budget = EnumerationBudget(args.budget)
     d = histograms[0].d
-    if config.kernel == "volume":
+    if args.kernel == "volume":
         kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w, budget)
-    elif config.kernel == "pseudo":
+    elif args.kernel == "pseudo":
         kernel = lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w, budget)
-    elif config.kernel == "nw":
-        rset = sample_permutations(d, config.r_size, config.seed)
+    else:  # nw; the parser admits no other kernel
+        rset = sample_permutations(d, args.r_size, args.seed)
         kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset)
-    else:
-        raise TransportKernelError(f"unknown kernel {config.kernel!r}")
-    gram = build_gram(histograms, kernel, kernel_id=config.kernel)
-    certificate = certify_psd(gram, config.tolerance)
+    gram = build_gram(histograms, kernel, kernel_id=args.kernel)
+    certificate = certify_psd(gram, args.tolerance)
     out.mkdir(parents=True, exist_ok=True)
     fileio.write_gram_csv(out / "gram.csv", gram.values)
     fileio.write_json(out / "certificate.json", certificate.to_dict())
     manifest = {
-        "config": config.to_dict(),
+        "argv": _recorded_argv(args),
         "kernel_id": gram.kernel_id,
         "dataset_hash": gram.dataset_hash,
         "certificate": certificate.to_dict(),
         "artifacts": ["gram.csv", "certificate.json"],
     }
     fileio.write_json(out / "manifest.json", manifest)
-    print(f"gram: {gram.n}x{gram.n} {config.kernel} kernel, certificate {certificate.verdict}")
+    print(f"gram: {gram.n}x{gram.n} {args.kernel} kernel, certificate {certificate.verdict}")
     return EXIT_OK if certificate.passed else EXIT_CERT_FAIL
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    r, c = _load_pair(config)
-    budget = EnumerationBudget(config.budget)
-    out = _out_dir(config)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    r, c = _load_pair(args)
+    budget = EnumerationBudget(args.budget)
+    out = _out_dir(args)
     path = out / "tables.csv"
     written = 0
     with path.open("w") as fh:
@@ -234,27 +191,27 @@ def cmd_enumerate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_nw(config: RunConfig) -> int:
-    r, c = _load_pair(config)
-    if (config.sigma is None) != (config.sigma_p is None):
+def cmd_nw(args: argparse.Namespace) -> int:
+    r, c = _load_pair(args)
+    if (args.sigma is None) != (args.sigma_p is None):
         raise TransportKernelError("--sigma and --sigma-p must be given together")
-    if config.sigma is not None:
-        sigma = _parse_permutation("--sigma", config.sigma)
-        sigma_p = _parse_permutation("--sigma-p", config.sigma_p)
+    if args.sigma is not None:
+        sigma = _parse_permutation("--sigma", args.sigma)
+        sigma_p = _parse_permutation("--sigma-p", args.sigma_p)
         table = nw_permuted(r, c, sigma, sigma_p)
     else:
         table = nw_table(r, c)
     lines = [",".join(str(v) for v in row) for row in table.entries]
     print("\n".join(lines))
-    if config.out:
-        out = _out_dir(config)
+    if args.out:
+        out = _out_dir(args)
         (out / "nw.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_psd_check(config: RunConfig) -> int:
-    w = fileio.parse_weights(config.weights, config.weights_mode)
-    certificate = psd_weight_check(w, config.tolerance)
+def cmd_psd_check(args: argparse.Namespace) -> int:
+    w = fileio.parse_weights(args.weights, args.weights_mode)
+    certificate = psd_weight_check(w, args.tolerance)
     print(
         f"psd-check: min eigenvalue {certificate.min_eigenvalue!r}, "
         f"verdict {certificate.verdict}"
@@ -262,10 +219,10 @@ def cmd_psd_check(config: RunConfig) -> int:
     return EXIT_OK if certificate.passed else EXIT_CERT_FAIL
 
 
-def cmd_ot(config: RunConfig) -> int:
-    r, c = _load_pair(config)
-    w = fileio.parse_weights(config.weights, config.weights_mode)
-    budget = EnumerationBudget(config.budget)
+def cmd_ot(args: argparse.Namespace) -> int:
+    r, c = _load_pair(args)
+    w = fileio.parse_weights(args.weights, args.weights_mode)
+    budget = EnumerationBudget(args.budget)
     solution = ot_cost(r, c, w, budget)
     payload = {
         "cost": solution.cost,
@@ -274,8 +231,8 @@ def cmd_ot(config: RunConfig) -> int:
     print(f"ot: cost {solution.cost!r}")
     for row in solution.plan.entries:
         print(",".join(str(v) for v in row))
-    if config.out:
-        fileio.write_json(_out_dir(config) / "ot.json", payload)
+    if args.out:
+        fileio.write_json(_out_dir(args) / "ot.json", payload)
     return EXIT_OK
 
 
@@ -288,48 +245,65 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a config programmatically; same dispatch as the CLI."""
-    try:
-        return _COMMANDS[config.subcommand](config)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except TransportKernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+def _recorded_argv(args: argparse.Namespace) -> list[str]:
+    """The subcommand, then --name=value for each parsed option that is not None.
+
+    Each option's dest is its flag with - read as _. The = form keeps a
+    value such as -1 one token, so the list parses back to the same run.
+    """
+    return [args.subcommand] + [
+        f"--{name.replace('_', '-')}={value}"
+        for name, value in vars(args).items()
+        if name != "subcommand" and value is not None
+    ]
 
 
-def _manifest_config(manifest_path: str | Path) -> RunConfig:
+def _manifest_argv(manifest_path: str | Path) -> list[str]:
     try:
         manifest = fileio.read_json(manifest_path)
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc.strerror}") from None
     except ValueError as exc:
         raise ValidationError(f"manifest is not JSON: {exc}") from None
-    config = manifest.get("config") if isinstance(manifest, dict) else None
-    if not isinstance(config, dict):
-        raise ValidationError("manifest has no 'config' object")
-    return RunConfig.from_dict(config)
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
+        raise ValidationError("manifest has no 'argv' list of strings")
+    return argv
 
 
 def run_from_manifest(manifest_path: str | Path) -> int:
-    """Re-execute the run recorded in a gram manifest.
+    """Re-execute the run recorded in a gram manifest through `main`.
 
-    A manifest that cannot be read, is not JSON or holds no valid config
-    prints "error: <path>: ..." and returns EXIT_ERROR.
+    A manifest that cannot be read, is not JSON or holds no 'argv' list
+    of strings prints "error: <path>: ..." and returns EXIT_ERROR. An
+    argument list the parser refuses prints the parser's usage and
+    "error:" line and returns its exit code, EXIT_ERROR.
     """
     try:
-        config = _manifest_config(manifest_path)
+        argv = _manifest_argv(manifest_path)
     except ValidationError as exc:
         print(f"error: {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return run(config)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse argv (sys.argv[1:] when None) and run its subcommand.
+
+    Returns the exit code; a usage error exits through SystemExit.
+    """
     args = _parser().parse_args(argv)
-    return run(config_from_args(args))
+    try:
+        return _COMMANDS[args.subcommand](args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except TransportKernelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 def console_main() -> None:

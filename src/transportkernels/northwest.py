@@ -211,8 +211,14 @@ def _staircases(
     bins, ValidationError when the mass needs more than 63 - shift bits
     and so does not fit the keys. Indices address hs as a sequence does:
     a negative one counts from the end, and one outside
-    [-len(hs), len(hs)) raises IndexError.
+    [-len(hs), len(hs)) raises IndexError. An empty family, which can
+    have no pairs, yields nothing.
     """
+    index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
+        raise IndexError(f"index pair out of range for {len(hs)} histograms")
+    if not len(hs):
+        return
     d = hs[0].d
     if imgs.shape[1] != d:
         raise DimensionMismatchError(
@@ -226,9 +232,6 @@ def _staircases(
             f"mass {hs[0].mass} needs {bits} bits of merge key at d={d} and "
             f"|R|={n}, more than the 63 of int64"
         )
-    index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
-    if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
-        raise IndexError(f"index pair out of range for {len(hs)} histograms")
     width = 2 * d
     # Keys of at most 31 bits sort as int32; the mass then fits int32 too.
     dtype = np.int32 if bits <= 31 else np.int64

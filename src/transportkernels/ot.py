@@ -94,7 +94,7 @@ def ot_cost(
 
 def _corner_values(hs: Sequence[Histogram], pairs, m: np.ndarray) -> Iterator[float]:
     """exp(-cost) of the corner vertex of each pair of hs, segments summed with fsum."""
-    identity = np.arange(hs[0].d)[None, :]
+    identity = np.arange(len(m))[None, :]
     for priced in _staircases(hs, pairs, identity, m):
         yield from (_safe_exp(-math.fsum(segments)) for segments in priced.tolist())
 

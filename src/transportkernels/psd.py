@@ -36,6 +36,15 @@ def dataset_digest(histograms: Sequence[Histogram]) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def _mirror_mean(values: np.ndarray) -> np.ndarray:
+    """(values + values.T) / 2 with no intermediate that can overflow.
+
+    Entries equal to their mirror are kept as they are, so exactly
+    symmetric input, subnormal entries included, stays bit-identical.
+    """
+    return np.where(values == values.T, values, values / 2.0 + values.T / 2.0)
+
+
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric kernel matrix tagged with its provenance.
@@ -68,7 +77,7 @@ class GramMatrix:
                 f"Gram matrix asymmetry {asym:.3e} exceeds {SYMMETRY_REL_TOL:.0e} "
                 "relative; refusing to symmetrize silently"
             )
-        values = (values + values.T) / 2.0
+        values = _mirror_mean(values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -172,8 +181,9 @@ def _extreme_eigenvalues(a) -> tuple[float, float]:
 
 
 def require_tolerance(tolerance: float) -> None:
-    if tolerance < 0:
-        raise ValidationError(f"tolerance must be nonnegative, got {tolerance}")
+    """A NaN or infinite tolerance would pass or fail every matrix alike."""
+    if not (tolerance >= 0 and math.isfinite(tolerance)):
+        raise ValidationError(f"tolerance must be nonnegative and finite, got {tolerance}")
 
 
 def _certify(values: np.ndarray, tolerance: float) -> PsdCertificate:
@@ -197,7 +207,7 @@ def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
             "weight matrix is not symmetric; the positive definite kernel "
             "construction requires a symmetric K"
         )
-    return _certify((w.weight + w.weight.T) / 2.0, tolerance)
+    return _certify(_mirror_mean(w.weight), tolerance)
 
 
 def build_gram(

@@ -15,9 +15,7 @@ from transportkernels.cli import (
     EXIT_CERT_FAIL,
     EXIT_ERROR,
     EXIT_OK,
-    RunConfig,
     main,
-    run,
     run_from_manifest,
 )
 
@@ -64,7 +62,8 @@ def test_gram_volume_end_to_end(tmp_path, hists3, weights3, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["kernel_id"] == "volume"
     assert len(manifest["dataset_hash"]) == 64
-    assert manifest["config"]["subcommand"] == "gram"
+    assert manifest["argv"][0] == "gram"
+    assert "--kernel=volume" in manifest["argv"]
     assert manifest["artifacts"] == ["gram.csv", "certificate.json"]
 
 
@@ -169,7 +168,8 @@ def test_manifest_with_negative_seed_is_input_error(tmp_path, hists3, weights3, 
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
           "--seed", "5", "--r-size", "2", "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["seed"] = -1
+    argv = manifest["argv"]
+    argv[argv.index("--seed=5")] = "--seed=-1"
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
@@ -191,10 +191,10 @@ def test_manifest_with_unknown_key_is_input_error(tmp_path, hists3, weights3, ca
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
           "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["config"]["bogus"] = 1
+    manifest["argv"].append("--bogus=1")
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
-    assert "unknown run config keys: bogus" in capsys.readouterr().err
+    assert "error: unrecognized arguments: --bogus=1\n" in capsys.readouterr().err
 
 
 def test_missing_manifest_is_input_error(tmp_path, capsys):
@@ -207,32 +207,42 @@ def test_missing_manifest_is_input_error(tmp_path, capsys):
 
 def test_manifest_that_is_not_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "manifest.json"
-    path.write_text('{"config": ')
+    path.write_text('{"argv": ')
     assert run_from_manifest(path) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: {path}: manifest is not JSON: ")
 
 
+NOT_STRINGS = "manifest has no 'argv' list of strings"
+
+
 @pytest.mark.parametrize(
-    "config, message",
+    "argv, message",
     [
-        ({"subcommand": "nw", "input": "pair.txt", "seed": "x"}, "'seed' must be int, got 'x'"),
-        ({"subcommand": "gram", "kernel": "volume", "tolerance": "x"},
-         "'tolerance' must be float, got 'x'"),
-        ({"subcommand": "ot", "budget": True}, "'budget' must be int, got True"),
-        ({"subcommand": "gram", "r_size": 1.5}, "'r_size' must be int, got 1.5"),
-        ({"subcommand": "nw", "input": 3}, "'input' must be str | None, got 3"),
-        ({"subcommand": None}, "'subcommand' must be str, got None"),
-        ({"input": "pair.txt"}, "names no known subcommand: None"),
-        ({"subcommand": "bogus"}, "names no known subcommand: 'bogus'"),
+        (["gram", "--seed=x"], "argument --seed: invalid int value: 'x'"),
+        (["gram", "--kernel=volume", "--tolerance=x"],
+         "argument --tolerance: invalid float value: 'x'"),
+        (["ot", "--budget=True"], "argument --budget: invalid int value: 'True'"),
+        (["gram", "--r-size=1.5"], "argument --r-size: invalid int value: '1.5'"),
+        (["nw", "--input", 3], NOT_STRINGS),
+        ([None, "--input=pair.txt"], NOT_STRINGS),
+        (["ot", "--budget", True], NOT_STRINGS),
+        (["--input=pair.txt"], "the following arguments are required: subcommand"),
+        (["bogus"], "argument subcommand: invalid choice: 'bogus'"),
     ],
     ids=["seed", "tolerance", "bool-budget", "float-r_size", "int-input", "null-subcommand",
-         "no-subcommand", "unknown-subcommand"],
+         "bool-token", "no-subcommand", "unknown-subcommand"],
 )
-def test_manifest_with_mistyped_config_is_input_error(tmp_path, capsys, config, message):
+def test_manifest_with_mistyped_config_is_input_error(tmp_path, capsys, argv, message):
+    # a token that is not a string fails before parsing; the parser refuses the rest
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"config": config}))
+    path.write_text(json.dumps({"argv": argv}))
     assert run_from_manifest(path) == EXIT_ERROR
-    assert capsys.readouterr().err == f"error: {path}: run config {message}\n"
+    err = capsys.readouterr().err
+    if message == NOT_STRINGS:
+        assert err == f"error: {path}: {message}\n"
+    else:
+        assert err.startswith("usage: transportkernels")
+        assert f": error: {message}" in err
 
 
 def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, capsys):
@@ -240,13 +250,15 @@ def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, caps
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
           "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
-    del manifest["config"]
-    (out / "manifest.json").write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
-    assert capsys.readouterr().err == (
-        f"error: {out / 'manifest.json'}: manifest has no 'config' object\n"
-    )
+    # argv missing, then a string and an object in its place
+    for argv in (None, "gram --kernel=volume", {"0": "gram"}):
+        manifest.pop("argv", None)
+        if argv is not None:
+            manifest["argv"] = argv
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {out / 'manifest.json'}: {NOT_STRINGS}\n"
 
 
 def test_gram_pseudo_indefinite_exits_2_with_artifacts(tmp_path, capsys):
@@ -337,12 +349,28 @@ def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_finite_matrices_near_float_max_are_accepted(tmp_path, capsys):
+    # volumes 1e308, 1e154 and 1e154; averaging a matrix with its transpose
+    # must not overflow the first
+    hists = write(tmp_path / "h.txt", "2,0\n1,1\n")
+    w = write(tmp_path / "w.txt", "mode: weight\n1e154,1\n1,1\n")
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists, "--weights", w, "--kernel", "volume",
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "gram.csv").read_text() == "1e+308,1e+154\n1e+154,1e+154\n"
+    big = write(tmp_path / "big.txt", "mode: weight\n1e308,1\n1,1e308\n")
+    assert main(["psd-check", "--weights", big]) == EXIT_OK
+    assert "verdict pass" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("kernel", ["volume", "nw", "pseudo"])
 @pytest.mark.parametrize(
     "extra, message",
     [
         ([], "--out directory is required"),
         (["--tolerance=-1e-8"], "tolerance must be nonnegative"),
+        (["--tolerance=nan"], "tolerance must be nonnegative and finite, got nan"),
+        (["--tolerance=inf"], "tolerance must be nonnegative and finite, got inf"),
     ],
 )
 def test_gram_rejects_arguments_before_computing(
@@ -369,10 +397,13 @@ USAGE_ERRORS = [
      "--tolerance", "-1e-8", "--out", "o"],
     ["bogus"],
     ["gram", "--input", "h.txt", "--weights", "w.txt", "--out", "o"],
+    ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "bogus", "--out", "o"],
 ]
 
 
-@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["tolerance", "subcommand", "kernel"])
+@pytest.mark.parametrize(
+    "argv", USAGE_ERRORS, ids=["tolerance", "subcommand", "kernel", "unknown-kernel"]
+)
 def test_usage_errors_exit_1(argv, capsys):
     # exit 2 is reserved for a failed certificate
     with pytest.raises(SystemExit) as exc:
@@ -554,16 +585,28 @@ def test_gram_csv_bytes_match_per_scalar_repr(tmp_path):
         assert path.read_text() == "\n".join(lines) + "\n"
 
 
-def test_run_config_round_trip():
-    config = RunConfig(subcommand="gram", input="h.txt", weights="w.txt",
-                       kernel="volume", out="o")
-    assert RunConfig.from_dict(config.to_dict()) == config
-
-
-def test_run_rejects_unknown_kernel(tmp_path, hists3, weights3):
-    config = RunConfig(subcommand="gram", input=hists3, weights=weights3,
-                       kernel="bogus", out=str(tmp_path / "o"))
-    assert run(config) == EXIT_ERROR
+def test_manifest_round_trip_at_non_default_options(tmp_path, hists3):
+    # every gram option away from its default, the weights file without a
+    # mode header; the replay rewrites all three artifacts byte for byte
+    w = write(tmp_path / "w.txt", "0,0.7,1.3\n0.7,0,0.4\n1.3,0.4,0\n")
+    for kernel in ("volume", "nw", "pseudo"):
+        out = tmp_path / kernel
+        options = ["--weights-mode", "cost", "--budget", "123456", "--tolerance", "1e-06",
+                   "--seed", "7", "--r-size", "3"]
+        argv = ["gram", "--input", hists3, "--weights", w, "--kernel", kernel,
+                "--out", str(out)] + options
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        for flag, value in zip(options[::2], options[1::2]):
+            assert f"{flag}={value}" in manifest["argv"]
+        artifacts = ("gram.csv", "certificate.json", "manifest.json")
+        original = {name: (out / name).read_bytes() for name in artifacts}
+        saved = tmp_path / f"{kernel}.json"
+        saved.write_bytes(original["manifest.json"])
+        for name in artifacts:
+            (out / name).unlink()
+        assert run_from_manifest(saved) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in artifacts} == original
 
 
 def test_gram_volume_matches_library_value(tmp_path, hists3, weights3):

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,23 @@ from transportkernels.testing import (
 )
 
 from conftest import random_histogram, random_pair, random_psd_weight
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "transportkernels"
+
+
+def imports_testing(source: str) -> bool:
+    """Whether a module of the package imports transportkernels.testing."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # relative to a module directly inside the package
+            base = "transportkernels" if node.level == 1 else ""
+            base = ".".join(filter(None, [base, node.module]))
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    target = "transportkernels.testing"
+    return any(name == target or name.startswith(target + ".") for name in names)
 
 
 def margin_factorials(r: Histogram, c: Histogram) -> int:
@@ -161,3 +180,21 @@ def test_symmetrization_oracle_gram_is_psd_and_matches_volume():
         for q in range(4):
             expected = weighted_volume(hists[p], hists[q], w)
             assert gram.values[p, q] == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["from .testing import k1", "from . import testing", "from .testing.oracles import k1",
+     "import transportkernels.testing.oracles", "from transportkernels import testing"],
+)
+def test_testing_import_detector_flags_each_import_form(source):
+    assert imports_testing(source)
+    assert not imports_testing(source.replace("testing", "polytope"))
+
+
+def test_production_modules_never_import_the_oracles():
+    # the oracles stay independent of the code they check
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 8
+    offenders = [path.name for path in modules if imports_testing(path.read_text())]
+    assert offenders == []

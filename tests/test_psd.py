@@ -117,6 +117,18 @@ def test_gram_matrix_symmetrizes_roundoff_but_rejects_asymmetry():
         GramMatrix(np.eye(2), "no-such-kernel")
 
 
+def test_gram_matrix_keeps_entries_near_float_max():
+    # (v + v.T) / 2 overflows above about 8.99e307; exactly symmetric input,
+    # a subnormal entry too, is stored bit for bit
+    g = GramMatrix(np.array([[1e308, 1.0], [1.0, 2.0]]), "volume")
+    assert np.array_equal(g.values, [[1e308, 1.0], [1.0, 2.0]])
+    big = 1.7e308
+    g = GramMatrix(np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]]), "volume")
+    assert np.isfinite(g.values).all() and g.values[0, 1] == g.values[1, 0]
+    tiny = np.array([[5e-324, 5e-324], [5e-324, 1.0]])
+    assert np.array_equal(GramMatrix(tiny, "volume").values, tiny)
+
+
 def test_gram_matrix_rejects_empty_matrix():
     with pytest.raises(ValidationError, match="nonempty"):
         GramMatrix(np.zeros((0, 0)), "volume")
@@ -149,8 +161,9 @@ def test_psd_weight_check():
     asym = WeightSpec.from_cost([[0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(ValidationError):
         psd_weight_check(asym)
-    with pytest.raises(ValidationError):
-        psd_weight_check(w, tolerance=-1e-8)
+    for tolerance in (-1e-8, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+            psd_weight_check(w, tolerance=tolerance)
 
 
 def test_build_gram_evaluates_upper_triangle_once(monkeypatch):
@@ -319,6 +332,7 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
         for beyond in (m, -m - 1):
             with pytest.raises(IndexError):
                 list(stream(hists, [(beyond, 0)]))
+        assert list(stream([], [])) == []
 
 
 def test_dataset_digest_is_order_sensitive_and_stable():
