@@ -12,12 +12,16 @@ pseudo off Monge costs).
 
 A gram run records in manifest.json, under "argv", its subcommand and
 every parsed option as --name=value: a command line that
-`run_from_manifest` replays through the same parser.
+`run_from_manifest` replays through the same parser. --input, --weights
+and --out are parsed to absolute paths, so the replay reads and writes
+the same files from any working directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -49,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _absolute_path(text: str) -> str:
+    """Absolute, so a recorded argv replays from any working directory.
+
+    Symlinks are kept. An empty path is refused rather than read as the
+    working directory.
+    """
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return os.path.abspath(text)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="transportkernels",
@@ -56,11 +71,18 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    def add_path(
+        p: argparse.ArgumentParser, flag: str, text: str, required: bool = True
+    ) -> None:
+        p.add_argument(flag, type=_absolute_path, required=required, help=text)
+
+    def add_common(
+        p: argparse.ArgumentParser, *names: str, out_required: bool = True
+    ) -> None:
         if "input" in names:
-            p.add_argument("--input", required=True, help="histogram file")
+            add_path(p, "--input", "histogram file")
         if "weights" in names:
-            p.add_argument("--weights", required=True, help="weight/cost matrix file")
+            add_path(p, "--weights", "weight/cost matrix file")
             p.add_argument(
                 "--weights-mode",
                 choices=("cost", "weight"),
@@ -78,7 +100,7 @@ def _parser() -> argparse.ArgumentParser:
         if "tolerance" in names:
             p.add_argument("--tolerance", type=float, default=1e-8)
         if "out" in names:
-            p.add_argument("--out", help="output directory")
+            add_path(p, "--out", "output directory", out_required)
 
     g = sub.add_parser("gram", help="build a kernel Gram matrix and certify it")
     add_common(g, "input", "weights", "budget", "tolerance", "out")
@@ -90,7 +112,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(e, "input", "budget", "out")
 
     n = sub.add_parser("nw", help="print the corner-rule vertex for one margin pair")
-    add_common(n, "input", "out")
+    add_common(n, "input", "out", out_required=False)
     n.add_argument("--sigma", help="row relabelling, comma-separated image")
     n.add_argument("--sigma-p", help="column relabelling, comma-separated image")
 
@@ -98,7 +120,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p, "weights", "tolerance")
 
     o = sub.add_parser("ot", help="exact minimum transport cost")
-    add_common(o, "input", "weights", "budget", "out")
+    add_common(o, "input", "weights", "budget", "out", out_required=False)
 
     return parser
 
@@ -113,14 +135,8 @@ def _load_pair(args: argparse.Namespace) -> tuple[Histogram, Histogram]:
     return histograms[0], histograms[1]
 
 
-def _out_path(args: argparse.Namespace) -> Path:
-    if not args.out:
-        raise TransportKernelError("--out directory is required for this subcommand")
-    return Path(args.out)
-
-
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = _out_path(args)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -140,7 +156,6 @@ def _parse_permutation(flag: str, text: str) -> Permutation:
 
 def cmd_gram(args: argparse.Namespace) -> int:
     # Fail on arguments before the Gram and its certificate are computed.
-    out = _out_path(args)
     require_tolerance(args.tolerance)
     histograms = fileio.parse_histograms(args.input)
     w = fileio.parse_weights(args.weights, args.weights_mode)
@@ -155,7 +170,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset)
     gram = build_gram(histograms, kernel, kernel_id=args.kernel)
     certificate = certify_psd(gram, args.tolerance)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     fileio.write_gram_csv(out / "gram.csv", gram.values)
     fileio.write_json(out / "certificate.json", certificate.to_dict())
     manifest = {
@@ -225,7 +240,8 @@ def cmd_ot(args: argparse.Namespace) -> int:
     budget = EnumerationBudget(args.budget)
     solution = ot_cost(r, c, w, budget)
     payload = {
-        "cost": solution.cost,
+        # JSON has no infinity: when every table costs +inf, the cost is null.
+        "cost": solution.cost if math.isfinite(solution.cost) else None,
         "plan": [list(row) for row in solution.plan.entries],
     }
     print(f"ot: cost {solution.cost!r}")

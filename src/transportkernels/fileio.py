@@ -116,7 +116,9 @@ def write_gram_csv(path: str | Path, values: np.ndarray) -> None:
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinite float raises ValueError instead of being written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: str | Path) -> dict:

@@ -48,6 +48,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    MassMismatchError,
     ValidationError,
 )
 from .histograms import ContingencyTable, Histogram, require_compatible
@@ -92,11 +93,8 @@ class WeightSpec:
 
     cost: np.ndarray
     weight: np.ndarray
-    origin: str
 
     def __post_init__(self) -> None:
-        if self.origin not in ("cost", "weight"):
-            raise ValidationError(f"origin must be 'cost' or 'weight': {self.origin!r}")
         for name in ("cost", "weight"):
             arr = getattr(self, name)
             arr.flags.writeable = False
@@ -115,7 +113,7 @@ class WeightSpec:
                 f"cost entry ({i}, {j}) = {float(m[i, j])!r} gives weight exp(-m) "
                 "beyond the float range; weights must be finite"
             )
-        return cls(cost=m, weight=k, origin="cost")
+        return cls(cost=m, weight=k)
 
     @classmethod
     def from_weight(cls, k) -> WeightSpec:
@@ -125,16 +123,11 @@ class WeightSpec:
             raise ValidationError("weight entries must be finite and nonnegative")
         with np.errstate(divide="ignore"):
             m = -np.log(k)
-        return cls(cost=m, weight=k, origin="weight")
+        return cls(cost=m, weight=k)
 
     @property
     def d(self) -> int:
         return self.cost.shape[0]
-
-    def is_symmetric(self, rel_tol: float = 1e-12) -> bool:
-        k = self.weight
-        scale = max(1.0, float(np.abs(k).max()))
-        return float(np.abs(k - k.T).max()) <= rel_tol * scale
 
 
 def _require_square(arr: np.ndarray) -> None:
@@ -142,13 +135,30 @@ def _require_square(arr: np.ndarray) -> None:
         raise ValidationError(f"matrix must be square and nonempty, got shape {arr.shape}")
 
 
-def require_family(hs: Sequence[Histogram], w: WeightSpec) -> None:
-    """Reject histograms that share no tables with hs[0], or that w does not fit."""
-    for h in hs:
-        require_compatible(hs[0], h)
-    if hs and w.d != hs[0].d:
+def require_family(hs: Sequence[Histogram], w: WeightSpec | None = None) -> None:
+    """Reject a family whose histograms differ from hs[0] in bins or mass.
+
+    Kernels are defined within one family of equal dimension and equal
+    mass. The first histogram that differs is named: DimensionMismatchError
+    for its bin count, MassMismatchError for its mass. A weight matrix w,
+    when given, must be d x d for the family's d bins. An empty family
+    passes.
+    """
+    if not hs:
+        return
+    d, mass = hs[0].d, hs[0].mass
+    for pos, h in enumerate(hs):
+        if h.d != d:
+            raise DimensionMismatchError(
+                f"histogram {pos} has {h.d} bins but histogram 0 has {d}"
+            )
+        if h.mass != mass:
+            raise MassMismatchError(
+                f"histogram {pos} has mass {h.mass} but histogram 0 has {mass}"
+            )
+    if w is not None and w.d != d:
         raise DimensionMismatchError(
-            f"weight matrix is {w.d}x{w.d} but histograms have {hs[0].d} bins"
+            f"weight matrix is {w.d}x{w.d} but histograms have {d} bins"
         )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, KernelEvaluationError, ValidationError
 from .histograms import Histogram
-from .polytope import WeightSpec
+from .polytope import WeightSpec, require_family
 
 KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
 
@@ -36,22 +36,40 @@ def dataset_digest(histograms: Sequence[Histogram]) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _mirror_mean(values: np.ndarray) -> np.ndarray:
-    """(values + values.T) / 2 with no intermediate that can overflow.
+def _symmetric(values, what: str) -> np.ndarray:
+    """A square, nonempty, finite, symmetric matrix as its mirror mean.
 
-    Entries equal to their mirror are kept as they are, so exactly
-    symmetric input, subnormal entries included, stays bit-identical.
+    Asymmetry beyond SYMMETRY_REL_TOL * max(1, max |v|) raises
+    ValidationError rather than being fixed silently. Halves are
+    subtracted and averaged, so no intermediate overflows near the float
+    limit, and entries equal to their mirror are kept bit-identical,
+    subnormal ones included.
     """
-    return np.where(values == values.T, values, values / 2.0 + values.T / 2.0)
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
+        raise ValidationError(f"{what} must be square and nonempty, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    half = values / 2.0
+    scale = max(1.0, float(np.abs(values).max()))
+    asym = 2.0 * float(np.abs(half - half.T).max())
+    if asym > SYMMETRY_REL_TOL * scale:
+        raise ValidationError(
+            f"{what} asymmetry {asym:.3e} exceeds {SYMMETRY_REL_TOL:.0e} "
+            "relative; refusing to symmetrize silently"
+        )
+    return np.where(values == values.T, values, half + half.T)
 
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Symmetric kernel matrix tagged with its provenance.
 
-    Construction rejects an empty matrix, non-finite entries, and
-    asymmetry beyond 1e-12 relative instead of silently fixing it; within
-    tolerance the matrix is stored averaged with its transpose.
+    Construction rejects an unknown kernel_id, a matrix that is not
+    square and nonempty, non-finite entries, and asymmetry beyond 1e-12
+    relative to max(1, max |v|), each with ValidationError; within that
+    tolerance the matrix is stored as the mean of itself and its
+    transpose, exactly symmetric entries unchanged.
     """
 
     values: np.ndarray
@@ -63,21 +81,7 @@ class GramMatrix:
             raise ValidationError(
                 f"kernel_id must be one of {KERNEL_IDS}, got {self.kernel_id!r}"
             )
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
-            raise ValidationError(
-                f"Gram matrix must be square and nonempty, got {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValidationError("Gram matrix has non-finite entries")
-        scale = max(1.0, float(np.abs(values).max()))
-        asym = float(np.abs(values - values.T).max())
-        if asym > SYMMETRY_REL_TOL * scale:
-            raise ValidationError(
-                f"Gram matrix asymmetry {asym:.3e} exceeds {SYMMETRY_REL_TOL:.0e} "
-                "relative; refusing to symmetrize silently"
-            )
-        values = _mirror_mean(values)
+        values = _symmetric(self.values, "Gram matrix")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
@@ -201,13 +205,13 @@ def certify_psd(gram: GramMatrix, tolerance: float = 1e-8) -> PsdCertificate:
 
 
 def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
-    """Certify the entry-weight matrix K itself; kernels require K symmetric PSD."""
-    if not w.is_symmetric():
-        raise ValidationError(
-            "weight matrix is not symmetric; the positive definite kernel "
-            "construction requires a symmetric K"
-        )
-    return _certify(_mirror_mean(w.weight), tolerance)
+    """Certify the entry-weight matrix K itself; kernels require K symmetric PSD.
+
+    K must be symmetric within the same 1e-12 relative rule as a Gram
+    matrix, else ValidationError ("weight matrix asymmetry ... exceeds");
+    within it, the mirror mean of K is certified.
+    """
+    return _certify(_symmetric(w.weight, "weight matrix"), tolerance)
 
 
 def build_gram(
@@ -222,28 +226,18 @@ def build_gram(
     integer array, and yields K(h_p, h_q) for each pair in turn, possibly
     lazily; row p's m - p values fill row p and column p. Every
     `*_pairs` kernel takes this shape once its other arguments are bound.
-    All histograms must share both the bin count and the total mass;
-    kernels here are defined only within one equal-dimension, equal-mass
-    family. Failures other than BudgetExceededError are wrapped in
+    An empty family raises ValidationError. The family is checked by
+    `require_family` before the kernel runs, so a histogram whose bin
+    count or mass differs from the first raises DimensionMismatchError
+    or MassMismatchError naming it, as the kernels do. Failures other
+    than BudgetExceededError are wrapped in
     KernelEvaluationError naming the row, which a stream that ends early
     or yields one value too many raises too.
     """
     histograms = list(histograms)
     if not histograms:
         raise ValidationError("cannot build a Gram matrix over zero histograms")
-    d = histograms[0].d
-    mass = histograms[0].mass
-    for pos, h in enumerate(histograms):
-        if h.d != d:
-            raise ValidationError(
-                f"histogram {pos} has {h.d} bins but histogram 0 has {d}; "
-                "a Gram matrix needs one common dimension"
-            )
-        if h.mass != mass:
-            raise ValidationError(
-                f"histogram {pos} has mass {h.mass} but histogram 0 has {mass}; "
-                "kernels compare histograms within one equal-mass family only"
-            )
+    require_family(histograms)
     m = len(histograms)
     pairs = np.transpose(np.triu_indices(m))
 

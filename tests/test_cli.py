@@ -25,6 +25,15 @@ def write(path, text):
     return str(path)
 
 
+def read_json(path):
+    """Parse a JSON artifact strictly: NaN and Infinity are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 @pytest.fixture
 def hists3(tmp_path):
     return write(tmp_path / "hists.txt", "1,2,1\n0,3,1\n2,0,2\n")
@@ -57,9 +66,9 @@ def test_gram_volume_end_to_end(tmp_path, hists3, weights3, capsys):
     ]
     assert len(gram) == 3 and len(gram[0]) == 3
     assert gram[0][1] == gram[1][0]
-    cert = json.loads((out / "certificate.json").read_text())
+    cert = read_json(out / "certificate.json")
     assert cert["verdict"] == "pass"
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     assert manifest["kernel_id"] == "volume"
     assert len(manifest["dataset_hash"]) == 64
     assert manifest["argv"][0] == "gram"
@@ -167,7 +176,7 @@ def test_manifest_with_negative_seed_is_input_error(tmp_path, hists3, weights3, 
     out = tmp_path / "out"
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
           "--seed", "5", "--r-size", "2", "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     argv = manifest["argv"]
     argv[argv.index("--seed=5")] = "--seed=-1"
     (out / "manifest.json").write_text(json.dumps(manifest))
@@ -190,7 +199,7 @@ def test_manifest_with_unknown_key_is_input_error(tmp_path, hists3, weights3, ca
     out = tmp_path / "out"
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
           "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     manifest["argv"].append("--bogus=1")
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
@@ -249,7 +258,7 @@ def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, caps
     out = tmp_path / "out"
     main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
           "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = read_json(out / "manifest.json")
     # argv missing, then a string and an object in its place
     for argv in (None, "gram --kernel=volume", {"0": "gram"}):
         manifest.pop("argv", None)
@@ -272,7 +281,7 @@ def test_gram_pseudo_indefinite_exits_2_with_artifacts(tmp_path, capsys):
                  "--out", str(out)])
     assert code == EXIT_CERT_FAIL
     assert "certificate fail" in capsys.readouterr().out
-    cert = json.loads((out / "certificate.json").read_text())
+    cert = read_json(out / "certificate.json")
     assert cert["verdict"] == "fail"
     assert cert["min_eigenvalue"] < -0.2
 
@@ -367,7 +376,7 @@ def test_finite_matrices_near_float_max_are_accepted(tmp_path, capsys):
 @pytest.mark.parametrize(
     "extra, message",
     [
-        ([], "--out directory is required"),
+        (["--budget=0"], "budget must be a positive integer, got 0"),
         (["--tolerance=-1e-8"], "tolerance must be nonnegative"),
         (["--tolerance=nan"], "tolerance must be nonnegative and finite, got nan"),
         (["--tolerance=inf"], "tolerance must be nonnegative and finite, got inf"),
@@ -384,9 +393,8 @@ def test_gram_rejects_arguments_before_computing(
     for name in ("weighted_volume_pairs", "nw_kernel_pairs", "pseudo_kernel_pairs"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "out"
-    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", kernel]
-    if extra:
-        argv += ["--out", str(out)] + extra
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", kernel,
+            "--out", str(out)] + extra
     assert main(argv) == EXIT_ERROR
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -398,14 +406,28 @@ USAGE_ERRORS = [
     ["bogus"],
     ["gram", "--input", "h.txt", "--weights", "w.txt", "--out", "o"],
     ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "bogus", "--out", "o"],
+    ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "volume"],
+    ["enumerate", "--input", "pair.txt"],
+    ["nw", "--input", "pair.txt", "--out="],
 ]
 
 
 @pytest.mark.parametrize(
-    "argv", USAGE_ERRORS, ids=["tolerance", "subcommand", "kernel", "unknown-kernel"]
+    "argv",
+    USAGE_ERRORS,
+    ids=["tolerance", "subcommand", "kernel", "unknown-kernel", "gram-out", "enumerate-out",
+         "empty-out"],
 )
-def test_usage_errors_exit_1(argv, capsys):
-    # exit 2 is reserved for a failed certificate
+def test_usage_errors_exit_1(argv, monkeypatch, capsys):
+    # exit 2 is reserved for a failed certificate; the parser refuses the
+    # arguments before any subcommand runs
+    import transportkernels.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subcommand must not run")
+
+    for name in ("gram", "enumerate", "nw"):
+        monkeypatch.setitem(cli._COMMANDS, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_ERROR
@@ -504,12 +526,23 @@ def test_ot_output(tmp_path, pair, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert printed.startswith("ot: cost ")
-    payload = json.loads((out / "ot.json").read_text())
+    payload = read_json(out / "ot.json")
     # total variation between [2,5,3] and [5,1,4]: (3+4+1)/2 = 4
     assert payload["cost"] == 4.0
     plan = payload["plan"]
     assert [sum(row) for row in plan] == [2, 5, 3]
     assert [sum(col) for col in zip(*plan)] == [5, 1, 4]
+
+
+def test_ot_infinite_cost_is_null_in_json(tmp_path, capsys):
+    # the only table moves both units along a +inf cost entry
+    pair = write(tmp_path / "pair.txt", "2,0,0\n0,0,2\n")
+    w = write(tmp_path / "m.txt", "mode: cost\n0,1,inf\n1,5,1\ninf,1,0\n")
+    out = tmp_path / "out"
+    assert main(["ot", "--input", pair, "--weights", w, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("ot: cost inf\n")
+    plan = [[0, 0, 2], [0, 0, 0], [0, 0, 0]]
+    assert read_json(out / "ot.json") == {"cost": None, "plan": plan}
 
 
 def test_ot_budget_counts_only_finite_cells(tmp_path, capsys):
@@ -596,7 +629,7 @@ def test_manifest_round_trip_at_non_default_options(tmp_path, hists3):
         argv = ["gram", "--input", hists3, "--weights", w, "--kernel", kernel,
                 "--out", str(out)] + options
         assert main(argv) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_json(out / "manifest.json")
         for flag, value in zip(options[::2], options[1::2]):
             assert f"{flag}={value}" in manifest["argv"]
         artifacts = ("gram.csv", "certificate.json", "manifest.json")
@@ -607,6 +640,34 @@ def test_manifest_round_trip_at_non_default_options(tmp_path, hists3):
             (out / name).unlink()
         assert run_from_manifest(saved) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in artifacts} == original
+
+
+def test_manifest_replays_relative_paths_from_another_directory(
+    tmp_path, monkeypatch
+):
+    run = tmp_path / "run"
+    run.mkdir()
+    write(run / "h.txt", "1,2,1\n0,3,1\n2,0,2\n")
+    write(run / "w.txt", "mode: weight\n1.0,0.5,0.25\n0.5,1.0,0.5\n0.25,0.5,1.0\n")
+    monkeypatch.chdir(run)
+    argv = ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "volume",
+            "--out", "out"]
+    assert main(argv) == EXIT_OK
+    out = run / "out"
+    for flag, name in (("--input", "h.txt"), ("--weights", "w.txt"), ("--out", "out")):
+        assert f"{flag}={os.path.abspath(name)}" in read_json(out / "manifest.json")["argv"]
+    artifacts = ("gram.csv", "certificate.json", "manifest.json")
+    original = {name: (out / name).read_bytes() for name in artifacts}
+    saved = tmp_path / "manifest.json"
+    saved.write_bytes(original["manifest.json"])
+    for name in artifacts:
+        (out / name).unlink()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert run_from_manifest(saved) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in artifacts} == original
+    assert not any(elsewhere.iterdir())
 
 
 def test_gram_volume_matches_library_value(tmp_path, hists3, weights3):

@@ -19,6 +19,7 @@ from transportkernels import (
     enumerate_tables,
     fisher_yates,
     generating_function,
+    psd_weight_check,
     softmin,
     weighted_volume,
     weighted_volume_pairs,
@@ -32,9 +33,13 @@ def test_weight_spec_roundtrip():
     w = WeightSpec.from_weight([[0.5, 1.0], [1.0, 0.25]])
     assert w.d == 2
     assert np.allclose(np.exp(-w.cost), w.weight)
-    assert w.is_symmetric()
+    # the symmetry check of K: within 1e-12 relative it certifies the mirror mean
+    near = WeightSpec.from_weight([[0.5, 1.0 + 1e-13], [1.0, 0.25]])
+    expected = psd_weight_check(w).min_eigenvalue
+    assert psd_weight_check(near).min_eigenvalue == pytest.approx(expected, rel=1e-12)
     w2 = WeightSpec.from_cost([[0.0, 1.0], [2.0, 0.0]])
-    assert not w2.is_symmetric()
+    with pytest.raises(ValidationError, match="weight matrix asymmetry"):
+        psd_weight_check(w2)
 
 
 def test_weight_spec_validation():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportkernels import (
+    DimensionMismatchError,
     GramMatrix,
     Histogram,
     KernelEvaluationError,
+    MassMismatchError,
     ValidationError,
     WeightSpec,
     build_gram,
@@ -113,6 +115,10 @@ def test_gram_matrix_symmetrizes_roundoff_but_rejects_asymmetry():
     assert g.values[0, 1] == g.values[1, 0]
     with pytest.raises(ValidationError):
         GramMatrix(np.array([[1.0, 0.9], [0.5, 1.0]]), "volume")
+    # opposite signs near the float limit: the asymmetry is measured without
+    # an overflowing difference, so no RuntimeWarning precedes the rejection
+    with pytest.raises(ValidationError, match="asymmetry inf exceeds"):
+        GramMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]), "volume")
     with pytest.raises(ValidationError):
         GramMatrix(np.eye(2), "no-such-kernel")
 
@@ -198,9 +204,10 @@ def test_build_gram_evaluates_upper_triangle_once(monkeypatch):
 def test_build_gram_rejects_mixed_families():
     w = random_psd_weight(np.random.default_rng(0), 2)
     kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w)
-    with pytest.raises(ValidationError):
+    # the family error the kernels raise, naming the first histogram that differs
+    with pytest.raises(MassMismatchError, match="histogram 1 has mass 4 but histogram 0 has 3"):
         build_gram([Histogram((1, 2)), Histogram((2, 2))], kernel, "volume")
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionMismatchError, match="histogram 1 has 3 bins"):
         build_gram([Histogram((1, 2)), Histogram((1, 1, 1))], kernel, "volume")
     with pytest.raises(ValidationError):
         build_gram([], kernel, "volume")
