@@ -5,8 +5,8 @@ Certifying positive semidefiniteness
 A kernel is only useful downstream if its Gram matrices are positive
 semidefinite. Rather than trusting the theory blindly, every Gram
 matrix here can be certified: the smallest and largest eigenvalues
-come from an in-package Householder reduction and Sturm bisection, and
-the verdict compares the smallest one against a tolerance scaled by
+come from LAPACK's symmetric eigensolver through numpy, and the
+verdict compares the smallest one against a tolerance scaled by
 the largest.
 """
 

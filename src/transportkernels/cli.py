@@ -4,8 +4,8 @@ Subcommands: gram (kernel Gram matrix + PSD certificate + manifest),
 enumerate (stream a table set to CSV), nw (corner-rule vertices),
 psd-check (certify a weight matrix), ot (exact transport baseline).
 
-Exit codes: 0 success / certificate passed, 1 usage, input or
-validation error, 2 certificate failed, 3 budget exceeded (tables
+Exit codes: 0 success / certificate passed, 1 usage, input, validation
+or operating-system error, 2 certificate failed, 3 budget exceeded (tables
 streamed by enumerate; cell updates of a generating-polynomial
 recurrence box for gram --kernel volume, and for ot and gram --kernel
 pseudo off Monge costs).
@@ -309,7 +309,9 @@ def run_from_manifest(manifest_path: str | Path) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Parse argv (sys.argv[1:] when None) and run its subcommand.
 
-    Returns the exit code; a usage error exits through SystemExit.
+    Returns the exit code; a usage error exits through SystemExit. An
+    input, validation or operating-system error prints "error: ..." and
+    returns EXIT_ERROR.
     """
     args = _parser().parse_args(argv)
     try:
@@ -317,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except TransportKernelError as exc:
+    except (TransportKernelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -25,9 +25,11 @@ import numpy as np
 from .histograms import ContingencyTable, Histogram
 from .northwest import _staircases, nw_table
 from .polytope import (
+    _MIN,
     EnumerationBudget,
     WeightSpec,
-    _cheapest_tables,
+    _cheapest_table,
+    _generating_row,
     _rows,
     _safe_exp,
     require_family,
@@ -88,7 +90,7 @@ def ot_cost(
     if monge_check(w):
         plan = nw_table(r, c)
     else:
-        (plan,) = _cheapest_tables(r, (c,), m, budget)
+        plan = _cheapest_table(r, c, m, budget)
     return TransportSolution(plan, plan.cost(m))
 
 
@@ -112,16 +114,20 @@ def pseudo_kernel_pairs(
     nonzero segments summed with fsum as ContingencyTable.cost sums them;
     masses too large for the merge keys raise ValidationError. Other
     costs run the (min, +) recurrence once for each run of consecutive
-    pairs with the same p and price each plan with its cost. exp(-cost)
-    overflowing gives inf. p and q index hs as a sequence does; one out
-    of range raises IndexError.
+    pairs with the same p, under the default EnumerationBudget when
+    budget is None, and read each pair's least cost from its box; on
+    real-valued costs that may differ in the last bits from the cost
+    `ot_cost` reports for its plan. exp(-cost) overflowing gives inf. p
+    and q index hs as a sequence does; one out of range raises
+    IndexError.
     """
     require_family(hs, w)
     m = w.cost
     if monge_check(w):
         return _corner_values(hs, pairs, m)
-    tables = (plan for r, cs in _rows(hs, pairs) for plan in _cheapest_tables(r, cs, m, budget))
-    return (_safe_exp(-plan.cost(m)) for plan in tables)
+    budget = budget if budget is not None else EnumerationBudget()
+    costs = (v for r, cs in _rows(hs, pairs) for v in _generating_row(r, cs, m, _MIN, budget))
+    return (_safe_exp(-v) for v in costs)
 
 
 def pseudo_kernel(

@@ -349,10 +349,10 @@ def _generating_row(
     return values
 
 
-def _cheapest_tables(
-    r: Histogram, cs: Sequence[Histogram], m: np.ndarray, budget: EnumerationBudget | None
-) -> list[ContingencyTable]:
-    """For each c in cs, the first table of (r, c) in enumeration order of least cost <X, m>.
+def _cheapest_table(
+    r: Histogram, c: Histogram, m: np.ndarray, budget: EnumerationBudget | None
+) -> ContingencyTable:
+    """The first table of (r, c) in enumeration order of least cost <X, m>.
 
     The recurrence runs in `_MIN` on the costs over r's nonempty rows
     bottom-up, never scanning a +inf cost, and keeps a copy of the box
@@ -365,19 +365,10 @@ def _cheapest_tables(
     scanned, so the copies hold no more cells than `_boxes` admits.
     """
     budget = budget if budget is not None else EnumerationBudget()
-    rows, boxes = _boxes(r, cs, m, _MIN, budget)
+    rows, ((extent, _),) = _boxes(r, (c,), m, _MIN, budget)
+    sweep = _sweep(r, extent, rows[::-1], _MIN)
+    below = reversed([f.copy() for f in itertools.islice(sweep, len(rows))])
     costs = m.tolist()
-    plans = []
-    for extent, group in boxes:
-        sweep = _sweep(r, extent, rows[::-1], _MIN)
-        tails = [f.copy() for f in itertools.islice(sweep, len(rows))]
-        plans += [_read_back(r, c, costs, tails) for c in group]
-    return plans
-
-
-def _read_back(r: Histogram, c: Histogram, m: list, tails: list) -> ContingencyTable:
-    """The plan of `_cheapest_tables` for c; tails[k] is the least cost of the last k rows."""
-    below = reversed(tails)
     residual, entries = c.counts, []
     for i, n in enumerate(r.counts):
         x = (0,) * r.d
@@ -385,7 +376,7 @@ def _read_back(r: Histogram, c: Histogram, m: list, tails: list) -> ContingencyT
             tail, best = next(below), math.inf
             for y in _bounded_compositions(n, residual):
                 rest = tuple(map(operator.sub, residual, y))
-                value = sum(v * m[i][j] for j, v in enumerate(y) if v) + tail[rest]
+                value = sum(v * costs[i][j] for j, v in enumerate(y) if v) + tail[rest]
                 if value < best:
                     best, x = value, y
             if best == math.inf:

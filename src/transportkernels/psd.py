@@ -2,12 +2,9 @@
 
 Kernel claims are certified empirically: build the Gram matrix of a
 histogram family and compare its smallest eigenvalue against a
-tolerance scaled by its largest. Only those two eigenvalues are
-computed, inside the repository so the certificate does not depend on
-a LAPACK build: Householder reflections reduce the matrix to
-tridiagonal form, and bisection on Sturm counts brackets each extreme
-eigenvalue. Both steps are backward stable, so each eigenvalue is
-accurate to a small multiple of eps * norm(G).
+tolerance scaled by its largest. Both come from LAPACK's symmetric
+eigensolver through numpy.linalg.eigvalsh, which is backward stable,
+so each eigenvalue is accurate to a small multiple of eps * norm(G).
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -112,78 +108,6 @@ class PsdCertificate:
         }
 
 
-def _extreme_eigenvalues(a) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a symmetric matrix.
-
-    Householder reflections reduce the matrix to a tridiagonal T with
-    the same spectrum, one rank-2 update per column. Each eigenvalue is
-    then bisected from the Gershgorin interval of T on Sturm counts: the
-    number of eigenvalues below x is the number of negative pivots of
-    the LDL^T factorization of T - xI. Bisection stops once the bracket
-    is no wider than 2 eps times the larger magnitude of the Gershgorin
-    bounds, below which the reduction's own rounding (about eps * norm)
-    dominates. That takes at most about 53 halvings, so no iteration cap
-    is needed.
-    """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError("matrix has non-finite entries")
-    n = a.shape[0]
-    # With the largest entry scaled to 1, the squares below neither
-    # overflow nor underflow.
-    scale = float(np.abs(a).max(initial=0.0)) or 1.0
-    a /= scale
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm = math.sqrt(float(x @ x))
-        if norm == 0.0:
-            continue
-        # Reflect x onto -sign(x[0]) * norm * e1; v[0] adds, never cancels.
-        alpha = -math.copysign(norm, x[0])
-        v = x.copy()
-        v[0] -= alpha
-        vv = float(v @ v)
-        block = a[k + 1 :, k + 1 :]
-        p = block @ v * (2.0 / vv)
-        w = p - float(p @ v) / vv * v
-        vw = np.outer(v, w)
-        block -= vw + vw.T
-        a[k + 1, k] = alpha
-    diag = np.diag(a)
-    off = np.abs(np.diag(a, -1))
-    radius = np.pad(off, (1, 0)) + np.pad(off, (0, 1))
-    lower = float((diag - radius).min())
-    upper = float((diag + radius).max())
-    width = 2.0 * sys.float_info.epsilon * max(abs(lower), abs(upper))
-    pivots = list(zip(diag.tolist(), [0.0] + (off * off).tolist()))
-
-    def below(x: float) -> int:
-        count, q = 0, 1.0
-        for d, e2 in pivots:
-            q = d - x - e2 / q
-            # A zero pivot counts as a tiny negative one, so the next
-            # division is defined.
-            if q == 0.0:
-                q = -sys.float_info.min
-            count += q < 0.0
-        return count
-
-    def bisect(k: int) -> float:
-        """The k-th smallest eigenvalue of the input, counting from 1."""
-        lo, hi = lower, upper
-        while hi - lo > width:
-            mid = (lo + hi) / 2.0
-            if below(mid) >= k:
-                hi = mid
-            else:
-                lo = mid
-        return (lo + hi) / 2.0 * scale
-
-    return bisect(1), bisect(n)
-
-
 def require_tolerance(tolerance: float) -> None:
     """A NaN or infinite tolerance would pass or fail every matrix alike."""
     if not (tolerance >= 0 and math.isfinite(tolerance)):
@@ -191,8 +115,15 @@ def require_tolerance(tolerance: float) -> None:
 
 
 def _certify(values: np.ndarray, tolerance: float) -> PsdCertificate:
+    """Certify a matrix that `_symmetric` has already validated.
+
+    A spectrum beyond the float range raises ValidationError, so no
+    verdict rests on an infinite eigenvalue.
+    """
     require_tolerance(tolerance)
-    lo, hi = _extreme_eigenvalues(values)
+    lo, hi = np.linalg.eigvalsh(values)[[0, -1]].tolist()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"matrix spectrum overflows the float range: [{lo}, {hi}]")
     passed = lo >= -tolerance * max(1.0, hi)
     return PsdCertificate(
         min_eigenvalue=lo, max_eigenvalue=hi, tolerance=tolerance, passed=passed

@@ -372,6 +372,37 @@ def test_finite_matrices_near_float_max_are_accepted(tmp_path, capsys):
     assert "verdict pass" in capsys.readouterr().out
 
 
+def test_gram_with_overflowing_spectrum_is_input_error(tmp_path, capsys):
+    # a finite Gram of two entries 1e308 has the eigenvalue 2e308; the
+    # certificate refuses it before --out is touched
+    hists = write(tmp_path / "h.txt", "1\n1\n")
+    w = write(tmp_path / "w.txt", "mode: weight\n1e308\n")
+    out = tmp_path / "out"
+    code = main(["gram", "--input", hists, "--weights", w, "--kernel", "volume",
+                 "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: matrix spectrum overflows")
+    assert not out.exists()
+
+
+def test_psd_check_with_overflowing_spectrum_is_input_error(tmp_path, capsys):
+    w = write(tmp_path / "w.txt", "mode: weight\n1e308,1e308\n1e308,1e308\n")
+    assert main(["psd-check", "--weights", w]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: matrix spectrum overflows")
+    assert "verdict" not in captured.out
+
+
+def test_gram_out_that_is_a_file_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = write(tmp_path / "out", "not a directory\n")
+    code = main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+                 "--out", out])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err and "Traceback" not in err
+    assert Path(out).read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("kernel", ["volume", "nw", "pseudo"])
 @pytest.mark.parametrize(
     "extra, message",

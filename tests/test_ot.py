@@ -171,6 +171,25 @@ def test_non_monge_pseudo_row_matches_transport():
     assert seen_zero
 
 
+def test_non_monge_pseudo_on_real_costs_matches_transport_to_rounding():
+    # off Monge the pseudo value is the least cost the (min, +) box holds,
+    # summed in its own order, so on real costs it may differ from
+    # exp(-cost of the plan) in the last bits, never by more
+    rng = np.random.default_rng(59)
+    checked = 0
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        w = WeightSpec.from_cost(rng.random((d, d)) * 3.0)
+        if monge_check(w):
+            continue
+        r, c = random_pair(rng, d, int(rng.integers(1, 7)))
+        assert pseudo_kernel(r, c, w) == pytest.approx(
+            math.exp(-ot_cost(r, c, w).cost), rel=1e-12, abs=0
+        )
+        checked += 1
+    assert checked
+
+
 def test_monge_pseudo_rejects_mass_beyond_keys():
     # like nw_kernel, the staircase merge needs the mass to fit 64-bit keys
     w = WeightSpec.from_cost([[0.0, 1.0], [1.0, 0.0]])

@@ -26,29 +26,33 @@ from transportkernels import (
     weighted_volume_pairs,
 )
 from transportkernels import polytope
-from transportkernels.psd import _extreme_eigenvalues
 
 from conftest import random_histogram, random_psd_weight
 
 
-def test_jacobi_two_by_two_exact():
-    lo, hi = _extreme_eigenvalues(np.array([[1.0, 2.0], [2.0, 1.0]]))
+def _extremes(a) -> tuple[float, float]:
+    cert = certify_psd(GramMatrix(a, "volume"))
+    return cert.min_eigenvalue, cert.max_eigenvalue
+
+
+def test_certificate_two_by_two_exact():
+    lo, hi = _extremes(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert (lo, hi) == pytest.approx((-1.0, 3.0), rel=0, abs=1e-14)
 
 
-def test_jacobi_matches_reference_solver():
+def test_certificate_matches_reference_solver():
     rng = np.random.default_rng(61)
     for n in (1, 2, 3, 5, 8, 12, 75, 101):
         a = rng.standard_normal((n, n))
         a = (a + a.T) / 2
-        lo, hi = _extreme_eigenvalues(a)
+        lo, hi = _extremes(a)
         ref = np.linalg.eigvalsh(a)
         scale = max(1.0, np.abs(a).max())
         assert (lo, hi) == pytest.approx((ref[0], ref[-1]), rel=0, abs=1e-10 * scale)
         assert lo <= hi
 
 
-def test_jacobi_hard_cases():
+def test_certificate_hard_cases():
     cases = [
         np.zeros((3, 3)),
         np.eye(4) * 1e-8,
@@ -63,13 +67,13 @@ def test_jacobi_hard_cases():
     cases.append(np.outer(v, v) * 1e8)
     cases.append(np.outer(v, v) * 1e-8)
     for a in cases:
-        lo, hi = _extreme_eigenvalues(a)
+        lo, hi = _extremes(a)
         ref = np.linalg.eigvalsh(a)
         scale = max(1.0, float(np.abs(a).max()))
         assert (lo, hi) == pytest.approx((ref[0], ref[-1]), rel=0, abs=1e-9 * scale)
 
 
-def test_jacobi_duplicate_rows():
+def test_certificate_duplicate_rows():
     # repeated histograms produce duplicate Gram rows and an exact zero
     # eigenvalue
     g = np.array(
@@ -80,18 +84,28 @@ def test_jacobi_duplicate_rows():
         ]
     )
     ref = np.linalg.eigvalsh(g)
-    assert _extreme_eigenvalues(g) == pytest.approx((ref[0], ref[-1]), rel=0, abs=1e-12)
+    assert _extremes(g) == pytest.approx((ref[0], ref[-1]), rel=0, abs=1e-12)
 
 
-def test_jacobi_rejects_non_square():
-    with pytest.raises(ValidationError):
-        _extreme_eigenvalues(np.zeros((2, 3)))
+def test_certificate_known_spectrum():
+    # the spectrum is fixed by construction, not by another eigensolver
+    n = 101
+    q, _ = np.linalg.qr(np.random.default_rng(71).standard_normal((n, n)))
+    lam = np.linspace(-2.0, 7.0, n)
+    g = (q * lam) @ q.T
+    lo, hi = _extremes((g + g.T) / 2)
+    assert (lo, hi) == pytest.approx((lam[0], lam[-1]), rel=0, abs=1e-10 * max(1.0, lam[-1]))
 
 
-def test_extreme_eigenvalues_reject_non_finite():
+def test_gram_matrix_rejects_non_square():
+    with pytest.raises(ValidationError, match="square"):
+        GramMatrix(np.zeros((2, 3)), "volume")
+
+
+def test_gram_matrix_rejects_non_finite():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValidationError, match="non-finite"):
-            _extreme_eigenvalues(np.array([[1.0, bad], [bad, 1.0]]))
+            GramMatrix(np.array([[1.0, bad], [bad, 1.0]]), "volume")
 
 
 def test_monge_pseudo_gram_verdict_matches_reference():
