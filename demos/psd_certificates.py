@@ -39,7 +39,9 @@ hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
 
 # the full-sum kernel produces a certified PSD Gram matrix. build_gram
 # asks the kernel for the values of the upper triangle's index pairs;
-# the volume reads a whole Gram row off one generating-polynomial recurrence
+# the volume reads each Gram row off one slab of a generating-polynomial
+# recurrence, one stacked box per run of Gram rows (here all nine), with
+# budget = height x cells x passes
 volume_gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,

@@ -7,14 +7,16 @@ psd-check (certify a weight matrix), ot (exact transport baseline).
 Exit codes: 0 success / certificate passed, 1 usage, input, validation
 or operating-system error, 2 certificate failed, 3 budget exceeded (tables
 streamed by enumerate; cell updates of a generating-polynomial
-recurrence box for gram --kernel volume, and for ot and gram --kernel
-pseudo off Monge costs).
+recurrence box, stacked over consecutive Gram rows, for gram --kernel
+volume, and for ot and gram --kernel pseudo off Monge costs).
 
 A gram run records in manifest.json, under "argv", its subcommand and
 every parsed option as --name=value: a command line that
 `run_from_manifest` replays through the same parser. --input, --weights
 and --out are parsed to absolute paths, so the replay reads and writes
-the same files from any working directory.
+the same files from any working directory. The manifest also records
+the SHA-256 of the --input and --weights files, and a replay refuses
+files that changed since the run.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CERT_FAIL = 2
 EXIT_BUDGET = 3
+
+# The files a gram run reads, by option, and the manifest key of each digest.
+_DIGESTS = (("input", "input_sha256"), ("weights", "weights_sha256"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,7 +100,9 @@ def _parser() -> argparse.ArgumentParser:
                 type=int,
                 default=DEFAULT_MAX_TABLES,
                 help="cap on the tables streamed by enumerate, or on the cell updates "
-                "of one recurrence box for gram (volume, and pseudo off Monge costs) and ot",
+                "of one recurrence box for gram (volume, and pseudo off Monge costs) and "
+                "ot: one stacked box per run of Gram rows, its height times its cells "
+                "times its passes",
             )
         if "tolerance" in names:
             p.add_argument("--tolerance", type=float, default=1e-8)
@@ -159,6 +166,8 @@ def cmd_gram(args: argparse.Namespace) -> int:
     require_tolerance(args.tolerance)
     histograms = fileio.parse_histograms(args.input)
     w = fileio.parse_weights(args.weights, args.weights_mode)
+    # Digested as they are parsed, not after a long run they may outlast.
+    digests = {key: fileio.file_sha256(getattr(args, name)) for name, key in _DIGESTS}
     budget = EnumerationBudget(args.budget)
     d = histograms[0].d
     if args.kernel == "volume":
@@ -175,6 +184,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     fileio.write_json(out / "certificate.json", certificate.to_dict())
     manifest = {
         "argv": _recorded_argv(args),
+        **digests,
         "kernel_id": gram.kernel_id,
         "dataset_hash": gram.dataset_hash,
         "certificate": certificate.to_dict(),
@@ -274,7 +284,7 @@ def _recorded_argv(args: argparse.Namespace) -> list[str]:
     ]
 
 
-def _manifest_argv(manifest_path: str | Path) -> list[str]:
+def _read_manifest(manifest_path: str | Path) -> dict:
     try:
         manifest = fileio.read_json(manifest_path)
     except OSError as exc:
@@ -284,7 +294,23 @@ def _manifest_argv(manifest_path: str | Path) -> list[str]:
     argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(argv, list) or not all(isinstance(token, str) for token in argv):
         raise ValidationError("manifest has no 'argv' list of strings")
-    return argv
+    return manifest
+
+
+def _check_inputs(manifest: dict, args: argparse.Namespace) -> None:
+    """Refuse a replay whose input files differ from the bytes the run read."""
+    if args.subcommand != "gram":
+        raise ValidationError("manifest 'argv' is not a gram run")
+    for name, key in _DIGESTS:
+        if not isinstance(manifest.get(key), str):
+            raise ValidationError(f"manifest has no '{key}' string")
+        path = getattr(args, name)
+        try:
+            unchanged = fileio.file_sha256(path) == manifest[key]
+        except OSError:
+            unchanged = False
+        if not unchanged:
+            raise ValidationError(f"{path} changed since the run")
 
 
 def run_from_manifest(manifest_path: str | Path) -> int:
@@ -293,17 +319,23 @@ def run_from_manifest(manifest_path: str | Path) -> int:
     A manifest that cannot be read, is not JSON or holds no 'argv' list
     of strings prints "error: <path>: ..." and returns EXIT_ERROR. An
     argument list the parser refuses prints the parser's usage and
-    "error:" line and returns its exit code, EXIT_ERROR.
+    "error:" line and returns its exit code, EXIT_ERROR. Before the run,
+    the SHA-256 of the --input and --weights files must equal the
+    manifest's 'input_sha256' and 'weights_sha256'; a manifest without
+    them, or a file that no longer matches ("<file> changed since the
+    run"), prints "error: <path>: ..." and returns EXIT_ERROR without
+    writing any artifact.
     """
     try:
-        argv = _manifest_argv(manifest_path)
+        manifest = _read_manifest(manifest_path)
+        args = _parser().parse_args(manifest["argv"])
+        _check_inputs(manifest, args)
     except ValidationError as exc:
         print(f"error: {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    try:
-        return main(argv)
     except SystemExit as exc:
         return exc.code
+    return _run(args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -313,7 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     input, validation or operating-system error prints "error: ..." and
     returns EXIT_ERROR.
     """
-    args = _parser().parse_args(argv)
+    return _run(_parser().parse_args(argv))
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return _COMMANDS[args.subcommand](args)
     except BudgetExceededError as exc:

@@ -10,6 +10,7 @@ line number.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
@@ -110,9 +111,29 @@ def format_table_row(entries: Sequence[Sequence[int]]) -> str:
 
 
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:
-    """One matrix row per line; floats via repr so reruns are byte-identical."""
-    lines = [",".join(map(repr, row)) for row in np.asarray(values, dtype=float).tolist()]
+    """One matrix row per line; floats via repr so reruns are byte-identical.
+
+    A square matrix bitwise equal to its transpose, as `build_gram`
+    makes every Gram matrix, formats each upper-triangle entry once and
+    reuses its text for the mirror entry.
+    """
+    values = np.asarray(values, dtype=float)
+    rows = values.tolist()
+    if values.ndim == 2 and values.shape[0] == values.shape[1] and (
+        values.view(np.int64) == values.T.view(np.int64)
+    ).all():
+        upper = [list(map(repr, row[p:])) for p, row in enumerate(rows)]
+        lines = [
+            ",".join([upper[q][p - q] for q in range(p)] + upper[p]) for p in range(len(rows))
+        ]
+    else:
+        lines = [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of a file's bytes."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_json(path: str | Path, payload: dict) -> None:

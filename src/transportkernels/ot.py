@@ -10,8 +10,8 @@ recurrence runs. exp(-optimal cost) is a useful similarity but not
 positive definite in general, hence the "pseudo" in its name.
 `pseudo_kernel_pairs` prices a list of index pairs of a family and
 checks the costs once: on Monge costs one staircase stream prices every
-pair, otherwise each run of pairs with the same first index shares the
-boxes of one recurrence.
+pair, otherwise each run of pairs with the same first index is one slab
+of a recurrence whose stacked box consecutive runs share.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .polytope import (
     EnumerationBudget,
     WeightSpec,
     _cheapest_table,
-    _generating_row,
+    _generating_values,
     _rows,
     _safe_exp,
     require_family,
@@ -113,9 +113,10 @@ def pseudo_kernel_pairs(
     one staircase stream prices the corner vertex of every pair, its
     nonzero segments summed with fsum as ContingencyTable.cost sums them;
     masses too large for the merge keys raise ValidationError. Other
-    costs run the (min, +) recurrence once for each run of consecutive
-    pairs with the same p, under the default EnumerationBudget when
-    budget is None, and read each pair's least cost from its box; on
+    costs run the (min, +) recurrence with each run of consecutive pairs
+    with the same p as one slab of a stacked box, under the rule of
+    `polytope._boxes` and the default EnumerationBudget when budget is
+    None, and read each pair's least cost from its slab; on
     real-valued costs that may differ in the last bits from the cost
     `ot_cost` reports for its plan. exp(-cost) overflowing gives inf. p
     and q index hs as a sequence does; one out of range raises
@@ -126,8 +127,8 @@ def pseudo_kernel_pairs(
     if monge_check(w):
         return _corner_values(hs, pairs, m)
     budget = budget if budget is not None else EnumerationBudget()
-    costs = (v for r, cs in _rows(hs, pairs) for v in _generating_row(r, cs, m, _MIN, budget))
-    return (_safe_exp(-v) for v in costs)
+    stacks = _generating_values(_rows(hs, pairs), m, _MIN, budget)
+    return (_safe_exp(-v) for stack in stacks for _, _, vs in stack for v in vs)
 
 
 def pseudo_kernel(

@@ -18,12 +18,16 @@ T is a coefficient of a generating polynomial:
 T(r, c; K) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
 complete homogeneous polynomial of degree n. One dense recurrence over
 the column exponents e <= max c builds it row by row, a scan along one
-axis per nonzero weight, so one array serves every c of a Gram row. It
-runs in floats and in log space (logaddexp, +) for the weighted volume,
-in exact integers for `count_tables` and in (min, +) on the costs for
-`ot`'s cheapest table. Its work is the box cells times the passes over
-it; the budget caps that number, checked before the box is allocated,
-and a row whose shared box does not fit gives each c its own box.
+axis per nonzero weight, so one array serves every c of a Gram row. The
+scans depend on the weights alone, never on r, so the rows of
+consecutive Gram rows run as one stacked box, one slab e <= max c per
+run of pairs. It runs in floats and in log space (logaddexp, +) for the
+weighted volume, in exact integers for `count_tables` and in (min, +) on
+the costs for the pseudo kernel and `ot`'s cheapest table. A box's work
+is its height times its cells times its passes; the budget caps that
+number, checked before the box is allocated. A stack grows while its box
+holds at most STACK_CELLS cells and fits the budget, and a Gram row
+whose own box does not fit gives each c its own box.
 
 The Fisher-Yates statistic of a table, n(X) = (prod r_i! prod c_j!) /
 prod x_ij!, counts the permutations that induce the table when one
@@ -55,6 +59,11 @@ from .histograms import ContingencyTable, Histogram, require_compatible
 
 DEFAULT_MAX_TABLES = 10_000_000
 
+# Cells of one box shared by several runs of Gram rows (256 KiB of
+# floats), so that it stays in cache; a run whose own box is larger
+# runs alone.
+STACK_CELLS = 1 << 15
+
 
 @dataclass(frozen=True)
 class EnumerationBudget:
@@ -62,9 +71,10 @@ class EnumerationBudget:
 
     `enumerate_tables` (and the `enumerate` subcommand) counts tables
     streamed. Every generating-polynomial recurrence counts the cell
-    updates of one box, checked before the box is allocated: the
-    weighted volume, `count_tables`, `ot_cost` and the pseudo kernel off
-    Monge costs.
+    updates of one stacked box, its height (the Gram rows it sweeps at
+    once) times its cells times its passes, checked before the box is
+    allocated: the weighted volume, `count_tables`, `ot_cost` and the
+    pseudo kernel off Monge costs.
     """
 
     max_tables: int = DEFAULT_MAX_TABLES
@@ -245,108 +255,151 @@ _EXACT = _Semiring(np.add, np.multiply, 0, 1, object)
 _MIN = _Semiring(np.minimum, np.add, math.inf, 0.0, float)
 
 
+class _Stack(NamedTuple):
+    """Runs (r, cs) of one family swept together: slab t of the box holds runs[t]."""
+
+    runs: list
+    rows: list  # (i, [(j, k_ij) for k_ij other than the zero]) per row nonempty in an r
+    extent: tuple[int, ...]
+
+
 def _boxes(
-    r: Histogram,
-    cs: Sequence[Histogram],
+    runs,
     weights: np.ndarray,
     ring: _Semiring,
     budget: EnumerationBudget | None,
-) -> tuple[list, list]:
-    """(rows, boxes): what `_sweep` runs for a row of cs.
+) -> Iterator[_Stack]:
+    """The stacks `_sweep` runs for runs (r, cs) of one family, in order.
 
-    rows holds (r_i, [(j, k_ij) for k_ij other than `ring.zero`]) for each
-    nonempty row i, boxes the (extent, columns) of each box e <= extent.
-    A box's cell updates are its cells times its passes: a row passes
-    once per weight on an axis of extent > 0, and at least once, as its
-    reset writes the box. The row of cs shares one box e <= (max over cs
-    of c_j) while that fits the budget; otherwise each c gets its own box
-    e <= c, and one that does not fit raises BudgetExceededError before
-    any box is allocated.
+    A stack's box holds one slab e <= extent per run, extent the max over
+    its columns c of each c_j. Its rows are every row i nonempty in one
+    of its r, in index order. Its cell updates are its height times the
+    cells of a slab times its passes: a row passes once per weight on an
+    axis of extent > 0, and at least once, as its reset writes the box.
+    Consecutive runs share one stack while its box holds at most
+    STACK_CELLS cells and its updates fit the budget. A run that cannot
+    join starts a stack of its own box e <= (max over cs of c_j) if that
+    fits the budget; otherwise each c gets its own box e <= c, and one
+    that does not fit raises BudgetExceededError before any box is
+    allocated.
     """
-    rows = [
-        (n, [(j, weights[i, j]) for j in range(r.d) if weights[i, j] != ring.zero])
-        for i, n in enumerate(r.counts)
-        if n
+    d = len(weights)
+    cells = [
+        [(j, weights[i, j]) for j in range(d) if weights[i, j] != ring.zero]
+        for i in range(d)
     ]
     cap = budget.max_tables if budget is not None else math.inf
 
-    def updates(extent: tuple[int, ...]) -> int:
-        passes = sum(max(1, sum(1 for j, _ in row if extent[j])) for _, row in rows)
-        return math.prod(e + 1 for e in extent) * passes
+    def updates(height: int, live: set, extent: tuple[int, ...]) -> int:
+        passes = sum(max(1, sum(1 for j, _ in cells[i] if extent[j])) for i in live)
+        return height * math.prod(e + 1 for e in extent) * passes
 
-    shared = tuple(max((c.counts[j] for c in cs), default=0) for j in range(r.d))
-    if updates(shared) <= cap:
-        return rows, [(shared, cs)]
-    for c in cs:
-        needed = updates(c.counts)
-        if needed > cap:
-            raise BudgetExceededError(
-                f"margins {r} / {c} need {needed} cell updates, more than {cap}",
-                count_so_far=0,
-            )
-    return rows, [(c.counts, (c,)) for c in cs]
+    def stack(group: list, live: set, extent: tuple[int, ...]) -> _Stack:
+        return _Stack(group, [(i, cells[i]) for i in sorted(live)], extent)
+
+    group, live, extent = [], set(), ()
+    for r, cs in runs:
+        own_live = {i for i, n in enumerate(r.counts) if n}
+        own = tuple(max(c.counts[j] for c in cs) for j in range(d))
+        if group:
+            joined_live, joined = live | own_live, tuple(map(max, extent, own))
+            height = len(group) + 1
+            if (
+                height * math.prod(e + 1 for e in joined) <= STACK_CELLS
+                and updates(height, joined_live, joined) <= cap
+            ):
+                group.append((r, cs))
+                live, extent = joined_live, joined
+                continue
+            yield stack(group, live, extent)
+            group = []
+        if updates(1, own_live, own) <= cap:
+            group, live, extent = [(r, cs)], own_live, own
+            continue
+        for c in cs:
+            needed = updates(1, own_live, c.counts)
+            if needed > cap:
+                raise BudgetExceededError(
+                    f"margins {r} / {c} need {needed} cell updates, more than {cap}",
+                    count_so_far=0,
+                )
+        for c in cs:
+            yield stack([(r, (c,))], own_live, c.counts)
+    if group:
+        yield stack(group, live, extent)
 
 
 def _sweep(
-    r: Histogram, extent: tuple[int, ...], rows: list, ring: _Semiring
+    counts: np.ndarray, extent: tuple[int, ...], rows: list, ring: _Semiring
 ) -> Iterator[np.ndarray]:
-    """Yield the box e <= extent before the first of `rows` and after each, updated in place.
+    """Yield the stacked box before the first of `rows` and after each, updated in place.
 
-    The box starts at `ring.one` on e = 0. A row (n, cells) multiplies in
-    h_n by the scan F[e] = F[e] (+) k (x) F[e - unit_j] along axis j for
-    each cell (j, k), skipping axes of extent 0, then resets to
-    `ring.zero` every state whose total is not the mass of the rows so
-    far. The box then holds, at each e, the `ring` sum over those rows'
-    placements with column sums e.
+    Axis 0 holds one slab e <= extent per row histogram counts[t], each
+    starting at `ring.one` on e = 0. A row (i, cells) multiplies
+    h_{counts[t, i]} into every slab by the scan
+    F[e] = F[e] (+) k (x) F[e - unit_j] along axis j for each cell (j, k),
+    skipping axes of extent 0; then, unless it is the last row, it resets
+    to `ring.zero` every state of slab t whose total is not the mass of
+    counts[t]'s rows so far. The scan leaves the live states of a slab
+    whose row i is empty as they were: each is scanned against states of
+    lower total, all `ring.zero`, and F (+) k (x) zero = F in every
+    semiring here. Each slab then holds, at each e, the `ring` sum over
+    its rows' placements with column sums e.
     """
-    f = np.full(tuple(e + 1 for e in extent), ring.zero, dtype=ring.dtype)
-    f[(0,) * r.d] = ring.one
+    d = len(extent)
+    f = np.full((len(counts),) + tuple(e + 1 for e in extent), ring.zero, dtype=ring.dtype)
+    f[(slice(None),) + (0,) * d] = ring.one
     totals = sum(
-        np.arange(e + 1).reshape((-1,) + (1,) * (r.d - 1 - j)) for j, e in enumerate(extent)
+        np.arange(e + 1).reshape((-1,) + (1,) * (d - 1 - j)) for j, e in enumerate(extent)
     )
+    # The slices of f across each axis j of extent > 0, as views.
+    lines = {
+        j: [f[(slice(None),) * (j + 1) + (e,)] for e in range(n + 1)]
+        for j, n in enumerate(extent)
+        if n
+    }
+    steps = {j: np.empty_like(at[0]) for j, at in lines.items()}
+    done = np.zeros((len(counts),) + (1,) * d, dtype=int)
     yield f
-    done = 0
-    for n, row in rows:
+    for pos, (i, cells) in enumerate(rows, 1):
         with np.errstate(over="ignore"):
-            for j, k in row:
-                if not extent[j]:
+            for j, k in cells:
+                if j not in lines:
                     continue
-                # Views of the slices along axis j; `...` keeps them arrays at d = 1.
-                axis = np.moveaxis(f, j, 0)
-                at = [axis[e, ...] for e in range(extent[j] + 1)]
-                step = np.empty_like(at[0])
-                for e in range(1, extent[j] + 1):
-                    if k == ring.one:
+                at, step = lines[j], steps[j]
+                if k == ring.one:
+                    for e in range(1, len(at)):
                         ring.plus(at[e], at[e - 1], out=at[e])
-                    else:
+                else:
+                    for e in range(1, len(at)):
                         ring.times(at[e - 1], k, out=step)
                         ring.plus(at[e], step, out=at[e])
-        done += n
-        # Every c has total N, so the last row needs no reset.
-        if done < r.mass:
+        done += counts[:, i].reshape(done.shape)
+        if pos < len(rows):
             f[totals != done] = ring.zero
         yield f
 
 
-def _generating_row(
-    r: Histogram,
-    cs: Sequence[Histogram],
+def _generating_values(
+    runs,
     weights: np.ndarray,
     ring: _Semiring,
     budget: EnumerationBudget | None,
-) -> list:
-    """[T(r, c) for c in cs] in `ring`: the state at e = c after every row of r.
+) -> Iterator[list[tuple[Histogram, Sequence[Histogram], list]]]:
+    """[(r, cs, [T(r, c) for c in cs]) for each run of a stack], per stack of `_boxes`.
 
-    T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d), h_n the
-    complete homogeneous polynomial of degree n. A weight equal to
-    `ring.zero` is never scanned, which keeps 0^0 = 1.
+    T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d) in `ring`, h_n
+    the complete homogeneous polynomial of degree n: slab t's state at
+    e = c after every row. A weight equal to `ring.zero` is never
+    scanned, which keeps 0^0 = 1.
     """
-    rows, boxes = _boxes(r, cs, weights, ring, budget)
-    values = []
-    for extent, group in boxes:
-        *_, f = _sweep(r, extent, rows, ring)  # one array, yielded once per row
-        values += [f.item(c.counts) for c in group]
-    return values
+    for stack in _boxes(runs, weights, ring, budget):
+        counts = np.array([r.counts for r, _ in stack.runs])
+        *_, f = _sweep(counts, stack.extent, stack.rows, ring)  # one array, yielded per row
+        yield [
+            (r, cs, [f.item((t,) + c.counts) for c in cs])
+            for t, (r, cs) in enumerate(stack.runs)
+        ]
 
 
 def _cheapest_table(
@@ -355,9 +408,9 @@ def _cheapest_table(
     """The first table of (r, c) in enumeration order of least cost <X, m>.
 
     The recurrence runs in `_MIN` on the costs over r's nonempty rows
-    bottom-up, never scanning a +inf cost, and keeps a copy of the box
-    before each nonempty row: the least cost of the rows below it at
-    each e. The plan is read top-down: each nonempty row takes the first
+    bottom-up, as a stack of one, never scanning a +inf cost, and keeps a
+    copy of its slab before each nonempty row: the least cost of the rows
+    below it at each e. The plan is read top-down: each nonempty row takes the first
     composition, in enumeration order, that minimizes its own cost plus
     the copy's at the residual, so exact ties go to the lexicographically
     earliest table. A +inf minimum means every table costs +inf, and the
@@ -365,9 +418,9 @@ def _cheapest_table(
     scanned, so the copies hold no more cells than `_boxes` admits.
     """
     budget = budget if budget is not None else EnumerationBudget()
-    rows, ((extent, _),) = _boxes(r, (c,), m, _MIN, budget)
-    sweep = _sweep(r, extent, rows[::-1], _MIN)
-    below = reversed([f.copy() for f in itertools.islice(sweep, len(rows))])
+    (stack,) = _boxes([(r, (c,))], m, _MIN, budget)
+    sweep = _sweep(np.array([r.counts]), stack.extent, stack.rows[::-1], _MIN)
+    below = reversed([f[0].copy() for f in itertools.islice(sweep, len(stack.rows))])
     costs = m.tolist()
     residual, entries = c.counts, []
     for i, n in enumerate(r.counts):
@@ -400,34 +453,8 @@ def count_tables(
     """
     require_compatible(r, c)
     ones = np.ones((r.d, r.d), dtype=object)
-    return _generating_row(r, (c,), ones, _EXACT, budget)[0]
-
-
-def _volume_row(
-    r: Histogram, cs: Sequence[Histogram], w: WeightSpec, budget: EnumerationBudget
-) -> list[float]:
-    """[T(r, c; K) for c in cs]: one row of a weighted-volume Gram matrix.
-
-    One dense generating-polynomial recurrence over the column exponents
-    gives the whole row: T(r, c) is its state at e = c, in a box shared
-    by the row or one per c under the budget rule of `_boxes`, which
-    raises BudgetExceededError before allocating. Every partial product
-    is at least kmin^N (kmin the smallest nonzero weight capped at 1, N
-    the mass). While that bound is a normal float the recurrence runs
-    on the weights; otherwise, and for any c whose float value is inf
-    or NaN (a partial product overflowed), it runs on log weights -m_ij
-    under logaddexp. 0^0 = 1 throughout.
-    """
-    values = [math.inf] * len(cs)
-    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
-    if r.mass * math.log(floor) >= math.log(sys.float_info.min):
-        values = _generating_row(r, cs, w.weight, _REAL, budget)
-    redo = [p for p, value in enumerate(values) if not value < math.inf]
-    if redo:
-        logs = _generating_row(r, [cs[p] for p in redo], -w.cost, _LOG, budget)
-        for p, log_value in zip(redo, logs):
-            values[p] = _safe_exp(log_value)
-    return values
+    ((_, _, (count,)),) = next(_generating_values([(r, (c,))], ones, _EXACT, budget))
+    return count
 
 
 def _rows(hs: Sequence[Histogram], pairs) -> Iterator[tuple[Histogram, list[Histogram]]]:
@@ -444,13 +471,39 @@ def weighted_volume_pairs(
 ) -> Iterator[float]:
     """T(hs[p], hs[q]; K) for each index pair (p, q) of pairs, in order.
 
-    Consecutive pairs with the same p share one recurrence, so the
-    row-major upper triangle of a Gram matrix runs one per row. p and q
-    index hs as a sequence does; one out of range raises IndexError.
+    Each run of consecutive pairs with the same p is one slab of a
+    generating-polynomial recurrence, and consecutive runs share one
+    stacked box under the rule of `_boxes`, which raises
+    BudgetExceededError before allocating one. Every partial product is
+    at least kmin^N (kmin the smallest nonzero weight capped at 1, N the
+    mass). While that bound is a normal float the recurrence runs on the
+    weights; otherwise, and for any pair whose float value is inf or NaN
+    (a partial product overflowed), it runs on log weights -m_ij under
+    logaddexp. 0^0 = 1 throughout. p and q index hs as a sequence does;
+    one out of range raises IndexError.
     """
     require_family(hs, w)
     budget = budget if budget is not None else EnumerationBudget()
-    return (value for r, cs in _rows(hs, pairs) for value in _volume_row(r, cs, w, budget))
+    runs = _rows(hs, pairs)
+    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
+    if hs and hs[0].mass * math.log(floor) < math.log(sys.float_info.min):
+        return _log_volumes(runs, w, budget)
+    return _volumes(runs, w, budget)
+
+
+def _volumes(runs, w: WeightSpec, budget: EnumerationBudget) -> Iterator[float]:
+    """T(r, c; K) for each pair of runs on the weights; a pair that overflows is redone in logs."""
+    for stack in _generating_values(runs, w.weight, _REAL, budget):
+        redo = [(r, [c for c, v in zip(cs, vs) if not v < math.inf]) for r, cs, vs in stack]
+        logs = _log_volumes([run for run in redo if run[1]], w, budget)
+        for _, _, vs in stack:
+            yield from (v if v < math.inf else next(logs) for v in vs)
+
+
+def _log_volumes(runs, w: WeightSpec, budget: EnumerationBudget) -> Iterator[float]:
+    """T(r, c; K) for each pair of runs, from the recurrence on log weights -m_ij."""
+    stacks = _generating_values(runs, -w.cost, _LOG, budget)
+    return (_safe_exp(v) for stack in stacks for _, _, vs in stack for v in vs)
 
 
 def weighted_volume(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -268,6 +269,82 @@ def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, caps
         capsys.readouterr()
         assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {out / 'manifest.json'}: {NOT_STRINGS}\n"
+
+
+def test_manifest_replay_refuses_changed_inputs(tmp_path, hists3, weights3, capsys):
+    # the manifest holds the SHA-256 of both files' bytes; a replay after
+    # either changed exits 1 and leaves every artifact as it was, and an
+    # unchanged replay rewrites all three byte for byte
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = read_json(out / "manifest.json")
+    for path, key in ((hists3, "input_sha256"), (weights3, "weights_sha256")):
+        assert manifest[key] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    artifacts = ("gram.csv", "certificate.json", "manifest.json")
+    saved = tmp_path / "manifest.json"
+    saved.write_bytes((out / "manifest.json").read_bytes())
+
+    def state():
+        return {name: ((out / name).read_bytes(), os.stat(out / name).st_mtime_ns)
+                for name in artifacts}
+
+    before = state()
+    edits = ((hists3, "1,2,1\n0,3,1\n2,1,1\n"),
+             (weights3, "mode: weight\n1.0,0.5,0.2\n0.5,1.0,0.5\n0.2,0.5,1.0\n"))
+    for path, edited in edits:
+        text = Path(path).read_text()
+        Path(path).write_text(edited)
+        capsys.readouterr()
+        assert run_from_manifest(saved) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {saved}: {path} changed since the run\n"
+        assert state() == before
+        Path(path).write_text(text)
+    # a file that cannot be read any more has changed too
+    text = Path(hists3).read_text()
+    Path(hists3).unlink()
+    assert run_from_manifest(saved) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {saved}: {hists3} changed since the run\n"
+    assert state() == before
+    Path(hists3).write_text(text)
+    original = {name: data for name, (data, _) in before.items()}
+    for name in artifacts:
+        (out / name).unlink()
+    assert run_from_manifest(saved) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in artifacts} == original
+
+
+@pytest.mark.parametrize("key", ["input_sha256", "weights_sha256"])
+def test_manifest_without_digest_is_input_error(tmp_path, hists3, weights3, capsys, key):
+    out = tmp_path / "out"
+    main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+          "--out", str(out)])
+    manifest = read_json(out / "manifest.json")
+    gram = (out / "gram.csv").read_bytes()
+    for digest in (None, 7):
+        manifest.pop(key, None)
+        if digest is not None:
+            manifest[key] = digest
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_from_manifest(out / "manifest.json") == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {out / 'manifest.json'}: manifest has no '{key}' string\n"
+        )
+        assert (out / "gram.csv").read_bytes() == gram
+
+
+def test_manifest_of_another_subcommand_is_input_error(tmp_path, pair, weights3, capsys):
+    # only gram runs record manifests; an ot command line with digests of
+    # unchanged files is still refused, before it runs
+    argv = ["ot", f"--input={pair}", f"--weights={weights3}", f"--out={tmp_path / 'out'}"]
+    digests = {key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+               for path, key in ((pair, "input_sha256"), (weights3, "weights_sha256"))}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"argv": argv, **digests}))
+    assert run_from_manifest(path) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {path}: manifest 'argv' is not a gram run\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gram_pseudo_indefinite_exits_2_with_artifacts(tmp_path, capsys):
@@ -646,6 +723,21 @@ def test_gram_csv_bytes_match_per_scalar_repr(tmp_path):
         path = tmp_path / "g.csv"
         fileio.write_gram_csv(path, values)
         lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(values)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_gram_csv_symmetric_bytes_match_per_scalar_repr(tmp_path):
+    # a matrix bitwise equal to its transpose reuses each upper entry's text
+    # for its mirror; -0.0 opposite 0.0 compares equal but is not bitwise
+    # equal, so its text must not be reused
+    dense = np.random.default_rng(76).random((75, 75)) * 10.0 ** np.arange(-37, 38)
+    mirrored = np.triu(dense) + np.triu(dense, 1).T
+    special = np.array([[-0.0, 5e-324, 1e16], [5e-324, 1 / 3, 0.0], [1e16, -0.0, 2.5]])
+    assert (mirrored == mirrored.T).all() and (special == special.T).all()
+    for values in (mirrored, special, np.array([[1 / 3]]), np.zeros((0, 0))):
+        path = tmp_path / "g.csv"
+        fileio.write_gram_csv(path, values)
+        lines = [",".join(repr(float(v)) for v in row) for row in values]
         assert path.read_text() == "\n".join(lines) + "\n"
 
 

@@ -295,6 +295,34 @@ def test_pseudo_kernel_bounded_by_volume():
         assert pseudo_kernel(r, c, w) <= weighted_volume(r, c, w) * (1 + 1e-12)
 
 
+@st.composite
+def _off_monge_families(draw):
+    """A family under costs that are not Monge, with +inf entries and ties."""
+    d = draw(st.integers(2, 5))
+    mass = draw(st.integers(0, 8))
+
+    def histogram():
+        units = draw(st.lists(st.integers(0, d - 1), min_size=mass, max_size=mass))
+        return Histogram(tuple(units.count(j) for j in range(d)))
+
+    hists = [histogram() for _ in range(draw(st.integers(1, 6)))]
+    entries = st.sampled_from([0.0, 1.0, 0.25, 2.5, math.inf])
+    m = draw(st.lists(entries, min_size=d * d, max_size=d * d))
+    return hists, WeightSpec.from_cost(np.reshape(m, (d, d)))
+
+
+@given(_off_monge_families())
+@settings(max_examples=150, deadline=None)
+def test_stacked_pseudo_matches_one_pair_values(case):
+    # the (min, +) rows of a family share stacked boxes; each value is bit
+    # for bit the one its pair gets alone
+    hists, w = case
+    assume(not monge_check(w))
+    pairs = [(p, q) for p in range(len(hists)) for q in range(p, len(hists))]
+    values = list(pseudo_kernel_pairs(hists, pairs, w))
+    assert values == [pseudo_kernel(hists[p], hists[q], w) for p, q in pairs]
+
+
 def test_zero_mass_transport():
     r = Histogram((0, 0))
     sol = ot_cost(r, r, total_variation_cost(2))

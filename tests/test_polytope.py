@@ -242,6 +242,86 @@ def test_volume_row_reruns_only_overflowing_columns():
     assert row == [math.inf, 1e10 + 1e300 * 1e-5, 1.0 * 1e-5]
 
 
+def _triangle(m: int) -> list[tuple[int, int]]:
+    return [(p, q) for p in range(m) for q in range(p, m)]
+
+
+@st.composite
+def _stacked_families(draw):
+    """A family whose rows are empty in some histograms and not in others,
+    under weights that include zeros and exact ones."""
+    d = draw(st.integers(1, 5))
+    mass = draw(st.integers(0, 8))
+
+    def histogram():
+        units = draw(st.lists(st.integers(0, d - 1), min_size=mass, max_size=mass))
+        return Histogram(tuple(units.count(j) for j in range(d)))
+
+    hists = [histogram() for _ in range(draw(st.integers(1, 6)))]
+    entries = st.sampled_from([0.0, 1.0, 0.25, 0.7, 3.0])
+    k = draw(st.lists(entries, min_size=d * d, max_size=d * d))
+    return hists, WeightSpec.from_weight(np.reshape(k, (d, d)))
+
+
+@given(_stacked_families())
+@settings(max_examples=150, deadline=None)
+def test_stacked_volume_matches_one_pair_values(case):
+    # the rows of a family share stacked boxes; each value is bit for bit the
+    # one its pair gets alone
+    hists, w = case
+    values = list(weighted_volume_pairs(hists, _triangle(len(hists)), w))
+    assert values == [weighted_volume(hists[p], hists[q], w) for p, q in _triangle(len(hists))]
+
+
+def test_stacked_volume_matches_one_pair_values_on_log_and_edge_families():
+    # log weights, pairs redone in logs beside float ones, forbidden pairs,
+    # one bin and zero mass
+    cases = list(_volume_row_cases()) + [
+        ([Histogram((n,)) for n in (5, 5, 5)], WeightSpec.from_weight([[0.7]])),
+        ([Histogram((0, 0, 0))] * 3, random_psd_weight(np.random.default_rng(2), 3)),
+    ]
+    for hists, w in cases:
+        values = list(weighted_volume_pairs(hists, _triangle(len(hists)), w))
+        assert values == [weighted_volume(hists[p], hists[q], w) for p, q in _triangle(len(hists))]
+
+
+def test_budget_between_row_and_stack_boxes_splits_the_stack(monkeypatch):
+    # every weight is nonzero, so each nonempty row passes once per axis of
+    # extent > 0: row p alone needs prod(e_j + 1) * passes over the box
+    # e <= max over its columns; the six rows together need more
+    import transportkernels.polytope as polytope
+
+    rng = np.random.default_rng(23)
+    hists = [random_histogram(rng, 3, 5) for _ in range(6)]
+    w = random_psd_weight(rng, 3)
+    pairs = _triangle(6)
+
+    def updates(rows, cols):
+        extent = [max(c.counts[j] for c in cols) for j in range(3)]
+        passes = sum(sum(1 for e in extent if e) or 1
+                     for i in range(3) if any(r.counts[i] for r in rows))
+        return len(rows) * math.prod(e + 1 for e in extent) * passes
+
+    alone = max(updates([hists[p]], hists[p:]) for p in range(6))
+    together = updates(hists, hists)
+    assert alone < together
+    heights = []
+    sweep = polytope._sweep
+
+    def recorded_sweep(counts, *args):
+        heights.append(len(counts))
+        return sweep(counts, *args)
+
+    monkeypatch.setattr(polytope, "_sweep", recorded_sweep)
+    whole = list(weighted_volume_pairs(hists, pairs, w, EnumerationBudget(together)))
+    assert heights == [6]
+    heights.clear()
+    assert list(weighted_volume_pairs(hists, pairs, w, EnumerationBudget(alone))) == whole
+    assert len(heights) > 1 and sum(heights) == 6
+    # one less, and the widest row gives each of its columns a box of its own
+    assert list(weighted_volume_pairs(hists, pairs, w, EnumerationBudget(alone - 1))) == whole
+
+
 @pytest.mark.parametrize("kernel", ["volume", "pseudo"])
 def test_row_budget_counts_visits_made(kernel):
     # both kernels run the recurrence on the same boxes: every weight is

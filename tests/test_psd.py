@@ -188,27 +188,26 @@ def test_psd_weight_check():
 
 def test_build_gram_evaluates_upper_triangle_once(monkeypatch):
     # one kernel call with the whole family and the row-major upper triangle;
-    # the volume stream runs one recurrence per row, over the suffix that
-    # starts at it
+    # the volume stream sweeps the rows of a small family in one stacked box,
+    # whose slab p runs row p's histogram against the suffix that starts at it
     rng = np.random.default_rng(71)
     hists = [random_histogram(rng, 3, 4) for _ in range(5)]
     w = random_psd_weight(rng, 3)
-    calls, row_calls = [], []
-    volume_row = polytope._volume_row
+    calls, sweeps = [], []
+    sweep = polytope._sweep
 
-    def recorded_row(r, cs, *args):
-        row_calls.append((r, list(cs)))
-        return volume_row(r, cs, *args)
+    def recorded_sweep(counts, *args):
+        sweeps.append(counts.tolist())
+        return sweep(counts, *args)
 
     def kernel(hs, pairs):
         calls.append((list(hs), [tuple(pair) for pair in pairs.tolist()]))
         return weighted_volume_pairs(hs, pairs, w)
 
-    monkeypatch.setattr(polytope, "_volume_row", recorded_row)
+    monkeypatch.setattr(polytope, "_sweep", recorded_sweep)
     gram = build_gram(hists, kernel, "volume")
     assert calls == [(hists, [(p, q) for p in range(5) for q in range(p, 5)])]
-    assert row_calls == [(hists[p], hists[p:]) for p in range(5)]
-    assert sum(len(cs) for _, cs in row_calls) == 5 * 6 // 2
+    assert sweeps == [[list(h.counts) for h in hists]]
     for p in range(5):
         for q in range(p, 5):
             value = weighted_volume(hists[p], hists[q], w)
