@@ -64,7 +64,6 @@ from .psd import (
     PsdCertificate,
     build_gram,
     certify_psd,
-    dataset_digest,
     psd_weight_check,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "certify_psd",
     "chi",
     "count_tables",
-    "dataset_digest",
     "enumerate_tables",
     "fisher_yates",
     "generating_function",

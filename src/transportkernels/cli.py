@@ -186,7 +186,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         "argv": _recorded_argv(args),
         **digests,
         "kernel_id": gram.kernel_id,
-        "dataset_hash": gram.dataset_hash,
         "certificate": certificate.to_dict(),
         "artifacts": ["gram.csv", "certificate.json"],
     }

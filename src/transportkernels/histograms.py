@@ -18,7 +18,6 @@ the content of the second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -214,21 +213,24 @@ class ContingencyTable:
     def cost(self, m: np.ndarray) -> float:
         """Frobenius inner product with a cost matrix.
 
-        Zero entries contribute nothing even where the cost is +inf,
-        matching the convention that unused routes are free to be
-        infinitely expensive.
+        The products x_ij * m_ij of the nonzero cells are added left to
+        right in row-major order, rounding at every add, so a sum too large
+        for a float is inf. The loop is explicit: from Python 3.12 the
+        builtin sum() of floats is compensated. Zero entries contribute
+        nothing even where the cost is +inf, matching the convention that
+        unused routes are free to be infinitely expensive.
         """
         m = np.asarray(m, dtype=float)
         if m.shape != (self.d, self.d):
             raise DimensionMismatchError(
                 f"cost matrix of shape {m.shape} priced against a {self.d}x{self.d} table"
             )
-        return math.fsum(
-            v * float(m[i, j])
-            for i, row in enumerate(self.entries)
-            for j, v in enumerate(row)
-            if v
-        )
+        total = 0.0
+        for row, costs in zip(self.entries, m.tolist()):
+            for v, cost in zip(row, costs):
+                if v:
+                    total += v * cost
+        return total
 
 
 def canonical_sequence(r: Histogram) -> IndexSequence:

@@ -16,7 +16,6 @@ of a recurrence whose stacked box consecutive runs share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -95,10 +94,18 @@ def ot_cost(
 
 
 def _corner_values(hs: Sequence[Histogram], pairs, m: np.ndarray) -> Iterator[float]:
-    """exp(-cost) of the corner vertex of each pair of hs, segments summed with fsum."""
+    """exp(-cost) of the corner vertex of each pair of hs, as ContingencyTable.cost sums it.
+
+    The staircase visits cells in row-major order, so column adds left to
+    right give that sum bit for bit; sum(axis=1) goes pairwise at 8 terms.
+    """
     identity = np.arange(len(m))[None, :]
     for priced in _staircases(hs, pairs, identity, m):
-        yield from (_safe_exp(-math.fsum(segments)) for segments in priced.tolist())
+        total = priced[:, 0].copy()
+        with np.errstate(over="ignore"):  # a sum too large for a float is inf
+            for k in range(1, priced.shape[1]):
+                total += priced[:, k]
+        yield from map(_safe_exp, (-total).tolist())
 
 
 def pseudo_kernel_pairs(
@@ -111,7 +118,7 @@ def pseudo_kernel_pairs(
 
     The costs are checked for the Monge property once. On Monge costs
     one staircase stream prices the corner vertex of every pair, its
-    nonzero segments summed with fsum as ContingencyTable.cost sums them;
+    segments summed in row-major order as ContingencyTable.cost sums them;
     masses too large for the merge keys raise ValidationError. Other
     costs run the (min, +) recurrence with each run of consecutive pairs
     with the same p as one slab of a stacked box, under the rule of

@@ -459,6 +459,8 @@ def count_tables(
 
 def _rows(hs: Sequence[Histogram], pairs) -> Iterator[tuple[Histogram, list[Histogram]]]:
     """(hs[p], [hs[q], ...]) for each run of consecutive index pairs (p, q) sharing p."""
+    # Grouping an array's rows would build a numpy row and scalars per pair.
+    pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else pairs
     for p, run in itertools.groupby(pairs, key=operator.itemgetter(0)):
         yield hs[p], [hs[q] for _, q in run]
 

@@ -9,7 +9,6 @@ so each eigenvalue is accurate to a small multiple of eps * norm(G).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,12 +23,6 @@ from .polytope import WeightSpec, require_family
 KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
 
 SYMMETRY_REL_TOL = 1e-12
-
-
-def dataset_digest(histograms: Sequence[Histogram]) -> str:
-    """SHA-256 over a canonical rendering of the histogram list."""
-    text = "\n".join(",".join(str(v) for v in h.counts) for h in histograms)
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _symmetric(values, what: str) -> np.ndarray:
@@ -59,7 +52,7 @@ def _symmetric(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix tagged with its provenance.
+    """Symmetric kernel matrix tagged with the kernel that made it.
 
     Construction rejects an unknown kernel_id, a matrix that is not
     square and nonempty, non-finite entries, and asymmetry beyond 1e-12
@@ -70,7 +63,6 @@ class GramMatrix:
 
     values: np.ndarray
     kernel_id: str
-    dataset_hash: str = ""
 
     def __post_init__(self) -> None:
         if self.kernel_id not in KERNEL_IDS:
@@ -172,20 +164,22 @@ def build_gram(
     m = len(histograms)
     pairs = np.transpose(np.triu_indices(m))
 
-    def evaluate():  # calls the kernel at the first value, so its failure names row 0
-        yield from kernel(histograms, pairs)
-
-    stream = evaluate()
-
-    def take(p: int, count: int) -> list[float]:
+    def guarded(p: int, read: Callable):
         try:
-            return [float(v) for v in itertools.islice(stream, count)]
+            return read()
         except BudgetExceededError:
             raise
         except Exception as exc:
             raise KernelEvaluationError(
                 f"kernel evaluation failed at row {p}: {exc}"
             ) from exc
+
+    stream = guarded(0, lambda: iter(kernel(histograms, pairs)))
+
+    def take(p: int, count: int) -> np.ndarray:
+        # float() first: fromiter would read None as NaN
+        floats = map(float, itertools.islice(stream, count))
+        return guarded(p, lambda: np.fromiter(floats, float))
 
     values = np.zeros((m, m))
     for p in range(m):
@@ -196,10 +190,8 @@ def build_gram(
             )
         values[p, p:] = row
         values[p:, p] = row
-    if take(m - 1, 1):
+    if take(m - 1, 1).size:
         raise KernelEvaluationError(
             f"kernel returned more than the {len(pairs)} values of the upper triangle"
         )
-    return GramMatrix(
-        values=values, kernel_id=kernel_id, dataset_hash=dataset_digest(histograms)
-    )
+    return GramMatrix(values=values, kernel_id=kernel_id)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transportkernels import ParseError, fileio, monge_check, polytope
+from transportkernels import Histogram, ParseError, fileio, monge_check, nw_table, polytope
 from transportkernels.cli import (
     EXIT_BUDGET,
     EXIT_CERT_FAIL,
@@ -71,7 +71,9 @@ def test_gram_volume_end_to_end(tmp_path, hists3, weights3, capsys):
     assert cert["verdict"] == "pass"
     manifest = read_json(out / "manifest.json")
     assert manifest["kernel_id"] == "volume"
-    assert len(manifest["dataset_hash"]) == 64
+    assert set(manifest) == {
+        "argv", "input_sha256", "weights_sha256", "kernel_id", "certificate", "artifacts"
+    }
     assert manifest["argv"][0] == "gram"
     assert "--kernel=volume" in manifest["argv"]
     assert manifest["artifacts"] == ["gram.csv", "certificate.json"]
@@ -100,7 +102,9 @@ def test_gram_seed_changes_nw_output(tmp_path, hists3, weights3):
 
 
 # gram.csv bytes recorded before the Gram stream replaced the per-row kernels:
-# corner-rule (|R| = 5), Monge and non-Monge pseudo, and volume, on one family
+# corner-rule (|R| = 5), Monge and non-Monge pseudo, and volume, on one family.
+# Monge entry (2, 4) was re-recorded when a table's cost became its cells'
+# row-major ordered sum instead of their exactly rounded sum.
 GOLDEN_HISTOGRAMS = "3,0,2,1\n1,2,2,1\n0,4,1,1\n2,2,0,2\n1,1,1,3\n"
 GOLDEN_GRAMS = {
     "nw": (
@@ -120,9 +124,9 @@ GOLDEN_GRAMS = {
         (
             b"1.0,0.38289288597511206,0.14660696213035015,0.23692775868212176,0.07280286282743559\n"
             b"0.38289288597511206,1.0,0.38289288597511206,0.23692775868212176,0.23692775868212176\n"
-            b"0.14660696213035015,0.38289288597511206,1.0,0.23692775868212176,0.07280286282743559\n"
+            b"0.14660696213035015,0.38289288597511206,1.0,0.23692775868212176,0.07280286282743562\n"
             b"0.23692775868212176,0.23692775868212176,0.23692775868212176,1.0,0.11765484302177924\n"
-            b"0.07280286282743559,0.23692775868212176,0.07280286282743559,0.11765484302177924,1.0\n"
+            b"0.07280286282743559,0.23692775868212176,0.07280286282743562,0.11765484302177924,1.0\n"
         ),
     ),
     "scan": (
@@ -162,6 +166,33 @@ def test_gram_csv_matches_recorded_bytes(tmp_path, name):
             "--r-size", "5", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert (out / "gram.csv").read_bytes() == expected
+
+
+def test_monge_pseudo_gram_is_exp_of_the_corner_vertex_cost(tmp_path):
+    # 0.1 (i - j)^2 is Monge. The corner vertex of (3,0,0,0) and (0,1,1,1) costs
+    # 0.1 + 0.4 + 0.9 = 1.4 added in row-major order, where fsum gives 1.4000000000000001
+    counts = ((3, 0, 0, 0), (0, 1, 1, 1), (0, 1, 0, 2), (2, 1, 0, 0))
+    i = np.arange(4)
+    m = 0.1 * np.subtract.outer(i, i) ** 2
+    hists = write(tmp_path / "h.txt", "".join(",".join(map(str, h)) + "\n" for h in counts))
+    w = write(tmp_path / "w.txt", "mode: cost\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in m.tolist()))
+    assert monge_check(fileio.parse_weights(w))
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists, "--weights", w, "--kernel", "pseudo",
+                 "--out", str(out)]) in (EXIT_OK, EXIT_CERT_FAIL)
+    gram = [[float(v) for v in line.split(",")]
+            for line in (out / "gram.csv").read_text().splitlines()]
+    hs = [Histogram(h) for h in counts]
+    exact = 0
+    for p in range(4):
+        for q in range(p, 4):
+            table = nw_table(hs[p], hs[q])
+            assert gram[p][q] == math.exp(-table.cost(m))
+            terms = [v * m[a, b] for a, row in enumerate(table.entries)
+                     for b, v in enumerate(row)]
+            exact += gram[p][q] == math.exp(-math.fsum(terms))
+    assert exact < 10
 
 
 def test_negative_seed_is_input_error(tmp_path, hists3, weights3, capsys):

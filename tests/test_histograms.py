@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -134,6 +136,16 @@ def test_contingency_table_cost_skips_zero_entries():
     t = ContingencyTable(((2, 0), (0, 1)))
     m = ((0.5, float("inf")), (float("inf"), 0.25))
     assert t.cost(m) == 2 * 0.5 + 1 * 0.25
+
+
+def test_contingency_table_cost_adds_cells_in_row_major_order():
+    t = ContingencyTable(((1, 1, 1), (0, 0, 0), (0, 0, 0)))
+    m = ((1e16, 1.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    # each 1e16 + 1 rounds back to 1e16; the exactly rounded sum is 1e16 + 2
+    assert t.cost(m) == 1e16
+    assert math.fsum(m[0]) == 1.0000000000000002e16
+    # two finite products whose sum overflows give inf, not OverflowError
+    assert ContingencyTable(((1, 0), (0, 1))).cost(((1e308, 1e308), (1e308, 1e308))) == math.inf
 
 
 @given(st.integers(2, 5), st.integers(0, 12), st.integers(0, 2 ** 31 - 1))

@@ -110,7 +110,7 @@ def test_monge_pseudo_row_matches_corner_vertex():
         cases.append(([random_histogram(rng, d, mass) for _ in range(8)],
                       integer_monge_cost(rng, d, lam=int(rng.integers(0, 3)))))
     for _ in range(10):
-        # real costs, where only an exactly rounded sum matches the vertex
+        # real costs, where only a sum in the table's row-major order matches the vertex
         d = int(rng.integers(3, 9))
         x = np.arange(d) + 0.5 * rng.random(d)
         lam = rng.random() + 0.1
@@ -188,6 +188,16 @@ def test_non_monge_pseudo_on_real_costs_matches_transport_to_rounding():
         )
         checked += 1
     assert checked
+
+
+def test_monge_cost_whose_sum_overflows_is_inf():
+    # two finite cells of the corner vertex add past the float range
+    w = WeightSpec.from_cost(np.full((2, 2), 1e308))
+    assert monge_check(w)
+    r = Histogram((1, 1))
+    assert ot_cost(r, r, w).cost == math.inf
+    assert pseudo_kernel(r, r, w) == 0.0
+    assert list(pseudo_kernel_pairs([r, r], [(0, 1), (1, 1)], w)) == [0.0, 0.0]
 
 
 def test_monge_pseudo_rejects_mass_beyond_keys():

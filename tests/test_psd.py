@@ -14,7 +14,6 @@ from transportkernels import (
     WeightSpec,
     build_gram,
     certify_psd,
-    dataset_digest,
     monge_check,
     nw_kernel,
     nw_kernel_pairs,
@@ -266,6 +265,14 @@ def test_build_gram_names_the_failing_row():
         build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0], "volume")
 
 
+@pytest.mark.parametrize("bad", [None, "x", np.array([1.0, 2.0])])
+def test_build_gram_names_the_row_of_a_value_that_is_not_a_float(bad):
+    hists = [Histogram((1, 1)), Histogram((2, 0)), Histogram((0, 2))]
+    # row 0 takes the first three values, row 1 the next two
+    with pytest.raises(KernelEvaluationError, match="failed at row 1: "):
+        build_gram(hists, lambda hs, pairs: [1.0, 0.5, 0.5, bad, 0.5, 1.0], "volume")
+
+
 def test_row_kernel_grams_equal_pairwise_grams():
     # the family streams against one-pair calls, which share no box
     rng = np.random.default_rng(79)
@@ -353,13 +360,6 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
             with pytest.raises(IndexError):
                 list(stream(hists, [(beyond, 0)]))
         assert list(stream([], [])) == []
-
-
-def test_dataset_digest_is_order_sensitive_and_stable():
-    h1, h2 = Histogram((1, 2)), Histogram((2, 1))
-    assert dataset_digest([h1, h2]) == dataset_digest([h1, h2])
-    assert dataset_digest([h1, h2]) != dataset_digest([h2, h1])
-    assert len(dataset_digest([h1])) == 64
 
 
 def test_volume_gram_psd_for_psd_weights():
