@@ -15,13 +15,15 @@ every parsed option as --name=value: a command line that
 `run_from_manifest` replays through the same parser. --input, --weights
 and --out are parsed to absolute paths, so the replay reads and writes
 the same files from any working directory. The manifest also records
-the SHA-256 of the --input and --weights files, and a replay refuses
-files that changed since the run.
+the SHA-256 of the bytes the run read and parsed from the --input and
+--weights files, each read once, and a replay refuses files that
+changed since the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
@@ -164,10 +166,11 @@ def _parse_permutation(flag: str, text: str) -> Permutation:
 def cmd_gram(args: argparse.Namespace) -> int:
     # Fail on arguments before the Gram and its certificate are computed.
     require_tolerance(args.tolerance)
-    histograms = fileio.parse_histograms(args.input)
-    w = fileio.parse_weights(args.weights, args.weights_mode)
-    # Digested as they are parsed, not after a long run they may outlast.
-    digests = {key: fileio.file_sha256(getattr(args, name)) for name, key in _DIGESTS}
+    # Each file is read once: the digests are of the very bytes parsed.
+    data = {name: fileio.read_bytes(getattr(args, name)) for name, _ in _DIGESTS}
+    histograms = fileio.parse_histograms(args.input, data["input"])
+    w = fileio.parse_weights(args.weights, args.weights_mode, data["weights"])
+    digests = {key: hashlib.sha256(data[name]).hexdigest() for name, key in _DIGESTS}
     budget = EnumerationBudget(args.budget)
     d = histograms[0].d
     if args.kernel == "volume":
@@ -305,7 +308,7 @@ def _check_inputs(manifest: dict, args: argparse.Namespace) -> None:
             raise ValidationError(f"manifest has no '{key}' string")
         path = getattr(args, name)
         try:
-            unchanged = fileio.file_sha256(path) == manifest[key]
+            unchanged = hashlib.sha256(Path(path).read_bytes()).hexdigest() == manifest[key]
         except OSError:
             unchanged = False
         if not unchanged:

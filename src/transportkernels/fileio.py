@@ -5,12 +5,17 @@ nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files optionally start with
 a "mode: cost" or "mode: weight" header followed by a square block of
 comma-separated reals. All parse failures carry the path and 1-based
-line number.
+line number. A caller that also digests a file reads its bytes once
+with `read_bytes` and passes them to the parser, so that the digest is
+of the bytes parsed.
+
+A Gram CSV holds one matrix row per line, each float written as its
+`repr`. Each distinct 64-bit pattern is formatted once, so writing
+costs one `repr` per distinct value plus a gather over the entries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Sequence
@@ -22,11 +27,16 @@ from .histograms import Histogram
 from .polytope import WeightSpec
 
 
-def _data_lines(path: Path) -> list[tuple[int, str]]:
+def read_bytes(path: str | Path) -> bytes:
+    """A file's bytes; a file that cannot be read is a ParseError at line 1."""
     try:
-        text_blob = path.read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(str(path), 1, f"cannot read file: {exc}") from None
+
+
+def _data_lines(path: Path, data: bytes | None) -> list[tuple[int, str]]:
+    text_blob = (read_bytes(path) if data is None else data).decode()
     lines = []
     for lineno, raw in enumerate(text_blob.splitlines(), start=1):
         text = raw.strip()
@@ -36,10 +46,11 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
     return lines
 
 
-def parse_histograms(path: str | Path) -> list[Histogram]:
+def parse_histograms(path: str | Path, data: bytes | None = None) -> list[Histogram]:
+    """Read the histograms of `path`, or of `data`, its bytes already read."""
     path = Path(path)
     histograms = []
-    for lineno, text in _data_lines(path):
+    for lineno, text in _data_lines(path, data):
         fields = [f.strip() for f in text.split(",")]
         try:
             counts = tuple(int(f) for f in fields)
@@ -55,14 +66,17 @@ def parse_histograms(path: str | Path) -> list[Histogram]:
     return histograms
 
 
-def parse_weights(path: str | Path, mode: str | None = None) -> WeightSpec:
+def parse_weights(
+    path: str | Path, mode: str | None = None, data: bytes | None = None
+) -> WeightSpec:
     """Read a square matrix, resolving cost-vs-weight from header and/or flag.
 
     A "mode:" header in the file wins; a flag passed alongside must
-    agree with it. Headerless files require the flag.
+    agree with it. Headerless files require the flag. `data`, when
+    given, is the file's bytes already read, parsed in place of the file.
     """
     path = Path(path)
-    lines = _data_lines(path)
+    lines = _data_lines(path, data)
     header_mode = None
     if lines and lines[0][1].lower().startswith("mode:"):
         header_mode = lines[0][1].split(":", 1)[1].strip().lower()
@@ -113,27 +127,19 @@ def format_table_row(entries: Sequence[Sequence[int]]) -> str:
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:
     """One matrix row per line; floats via repr so reruns are byte-identical.
 
-    A square matrix bitwise equal to its transpose, as `build_gram`
-    makes every Gram matrix, formats each upper-triangle entry once and
-    reuses its text for the mirror entry.
+    Each distinct 64-bit pattern is formatted once and its text reused
+    wherever the pattern occurs: at the mirror entries of a Gram matrix
+    and at every repeated kernel value. Patterns, not values, are the
+    key, so -0.0 keeps its own text beside 0.0.
     """
-    values = np.asarray(values, dtype=float)
-    rows = values.tolist()
-    if values.ndim == 2 and values.shape[0] == values.shape[1] and (
-        values.view(np.int64) == values.T.view(np.int64)
-    ).all():
-        upper = [list(map(repr, row[p:])) for p, row in enumerate(rows)]
-        lines = [
-            ",".join([upper[q][p - q] for q in range(p)] + upper[p]) for p in range(len(rows))
-        ]
-    else:
-        lines = [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"a Gram CSV holds a 2-D matrix, not {values.ndim}-D")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    # numpy releases differ in the inverse's shape: flat or the input's
+    rows = texts[inverse.reshape(values.shape)].tolist()
+    Path(path).write_text("\n".join(map(",".join, rows)) + "\n")
 
 
 def write_json(path: str | Path, payload: dict) -> None:

@@ -345,6 +345,42 @@ def test_manifest_replay_refuses_changed_inputs(tmp_path, hists3, weights3, caps
     assert {name: (out / name).read_bytes() for name in artifacts} == original
 
 
+def test_gram_reads_each_input_file_once(tmp_path, hists3, weights3, monkeypatch):
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(os.path.abspath(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert opened.count(os.path.abspath(hists3)) == 1
+    assert opened.count(os.path.abspath(weights3)) == 1
+
+
+def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, hists3, weights3, monkeypatch):
+    # the input file is replaced right after it is parsed; the manifest must
+    # pin the three histograms the run read, not the four now on disk
+    parsed = Path(hists3).read_bytes()
+    real_parse = fileio.parse_histograms
+
+    def parse_then_replace(*args, **kwargs):
+        histograms = real_parse(*args, **kwargs)
+        Path(hists3).write_text("1,2,1\n0,3,1\n2,0,2\n4,0,0\n")
+        return histograms
+
+    monkeypatch.setattr(fileio, "parse_histograms", parse_then_replace)
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "volume",
+                 "--out", str(out)]) == EXIT_OK
+    assert len((out / "gram.csv").read_text().splitlines()) == 3
+    manifest = read_json(out / "manifest.json")
+    assert manifest["input_sha256"] == hashlib.sha256(parsed).hexdigest()
+    assert manifest["input_sha256"] != hashlib.sha256(Path(hists3).read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("key", ["input_sha256", "weights_sha256"])
 def test_manifest_without_digest_is_input_error(tmp_path, hists3, weights3, capsys, key):
     out = tmp_path / "out"
@@ -750,7 +786,14 @@ def test_gram_csv_bytes_match_per_scalar_repr(tmp_path):
     # the smallest subnormal, a large integer-valued float and inexact values
     special = np.array([[-0.0, 5e-324, 1e16], [0.1, 1 / 3, -2.5]])
     dense = np.random.default_rng(75).random((75, 75)) * 10.0 ** np.arange(-37, 38)
-    for values in (special, dense, np.array([[1 / 3]]), np.array([[2, 0], [0, 1]])):
+    # repeated values, with -0.0 and 0.0 where the mirror entry holds another value
+    repeated = np.random.default_rng(77).choice([0.5, 1 / 3, 2.0], (6, 6))
+    repeated[0, 1] = repeated[2, 4] = -0.0
+    repeated[5, 3] = repeated[3, 0] = 0.0
+    inputs = (special, dense, np.array([[1 / 3]]), np.array([[2, 0], [0, 1]]),
+              dense[:7, :5].T, dense[1:40:3, ::-4], np.asfortranarray(dense[:9, :11]),
+              repeated)
+    for values in inputs:
         path = tmp_path / "g.csv"
         fileio.write_gram_csv(path, values)
         lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(values)]
@@ -758,9 +801,9 @@ def test_gram_csv_bytes_match_per_scalar_repr(tmp_path):
 
 
 def test_gram_csv_symmetric_bytes_match_per_scalar_repr(tmp_path):
-    # a matrix bitwise equal to its transpose reuses each upper entry's text
-    # for its mirror; -0.0 opposite 0.0 compares equal but is not bitwise
-    # equal, so its text must not be reused
+    # a mirror entry bitwise equal to its upper entry shares that entry's
+    # text; -0.0 opposite 0.0 compares equal but is not bitwise equal, so
+    # each keeps its own text
     dense = np.random.default_rng(76).random((75, 75)) * 10.0 ** np.arange(-37, 38)
     mirrored = np.triu(dense) + np.triu(dense, 1).T
     special = np.array([[-0.0, 5e-324, 1e16], [5e-324, 1 / 3, 0.0], [1e16, -0.0, 2.5]])
@@ -770,6 +813,28 @@ def test_gram_csv_symmetric_bytes_match_per_scalar_repr(tmp_path):
         fileio.write_gram_csv(path, values)
         lines = [",".join(repr(float(v)) for v in row) for row in values]
         assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_gram_csv_formats_each_distinct_bit_pattern_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_repr(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    values = np.array([[0.5, 1 / 3, 0.5, -0.0], [2.0, 0.0, 1 / 3, 2.0], [0.5, 0.5, -0.0, 7.0]])
+    fileio.write_gram_csv(tmp_path / "g.csv", values)
+    assert len(calls) == len(set(values.view(np.int64).ravel().tolist())) == 6
+    monkeypatch.undo()
+    lines = [",".join(repr(float(v)) for v in row) for row in values]
+    assert (tmp_path / "g.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_gram_csv_refuses_an_array_that_is_not_2d(tmp_path):
+    for values in (np.array([0.5, 1.0]), np.float64(0.5), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            fileio.write_gram_csv(tmp_path / "g.csv", values)
 
 
 def test_manifest_round_trip_at_non_default_options(tmp_path, hists3):
