@@ -29,7 +29,6 @@ from .histograms import (
     canonical_sequence,
     chi,
     permuted_sequence,
-    require_compatible,
 )
 from .northwest import (
     PermutationSet,
@@ -55,6 +54,7 @@ from .polytope import (
     enumerate_tables,
     fisher_yates,
     generating_function,
+    require_family,
     softmin,
     weighted_volume,
     weighted_volume_pairs,
@@ -107,7 +107,7 @@ __all__ = [
     "pseudo_kernel",
     "pseudo_kernel_pairs",
     "psd_weight_check",
-    "require_compatible",
+    "require_family",
     "sample_permutations",
     "softmin",
     "weighted_volume",

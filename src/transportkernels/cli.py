@@ -199,13 +199,13 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     r, c = _load_pair(args)
-    budget = EnumerationBudget(args.budget)
-    out = _out_dir(args)
-    path = out / "tables.csv"
+    # Checks the pair before the output directory is made.
+    tables = enumerate_tables(r, c, EnumerationBudget(args.budget))
+    path = _out_dir(args) / "tables.csv"
     written = 0
     with path.open("w") as fh:
         try:
-            for table in enumerate_tables(r, c, budget):
+            for table in tables:
                 fh.write(fileio.format_table_row(table.entries) + "\n")
                 written += 1
         except BudgetExceededError as exc:

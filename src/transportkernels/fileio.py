@@ -4,10 +4,11 @@ Histogram files hold one histogram per line as comma-separated
 nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files optionally start with
 a "mode: cost" or "mode: weight" header followed by a square block of
-comma-separated reals. All parse failures carry the path and 1-based
-line number. A caller that also digests a file reads its bytes once
-with `read_bytes` and passes them to the parser, so that the digest is
-of the bytes parsed.
+comma-separated reals. Files are UTF-8 text. All parse failures carry
+the path and 1-based line number; a byte that is not UTF-8 is also
+named by its offset in the file. A caller that also digests a file
+reads its bytes once with `read_bytes` and passes them to the parser,
+so that the digest is of the bytes parsed.
 
 A Gram CSV holds one matrix row per line, each float written as its
 `repr`. Each distinct 64-bit pattern is formatted once, so writing
@@ -36,7 +37,16 @@ def read_bytes(path: str | Path) -> bytes:
 
 
 def _data_lines(path: Path, data: bytes | None) -> list[tuple[int, str]]:
-    text_blob = (read_bytes(path) if data is None else data).decode()
+    data = read_bytes(path) if data is None else data
+    try:
+        text_blob = data.decode()
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+        raise ParseError(
+            str(path),
+            data.count(b"\n", 0, bad) + 1,
+            f"not UTF-8 text: byte 0x{data[bad]:02x} at offset {bad}",
+        ) from None
     lines = []
     for lineno, raw in enumerate(text_blob.splitlines(), start=1):
         text = raw.strip()

@@ -23,12 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    LengthMismatchError,
-    MassMismatchError,
-    ValidationError,
-)
+from .errors import DimensionMismatchError, LengthMismatchError, ValidationError
 
 
 def _as_int(value, what: str) -> int:
@@ -73,19 +68,6 @@ class Histogram:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.counts) + "]"
-
-
-def require_compatible(r: Histogram, c: Histogram) -> None:
-    """Reject pairs that cannot share a transportation table."""
-    if r.d != c.d:
-        raise DimensionMismatchError(
-            f"histograms have {r.d} and {c.d} bins; tables are square"
-        )
-    if r.mass != c.mass:
-        raise MassMismatchError(
-            f"histogram masses differ ({r.mass} vs {c.mass}); "
-            "no table has both margins"
-        )
 
 
 @dataclass(frozen=True)

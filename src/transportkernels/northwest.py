@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .histograms import ContingencyTable, Histogram, Permutation, require_compatible
+from .histograms import ContingencyTable, Histogram, Permutation
 from .polytope import WeightSpec, require_family
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
@@ -126,7 +126,7 @@ def nw_table(r: Histogram, c: Histogram) -> ContingencyTable:
     At most 2d - 1 assignment steps; ties (row and column filling
     together) advance diagonally.
     """
-    require_compatible(r, c)
+    require_family((r, c))
     d = r.d
     row_res = list(r.counts)
     col_res = list(c.counts)
@@ -160,7 +160,7 @@ def nw_permuted(
     result, so the output is again a table with margins (r, c). Equals
     the pair-counting table of the block-permuted flattenings of r and c.
     """
-    require_compatible(r, c)
+    require_family((r, c))
     if sigma.n != r.d or sigma_p.n != r.d:
         raise DimensionMismatchError(
             f"permutations of sizes {sigma.n}, {sigma_p.n} applied to {r.d} bins"

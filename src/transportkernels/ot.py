@@ -133,7 +133,6 @@ def pseudo_kernel_pairs(
     m = w.cost
     if monge_check(w):
         return _corner_values(hs, pairs, m)
-    budget = budget if budget is not None else EnumerationBudget()
     stacks = _generating_values(_rows(hs, pairs), m, _MIN, budget)
     return (_safe_exp(-v) for stack in stacks for _, _, vs in stack for v in vs)
 

@@ -55,7 +55,7 @@ from .errors import (
     MassMismatchError,
     ValidationError,
 )
-from .histograms import ContingencyTable, Histogram, require_compatible
+from .histograms import ContingencyTable, Histogram
 
 DEFAULT_MAX_TABLES = 10_000_000
 
@@ -74,7 +74,10 @@ class EnumerationBudget:
     updates of one stacked box, its height (the Gram rows it sweeps at
     once) times its cells times its passes, checked before the box is
     allocated: the weighted volume, `count_tables`, `ot_cost` and the
-    pseudo kernel off Monge costs.
+    pseudo kernel off Monge costs. A caller passing None gets the
+    default cap, DEFAULT_MAX_TABLES, resolved where the cap is read:
+    in `enumerate_tables` for the table stream, in `_boxes` for every
+    recurrence.
     """
 
     max_tables: int = DEFAULT_MAX_TABLES
@@ -148,11 +151,13 @@ def _require_square(arr: np.ndarray) -> None:
 def require_family(hs: Sequence[Histogram], w: WeightSpec | None = None) -> None:
     """Reject a family whose histograms differ from hs[0] in bins or mass.
 
-    Kernels are defined within one family of equal dimension and equal
-    mass. The first histogram that differs is named: DimensionMismatchError
-    for its bin count, MassMismatchError for its mass. A weight matrix w,
-    when given, must be d x d for the family's d bins. An empty family
-    passes.
+    Kernels, tables and corner vertices are defined only within one
+    family of equal dimension and equal mass: otherwise the
+    transportation polytope is empty. This is the package's one margin
+    check; a pair (r, c) is the family of two. The first histogram that
+    differs is named: DimensionMismatchError for its bin count,
+    MassMismatchError for its mass. A weight matrix w, when given, must
+    be d x d for the family's d bins. An empty family passes.
     """
     if not hs:
         return
@@ -201,11 +206,12 @@ def enumerate_tables(
     """Stream every table with margins (r, c) in row-major lexicographic order.
 
     Rows are filled top-down with bounded compositions of each row sum,
-    so the flattened entry tuples ascend lexicographically. Raises
+    so the flattened entry tuples ascend lexicographically. The pair is
+    checked by `require_family` before the stream starts. Raises
     BudgetExceededError instead of truncating when the stream would
-    exceed the budget.
+    exceed the budget, the default EnumerationBudget when budget is None.
     """
-    require_compatible(r, c)
+    require_family((r, c))
     budget = budget if budget is not None else EnumerationBudget()
     return _table_stream(r, c, budget)
 
@@ -281,14 +287,14 @@ def _boxes(
     join starts a stack of its own box e <= (max over cs of c_j) if that
     fits the budget; otherwise each c gets its own box e <= c, and one
     that does not fit raises BudgetExceededError before any box is
-    allocated.
+    allocated. A budget of None caps at DEFAULT_MAX_TABLES.
     """
     d = len(weights)
     cells = [
         [(j, weights[i, j]) for j in range(d) if weights[i, j] != ring.zero]
         for i in range(d)
     ]
-    cap = budget.max_tables if budget is not None else math.inf
+    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
 
     def updates(height: int, live: set, extent: tuple[int, ...]) -> int:
         passes = sum(max(1, sum(1 for j, _ in cells[i] if extent[j])) for i in live)
@@ -417,7 +423,6 @@ def _cheapest_table(
     plan is then the first one enumerated. The top row is read, not
     scanned, so the copies hold no more cells than `_boxes` admits.
     """
-    budget = budget if budget is not None else EnumerationBudget()
     (stack,) = _boxes([(r, (c,))], m, _MIN, budget)
     sweep = _sweep(np.array([r.counts]), stack.extent, stack.rows[::-1], _MIN)
     below = reversed([f[0].copy() for f in itertools.islice(sweep, len(stack.rows))])
@@ -429,7 +434,13 @@ def _cheapest_table(
             tail, best = next(below), math.inf
             for y in _bounded_compositions(n, residual):
                 rest = tuple(map(operator.sub, residual, y))
-                value = sum(v * costs[i][j] for j, v in enumerate(y) if v) + tail[rest]
+                # Left to right, as ContingencyTable.cost adds its cells:
+                # from Python 3.12 the builtin sum() of floats is compensated.
+                value = 0.0
+                for v, cost in zip(y, costs[i]):
+                    if v:
+                        value += v * cost
+                value += tail[rest]
                 if value < best:
                     best, x = value, y
             if best == math.inf:
@@ -446,12 +457,13 @@ def count_tables(
 
     The generating-polynomial recurrence with every weight 1, run in
     exact integers on an object array over the box of e <= c (its
-    prod (c_j + 1) states each hold one count). A budget caps the box's
-    cell updates as for the weighted volume, and a box over it raises
-    BudgetExceededError before it is allocated; without one the count
-    is unbudgeted. Always equals the length of the enumeration stream.
+    prod (c_j + 1) states each hold one count). The pair is checked by
+    `require_family`. The budget, the default EnumerationBudget when
+    None, caps the box's cell updates as for the weighted volume, and a
+    box over it raises BudgetExceededError before it is allocated.
+    Always equals the length of the enumeration stream.
     """
-    require_compatible(r, c)
+    require_family((r, c))
     ones = np.ones((r.d, r.d), dtype=object)
     ((_, _, (count,)),) = next(_generating_values([(r, (c,))], ones, _EXACT, budget))
     return count
@@ -485,7 +497,6 @@ def weighted_volume_pairs(
     one out of range raises IndexError.
     """
     require_family(hs, w)
-    budget = budget if budget is not None else EnumerationBudget()
     runs = _rows(hs, pairs)
     floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
     if hs and hs[0].mass * math.log(floor) < math.log(sys.float_info.min):
@@ -493,7 +504,7 @@ def weighted_volume_pairs(
     return _volumes(runs, w, budget)
 
 
-def _volumes(runs, w: WeightSpec, budget: EnumerationBudget) -> Iterator[float]:
+def _volumes(runs, w: WeightSpec, budget: EnumerationBudget | None) -> Iterator[float]:
     """T(r, c; K) for each pair of runs on the weights; a pair that overflows is redone in logs."""
     for stack in _generating_values(runs, w.weight, _REAL, budget):
         redo = [(r, [c for c, v in zip(cs, vs) if not v < math.inf]) for r, cs, vs in stack]
@@ -502,7 +513,7 @@ def _volumes(runs, w: WeightSpec, budget: EnumerationBudget) -> Iterator[float]:
             yield from (v if v < math.inf else next(logs) for v in vs)
 
 
-def _log_volumes(runs, w: WeightSpec, budget: EnumerationBudget) -> Iterator[float]:
+def _log_volumes(runs, w: WeightSpec, budget: EnumerationBudget | None) -> Iterator[float]:
     """T(r, c; K) for each pair of runs, from the recurrence on log weights -m_ij."""
     stacks = _generating_values(runs, -w.cost, _LOG, budget)
     return (_safe_exp(v) for stack in stacks for _, _, vs in stack for v in vs)

@@ -46,7 +46,6 @@ from ..histograms import (
     IndexSequence,
     canonical_sequence,
     chi,
-    require_compatible,
 )
 from ..polytope import WeightSpec, require_family
 from ..psd import GramMatrix, build_gram
@@ -184,7 +183,7 @@ def brute_force_pattern_counts(
     r: Histogram, c: Histogram
 ) -> dict[ContingencyTable, int]:
     """How many shuffles induce each pair-counting table; the Fisher-Yates law."""
-    require_compatible(r, c)
+    require_family((r, c))
     n = r.mass
     if n > SN_MASS_CAP:
         raise ValidationError(

@@ -751,6 +751,54 @@ def test_pair_count_enforced(tmp_path, hists3, capsys):
     assert "exactly two histograms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2,1\n1,3\n", "histogram 1 has mass 4 but histogram 0 has 3"),
+        ("2,1\n1,1,1\n", "histogram 1 has 3 bins but histogram 0 has 2"),
+    ],
+    ids=["mass", "bins"],
+)
+def test_mismatched_pair_reads_alike_in_every_command(tmp_path, capsys, text, message):
+    # enumerate, nw and ot check the pair with one rule and one wording
+    pair = write(tmp_path / "pair.txt", text)
+    w = write(tmp_path / "w.txt", "mode: cost\n0,1\n1,0\n")
+    out = tmp_path / "out"
+    for argv in (["enumerate", "--input", pair, "--out", str(out)],
+                 ["nw", "--input", pair],
+                 ["ot", "--input", pair, "--weights", w]):
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gram", "enumerate", "nw", "ot", "psd-check"])
+def test_undecodable_file_is_parse_error(tmp_path, hists3, pair, weights3, capsys, command):
+    # a UTF-16 file starts with the byte-order mark ff fe, which is not UTF-8
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfe" + "2,5,3\n".encode("utf-16-le"))
+    out = str(tmp_path / "out")
+    argv = {
+        "gram": ["gram", "--input", hists3, "--weights", str(bad), "--kernel", "volume",
+                 "--out", out],
+        "enumerate": ["enumerate", "--input", str(bad), "--out", out],
+        "nw": ["nw", "--input", str(bad)],
+        "ot": ["ot", "--input", pair, "--weights", str(bad)],
+        "psd-check": ["psd-check", "--weights", str(bad)],
+    }[command]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {bad}:1: not UTF-8 text: byte 0xff at offset 0\n"
+
+
+def test_undecodable_byte_names_its_line_and_offset(tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("1,2\n3,\xe9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="^.*:2: not UTF-8 text: byte 0xe9 at offset 6$"):
+        fileio.parse_histograms(bad)
+    with pytest.raises(ParseError, match=":2: not UTF-8 text: byte 0xe9 at offset 6$"):
+        fileio.parse_histograms(bad, bad.read_bytes())
+
+
 def test_weights_mode_resolution(tmp_path):
     headerless = write(tmp_path / "wh.txt", "0,1\n1,0\n")
     with pytest.raises(ParseError, match="no 'mode:' header"):

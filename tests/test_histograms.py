@@ -15,7 +15,7 @@ from transportkernels import (
     canonical_sequence,
     chi,
     permuted_sequence,
-    require_compatible,
+    require_family,
 )
 
 
@@ -35,12 +35,12 @@ def test_histogram_rejects_negative_and_empty():
         Histogram((1.5, 2))  # type: ignore[arg-type]
 
 
-def test_require_compatible():
-    require_compatible(Histogram((1, 2)), Histogram((3, 0)))
+def test_require_family_pair():
+    require_family((Histogram((1, 2)), Histogram((3, 0))))
     with pytest.raises(DimensionMismatchError):
-        require_compatible(Histogram((1, 2)), Histogram((1, 1, 1)))
+        require_family((Histogram((1, 2)), Histogram((1, 1, 1))))
     with pytest.raises(MassMismatchError):
-        require_compatible(Histogram((1, 2)), Histogram((2, 2)))
+        require_family((Histogram((1, 2)), Histogram((2, 2))))
 
 
 def test_permutation_algebra():

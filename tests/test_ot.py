@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from transportkernels import (
     pseudo_kernel_pairs,
     weighted_volume,
 )
-from transportkernels import northwest
+from transportkernels import northwest, polytope
 
 from conftest import integer_monge_cost, random_histogram, random_pair, random_psd_weight
 
@@ -391,3 +392,35 @@ def test_plan_is_first_least_cost_table(case):
     sol = ot_cost(r, c, w)
     assert sol.plan == tables[costs.index(min(costs))]
     assert sol.cost == min(costs)
+
+
+def _compensated_sum(items, start=0):
+    """Neumaier-compensated float sum, as builtin sum() adds floats from Python 3.12."""
+    items = list(items)
+    if not items or not all(type(v) is float for v in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for v in items:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_plan_search_adds_row_costs_left_to_right(monkeypatch):
+    # Two plans cost 2.6 as ContingencyTable.cost adds, left to right; a
+    # compensated row sum in the search told them apart and chose the later.
+    monkeypatch.setattr(polytope, "sum", _compensated_sum, raising=False)
+    m = np.array([[0.8, 0.9, 0.6], [0.3, 0.1, 0.6], [0.2, 0.3, 0.4]])
+    r, c = Histogram((3, 0, 1)), Histogram((1, 2, 1))
+    w = WeightSpec.from_cost(m)
+    assert not monge_check(w)
+    tables = list(enumerate_tables(r, c))
+    costs = [t.cost(m) for t in tables]
+    sol = ot_cost(r, c, w)
+    assert sol.plan.entries == ((0, 2, 1), (0, 0, 0), (1, 0, 0))
+    assert sol.plan == tables[costs.index(min(costs))]
+    assert sol.cost == min(costs) == 2.6

@@ -406,6 +406,19 @@ def test_count_tables_respects_budget():
     assert count_tables(r, r, EnumerationBudget(24)) == count_tables(r, r) == 2
 
 
+def test_count_tables_has_the_default_budget():
+    # without a budget the box is capped at DEFAULT_MAX_TABLES cell
+    # updates, as for every other recurrence: 14^5 cells passed 25 times
+    thirteen = Histogram((13,) * 5)
+    with pytest.raises(
+        BudgetExceededError, match="need 13445600 cell updates, more than 10000000"
+    ):
+        count_tables(thirteen, thirteen)
+    # 13^5 cells passed 25 times fit
+    twelve = Histogram((12,) * 5)
+    assert count_tables(twelve, twelve) == 854_560_160_105
+
+
 def test_spike_family_takes_one_box_per_column():
     # each histogram puts its whole mass in its own bin: the shared box
     # e <= (10,) * 8 has 11^8 cells, far over the default budget, while
