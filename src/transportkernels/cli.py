@@ -8,7 +8,13 @@ Exit codes: 0 success / certificate passed, 1 usage, input, validation
 or operating-system error, 2 certificate failed, 3 budget exceeded (tables
 streamed by enumerate; cell updates of a generating-polynomial
 recurrence box, stacked over consecutive Gram rows, for gram --kernel
-volume, and for ot and gram --kernel pseudo off Monge costs).
+volume, and for ot and gram --kernel pseudo off Monge costs; merge keys
+of the whole corner-rule stream for gram --kernel nw, and pseudo on
+Monge costs).
+
+`main` builds the parser of the invoked subcommand only, and the full
+parser only when argv names none first or holds arguments it does not
+recognize, so every usage message is the full parser's.
 
 A gram run records in manifest.json, under "argv", its subcommand and
 every parsed option as --name=value: a command line that
@@ -71,67 +77,95 @@ def _absolute_path(text: str) -> str:
     return os.path.abspath(text)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = True) -> None:
+    """Add the options shared between subcommands, those named, to p."""
+
+    def add_path(flag: str, text: str, required: bool = True) -> None:
+        p.add_argument(flag, type=_absolute_path, required=required, help=text)
+
+    if "input" in names:
+        add_path("--input", "histogram file")
+    if "weights" in names:
+        add_path("--weights", "weight/cost matrix file")
+        p.add_argument(
+            "--weights-mode",
+            choices=("cost", "weight"),
+            default=None,
+            help="how to read the matrix when the file has no mode header",
+        )
+    if "budget" in names:
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=DEFAULT_MAX_TABLES,
+            help="cap on the tables streamed by enumerate; on the cell updates of one "
+            "recurrence box for gram (volume, and pseudo off Monge costs) and ot: one "
+            "stacked box per run of Gram rows, its height times its cells times its "
+            "passes; on the merge keys of the whole corner-rule stream for gram (nw, "
+            "and pseudo on Monge costs): pairs times |R|^2 times 2d",
+        )
+    if "tolerance" in names:
+        p.add_argument("--tolerance", type=float, default=1e-8)
+    if "out" in names:
+        add_path("--out", "output directory", out_required)
+
+
+def _add_gram(p: argparse.ArgumentParser) -> None:
+    _add_options(p, "input", "weights", "budget", "tolerance", "out")
+    p.add_argument("--kernel", choices=("volume", "nw", "pseudo"), required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--r-size", type=int, default=8, help="permutation set size")
+
+
+def _add_nw(p: argparse.ArgumentParser) -> None:
+    _add_options(p, "input", "out", out_required=False)
+    p.add_argument("--sigma", help="row relabelling, comma-separated image")
+    p.add_argument("--sigma-p", help="column relabelling, comma-separated image")
+
+
+# Each subcommand's help and the function that adds its options, in the
+# order the usage lists them.
+_SUBCOMMANDS = {
+    "gram": ("build a kernel Gram matrix and certify it", _add_gram),
+    "enumerate": (
+        "stream all tables for one margin pair",
+        lambda p: _add_options(p, "input", "budget", "out"),
+    ),
+    "nw": ("print the corner-rule vertex for one margin pair", _add_nw),
+    "psd-check": ("certify a weight matrix", lambda p: _add_options(p, "weights", "tolerance")),
+    "ot": (
+        "exact minimum transport cost",
+        lambda p: _add_options(p, "input", "weights", "budget", "out", out_required=False),
+    ),
+}
+
+
+def _parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command line's parser; given `only`, it holds that one subcommand."""
     parser = _Parser(
         prog="transportkernels",
         description="Kernels between integral histograms via transportation tables",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_path(
-        p: argparse.ArgumentParser, flag: str, text: str, required: bool = True
-    ) -> None:
-        p.add_argument(flag, type=_absolute_path, required=required, help=text)
-
-    def add_common(
-        p: argparse.ArgumentParser, *names: str, out_required: bool = True
-    ) -> None:
-        if "input" in names:
-            add_path(p, "--input", "histogram file")
-        if "weights" in names:
-            add_path(p, "--weights", "weight/cost matrix file")
-            p.add_argument(
-                "--weights-mode",
-                choices=("cost", "weight"),
-                default=None,
-                help="how to read the matrix when the file has no mode header",
-            )
-        if "budget" in names:
-            p.add_argument(
-                "--budget",
-                type=int,
-                default=DEFAULT_MAX_TABLES,
-                help="cap on the tables streamed by enumerate, or on the cell updates "
-                "of one recurrence box for gram (volume, and pseudo off Monge costs) and "
-                "ot: one stacked box per run of Gram rows, its height times its cells "
-                "times its passes",
-            )
-        if "tolerance" in names:
-            p.add_argument("--tolerance", type=float, default=1e-8)
-        if "out" in names:
-            add_path(p, "--out", "output directory", out_required)
-
-    g = sub.add_parser("gram", help="build a kernel Gram matrix and certify it")
-    add_common(g, "input", "weights", "budget", "tolerance", "out")
-    g.add_argument("--kernel", choices=("volume", "nw", "pseudo"), required=True)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--r-size", type=int, default=8, help="permutation set size")
-
-    e = sub.add_parser("enumerate", help="stream all tables for one margin pair")
-    add_common(e, "input", "budget", "out")
-
-    n = sub.add_parser("nw", help="print the corner-rule vertex for one margin pair")
-    add_common(n, "input", "out", out_required=False)
-    n.add_argument("--sigma", help="row relabelling, comma-separated image")
-    n.add_argument("--sigma-p", help="column relabelling, comma-separated image")
-
-    p = sub.add_parser("psd-check", help="certify a weight matrix")
-    add_common(p, "weights", "tolerance")
-
-    o = sub.add_parser("ot", help="exact minimum transport cost")
-    add_common(o, "input", "weights", "budget", "out", out_required=False)
-
+    for name, (text, add) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            add(sub.add_parser(name, help=text))
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv, building only the subcommand argv[0] names when it names one.
+
+    Everything after a subcommand is parsed by that subcommand's parser
+    alone, so the one-subcommand parser prints and returns what the full
+    parser does, except the error on unrecognized arguments, which shows
+    the top-level usage; that case is reparsed by the full parser.
+    """
+    if argv[:1] and argv[0] in _SUBCOMMANDS:
+        args, unrecognized = _parser(argv[0]).parse_known_args(argv)
+        if not unrecognized:
+            return args
+    return _parser().parse_args(argv)
 
 
 def _load_pair(args: argparse.Namespace) -> tuple[Histogram, Histogram]:
@@ -179,7 +213,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         kernel = lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w, budget)
     else:  # nw; the parser admits no other kernel
         rset = sample_permutations(d, args.r_size, args.seed)
-        kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset)
+        kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset, budget)
     gram = build_gram(histograms, kernel, kernel_id=args.kernel)
     certificate = certify_psd(gram, args.tolerance)
     out = _out_dir(args)
@@ -330,7 +364,7 @@ def run_from_manifest(manifest_path: str | Path) -> int:
     """
     try:
         manifest = _read_manifest(manifest_path)
-        args = _parser().parse_args(manifest["argv"])
+        args = _parse_args(manifest["argv"])
         _check_inputs(manifest, args)
     except ValidationError as exc:
         print(f"error: {manifest_path}: {exc}", file=sys.stderr)
@@ -347,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     input, validation or operating-system error prints "error: ..." and
     returns EXIT_ERROR.
     """
-    return _run(_parser().parse_args(argv))
+    return _run(_parse_args(sys.argv[1:] if argv is None else argv))
 
 
 def _run(args: argparse.Namespace) -> int:

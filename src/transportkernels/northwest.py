@@ -25,7 +25,15 @@ is priced in one stream (`nw_kernel_pairs`): the 2 m |R| d keys of every
 histogram under every relabelling are built once, and so are the
 2 |R| (d + 1) bins of every relabelling, and the vertices are sorted
 pair by pair in blocks holding at most BLOCK keys, so memory beyond the
-keys is O(BLOCK + |R| d + |R|^2) for any number of pairs.
+keys is O(BLOCK + |R| d + |R|^2) for any number of pairs. Its work,
+pairs times |R|^2 vertices times 2d merge keys, is known before it
+starts and is checked against an EnumerationBudget.
+
+Permutation sets (`sample_permutations`) hold the draws of
+numpy.random.default_rng(seed).permutation(d). The package reproduces
+that stream itself: drawing imports no numpy.random, and a seed gives
+the same set whatever numpy's version, which numpy's policy on stream
+compatibility does not promise.
 """
 
 from __future__ import annotations
@@ -38,12 +46,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation
-from .polytope import WeightSpec, require_family
+from .polytope import DEFAULT_MAX_TABLES, EnumerationBudget, WeightSpec, require_family
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
 BLOCK = 8192
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -83,8 +95,82 @@ class PermutationSet:
         return iter(self.perms)
 
 
+def _default_rng_permutations(d: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """1-based images of numpy.random.default_rng(seed).permutation(d), draw after draw.
+
+    numpy's stream for d up to 2^32, reproduced so that drawing imports
+    no numpy.random and cannot move with numpy's version. SeedSequence
+    hashes the seed's 32-bit words, low first, into a pool of four words
+    and expands the pool into the 128-bit state and increment of PCG64:
+    an LCG whose 64-bit outputs rotate the xor of their state's halves
+    (XSL-RR). A 32-bit draw takes an output's low half and keeps its high
+    half for the next draw. Fisher-Yates swaps index i, from d - 1 down
+    to 1, with a draw masked to the bits of i and redrawn while above i.
+    """
+    n = int(seed)
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, expanded = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        expanded.append(value ^ value >> 16)
+    # Word pairs, low first, make w0..w3; w0:w1 seed the state and w2:w3
+    # the increment, high word first.
+    w = [expanded[2 * k] | expanded[2 * k + 1] << 32 for k in range(4)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+    spare = None
+    while True:
+        image = list(range(1, d + 1))
+        for i in range(d - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if spare is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    rot = state >> 122
+                    out = (state >> 64 ^ state) & _M64
+                    out = (out >> rot | out << (64 - rot)) & _M64
+                    value, spare = out & _M32, out >> 32
+                else:
+                    value, spare = spare, None
+                value &= mask
+                if value <= i:
+                    break
+            image[i], image[value] = image[value], image[i]
+        yield tuple(image)
+
+
 def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
-    """Identity plus seeded uniform draws, deduplicated to the target size."""
+    """Identity plus seeded uniform draws, deduplicated to the target size.
+
+    The draws are those of numpy.random.default_rng(seed).permutation(d),
+    produced by the package's own copy of that stream.
+    """
     for value in (size_target, seed):
         # Python counts a bool as an int; a draw recipe may not.
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -100,7 +186,7 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
             f"size_target {size_target} exceeds the {math.factorial(d)} "
             f"permutations of {d} items"
         )
-    rng = np.random.default_rng(seed)
+    stream = _default_rng_permutations(d, seed)
     identity = Permutation.identity(d)
     seen = {identity.image}
     perms = [identity]
@@ -113,7 +199,7 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
                 f"could not collect {size_target} distinct permutations "
                 f"after {cap} draws"
             )
-        image = tuple(int(v) + 1 for v in rng.permutation(d))
+        image = next(stream)
         if image not in seen:
             seen.add(image)
             perms.append(Permutation(image))
@@ -177,7 +263,11 @@ def nw_permuted(
 
 
 def _staircases(
-    hs: Sequence[Histogram], pairs, imgs: np.ndarray, cost: np.ndarray
+    hs: Sequence[Histogram],
+    pairs,
+    imgs: np.ndarray,
+    cost: np.ndarray,
+    budget: EnumerationBudget | None = None,
 ) -> Iterator[np.ndarray]:
     """Priced corner-rule staircases of relabelled pairs of a family, in vertex blocks.
 
@@ -208,8 +298,11 @@ def _staircases(
     holds O(BLOCK) values and the walk O(n^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
-    bins, ValidationError when the mass needs more than 63 - shift bits
-    and so does not fit the keys. Indices address hs as a sequence does:
+    bins, BudgetExceededError when the stream's merge keys, pairs times
+    n^2 vertices times 2d, exceed the budget (the default EnumerationBudget
+    when None), and ValidationError when the mass needs more than
+    63 - shift bits and so does not fit the keys; all before any key
+    table is built. Indices address hs as a sequence does:
     a negative one counts from the end, and one outside
     [-len(hs), len(hs)) raises IndexError. An empty family, which can
     have no pairs, yields nothing.
@@ -225,6 +318,15 @@ def _staircases(
             f"permutation set on {imgs.shape[1]} bins applied to {d}-bin histograms"
         )
     n = len(imgs)
+    width = 2 * d
+    needed = len(index) * n * n * width
+    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
+    if needed > cap:
+        raise BudgetExceededError(
+            f"{len(index)} pairs, {n}^2 vertices each of {width} keys, need "
+            f"{needed} merge keys, more than {cap}",
+            count_so_far=0,
+        )
     shift = (2 * n * (d + 1) - 1).bit_length()
     bits = (hs[0].mass << shift).bit_length()
     if bits > 63:
@@ -232,7 +334,6 @@ def _staircases(
             f"mass {hs[0].mass} needs {bits} bits of merge key at d={d} and "
             f"|R|={n}, more than the 63 of int64"
         )
-    width = 2 * d
     # Keys of at most 31 bits sort as int32; the mass then fits int32 too.
     dtype = np.int32 if bits <= 31 else np.int64
     counts = np.array([h.counts for h in hs], dtype=dtype).reshape(len(hs), d)
@@ -258,13 +359,14 @@ def _staircases(
     any_inf = not np.isfinite(costs).all()
 
     # The side_keys rows of each pair's vertex (0, 0); the offsets (a, b) of
-    # its other vertices into side_keys, and (a + n + b)(d + 1), which a
-    # key's merged position k adds to reach the bin its own F does not.
+    # its other vertices into side_keys, and their sums a + b. Row a + b of
+    # reach holds (a + n + b)(d + 1) + k, which a key merged at position k
+    # less its own F gives the index of the bin its F does not.
     pair_sides = index % len(hs) * n
     pair_sides += [0, len(hs) * n]
     within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-    reach = (within.sum(axis=1) + n) * (d + 1)
-    pos = np.arange(width, dtype=np.intp)
+    within_sums = within.sum(axis=1)
+    reach = np.arange(n, 3 * n - 1, dtype=np.intp)[:, None] * (d + 1) + np.arange(width)
     step = max(1, BLOCK // width)
     n_vertices = len(pair_sides) * n * n
     for v0 in range(0, n_vertices, step):
@@ -281,8 +383,9 @@ def _staircases(
         masses = masses.reshape(keys.shape)
         masses[:, 0] = values[::width]
         # intp indices: take converts any other index type element by element.
-        own = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
-        other = reach.take(ab)[:, None] + pos
+        keys &= (1 << shift) - 1
+        own = keys.astype(np.intp, copy=False)
+        other = reach.take(within_sums.take(ab), axis=0)
         other -= own
         cells = side_bins.take(own)
         cells += side_bins.take(other)
@@ -318,7 +421,11 @@ def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
 
 
 def nw_cost_matrix(
-    r: Histogram, c: Histogram, w: WeightSpec, rset: PermutationSet
+    r: Histogram,
+    c: Histogram,
+    w: WeightSpec,
+    rset: PermutationSet,
+    budget: EnumerationBudget | None = None,
 ) -> np.ndarray:
     """Costs <M, vertex> for every (sigma, sigma') pair of the set.
 
@@ -328,29 +435,43 @@ def nw_cost_matrix(
     `_staircases` merges from packed integer keys, in blocks holding at
     most BLOCK keys.
 
-    Raises ValidationError when the mass is too large for the keys.
+    Raises BudgetExceededError when its |R|^2 2d merge keys exceed the
+    budget, the default EnumerationBudget when None, and ValidationError
+    when the mass is too large for the keys.
     """
     require_family((r, c), w)
-    blocks = _staircases((r, c), [(0, 1)], rset.images, w.cost)
+    blocks = _staircases((r, c), [(0, 1)], rset.images, w.cost, budget)
     return np.concatenate([priced.sum(axis=1) for priced in blocks]).reshape(len(rset), -1)
 
 
 def nw_kernel_pairs(
-    hs: Sequence[Histogram], pairs, w: WeightSpec, rset: PermutationSet
+    hs: Sequence[Histogram],
+    pairs,
+    w: WeightSpec,
+    rset: PermutationSet,
+    budget: EnumerationBudget | None = None,
 ) -> Iterator[float]:
     """nw_kernel(hs[p], hs[q], w, rset) for each index pair (p, q) of pairs, in order.
 
     One staircase stream prices the vertices of every pair from merge
     keys built once for hs, so memory beyond the keys is
-    O(BLOCK + |R| d + |R|^2) however many pairs there are. p and q index
-    hs as a sequence does; one out of range raises IndexError.
+    O(BLOCK + |R| d + |R|^2) however many pairs there are. Its work,
+    pairs times |R|^2 vertices times 2d merge keys, is checked against
+    the budget (the default EnumerationBudget when None) before any key
+    is built, and BudgetExceededError raised when it is larger. p and q
+    index hs as a sequence does; one out of range raises IndexError.
     """
     require_family(hs, w)
-    return _exp_sums(_staircases(hs, pairs, rset.images, w.cost), len(rset) ** 2)
+    blocks = _staircases(hs, pairs, rset.images, w.cost, budget)
+    return _exp_sums(blocks, len(rset) ** 2)
 
 
 def nw_kernel(
-    r: Histogram, c: Histogram, w: WeightSpec, rset: PermutationSet
+    r: Histogram,
+    c: Histogram,
+    w: WeightSpec,
+    rset: PermutationSet,
+    budget: EnumerationBudget | None = None,
 ) -> float:
     """Sampled-vertex kernel: sum of exp(-cost) over all |R|^2 vertex pairs.
 
@@ -359,4 +480,4 @@ def nw_kernel(
     the pair count, so values from sets of different sizes differ in
     scale. The one-pair stream of `nw_kernel_pairs`.
     """
-    return next(nw_kernel_pairs((r, c), [(0, 1)], w, rset))
+    return next(nw_kernel_pairs((r, c), [(0, 1)], w, rset, budget))

@@ -93,14 +93,17 @@ def ot_cost(
     return TransportSolution(plan, plan.cost(m))
 
 
-def _corner_values(hs: Sequence[Histogram], pairs, m: np.ndarray) -> Iterator[float]:
+def _corner_values(
+    hs: Sequence[Histogram], pairs, m: np.ndarray, budget: EnumerationBudget | None
+) -> Iterator[float]:
     """exp(-cost) of the corner vertex of each pair of hs, as ContingencyTable.cost sums it.
 
     The staircase visits cells in row-major order, so column adds left to
     right give that sum bit for bit; sum(axis=1) goes pairwise at 8 terms.
+    The stream's pairs times 2d merge keys are checked against the budget.
     """
     identity = np.arange(len(m))[None, :]
-    for priced in _staircases(hs, pairs, identity, m):
+    for priced in _staircases(hs, pairs, identity, m, budget):
         total = priced[:, 0].copy()
         with np.errstate(over="ignore"):  # a sum too large for a float is inf
             for k in range(1, priced.shape[1]):
@@ -119,7 +122,9 @@ def pseudo_kernel_pairs(
     The costs are checked for the Monge property once. On Monge costs
     one staircase stream prices the corner vertex of every pair, its
     segments summed in row-major order as ContingencyTable.cost sums them;
-    masses too large for the merge keys raise ValidationError. Other
+    more merge keys (pairs times 2d) than the budget, the default
+    EnumerationBudget when None, raise BudgetExceededError before any key
+    is built, and masses too large for the keys raise ValidationError. Other
     costs run the (min, +) recurrence with each run of consecutive pairs
     with the same p as one slab of a stacked box, under the rule of
     `polytope._boxes` and the default EnumerationBudget when budget is
@@ -132,7 +137,7 @@ def pseudo_kernel_pairs(
     require_family(hs, w)
     m = w.cost
     if monge_check(w):
-        return _corner_values(hs, pairs, m)
+        return _corner_values(hs, pairs, m, budget)
     stacks = _generating_values(_rows(hs, pairs), m, _MIN, budget)
     return (_safe_exp(-v) for stack in stacks for _, _, vs in stack for v in vs)
 

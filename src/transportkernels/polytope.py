@@ -74,10 +74,14 @@ class EnumerationBudget:
     updates of one stacked box, its height (the Gram rows it sweeps at
     once) times its cells times its passes, checked before the box is
     allocated: the weighted volume, `count_tables`, `ot_cost` and the
-    pseudo kernel off Monge costs. A caller passing None gets the
-    default cap, DEFAULT_MAX_TABLES, resolved where the cap is read:
-    in `enumerate_tables` for the table stream, in `_boxes` for every
-    recurrence.
+    pseudo kernel off Monge costs. The corner-rule streams, the nw
+    kernel and the pseudo kernel on Monge costs, count the merge keys of
+    the whole stream, pairs times |R|^2 vertices times 2d (|R| = 1 for
+    the pseudo kernel), checked before any key is built. A caller
+    passing None gets the default cap, DEFAULT_MAX_TABLES, resolved
+    where the cap is read: in `enumerate_tables` for the table stream,
+    in `_boxes` for every recurrence, in `northwest._staircases` for
+    the corner-rule streams.
     """
 
     max_tables: int = DEFAULT_MAX_TABLES

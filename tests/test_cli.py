@@ -635,6 +635,85 @@ def test_gram_budget_exit(tmp_path, capsys):
     assert "need 768 cell updates, more than 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kernel, weights, keys",
+    [
+        # 6 pairs of |R|^2 = 4 vertices of 2d = 6 keys
+        ("nw", "mode: weight\n1.0,0.5,0.25\n0.5,1.0,0.5\n0.25,0.5,1.0\n", 144),
+        # Monge costs: 6 pairs of one vertex of 6 keys
+        ("pseudo", "mode: cost\n0,1,2\n1,0,1\n2,1,0\n", 36),
+    ],
+    ids=["nw", "monge-pseudo"],
+)
+def test_gram_budget_caps_corner_rule_streams(tmp_path, hists3, capsys, kernel, weights, keys):
+    w = write(tmp_path / "w.txt", weights)
+    argv = ["gram", "--input", hists3, "--weights", w, "--kernel", kernel, "--r-size", "2"]
+    assert main(argv + ["--budget", str(keys), "--out", str(tmp_path / "a")]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "b"
+    assert main(argv + ["--budget", str(keys - 1), "--out", str(out)]) == EXIT_BUDGET
+    assert capsys.readouterr().err == (
+        f"error: 6 pairs, {2 if kernel == 'nw' else 1}^2 vertices each of 6 keys, need {keys} "
+        f"merge keys, more than {keys - 1}\n"
+    )
+    assert not out.exists()
+
+
+def test_gram_builds_only_its_own_subcommand_parser(tmp_path, hists3, weights3, monkeypatch,
+                                                    capsys):
+    import transportkernels.cli as cli
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+            "--r-size", "4", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert built == ["transportkernels", "transportkernels gram"]
+    # an argument no subcommand takes is reported with the usage of the full parser
+    built.clear()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--bogus"])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "usage: transportkernels [-h] {gram,enumerate,nw,psd-check,ot} ...",
+        "transportkernels: error: unrecognized arguments: --bogus",
+    ]
+    assert len(built) == 2 + 6  # the gram-only parser, then the full one
+
+
+def test_gram_nw_does_not_import_numpy_random(tmp_path, hists3, weights3):
+    # the permutation set comes from the package's own copy of numpy's stream
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "from transportkernels import cli\n"
+        "with_numpy = 'numpy.random' in sys.modules\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([with_numpy, code, 'numpy.random' in sys.modules]))\n"
+    )
+    argv = ["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw", "--r-size",
+            "4", "--out", str(tmp_path / "out")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    with_numpy, code, with_gram = json.loads(done.stdout.splitlines()[-1])
+    if with_numpy:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert code == EXIT_OK
+    assert not with_gram
+
+
 def test_nw_prints_fixture(pair, capsys):
     assert main(["nw", "--input", pair]) == EXIT_OK
     assert capsys.readouterr().out == "2,0,0\n3,1,1\n0,0,3\n"

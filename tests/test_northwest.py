@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportkernels import (
+    BudgetExceededError,
     DimensionMismatchError,
+    EnumerationBudget,
     Histogram,
     Permutation,
     PermutationSet,
@@ -114,6 +116,39 @@ def test_sample_permutations_rejects_bools_and_non_ints():
         with pytest.raises(ValidationError, match="not ints"):
             sample_permutations(3, size_target, seed)
     assert sample_permutations(3, 2, np.int64(1)) == sample_permutations(3, 2, seed=1)
+
+
+def _numpy_permutation_set(d, size, seed):
+    # the identity, then numpy's own draws in order, each kept once
+    rng = np.random.default_rng(seed)
+    images = [tuple(range(1, d + 1))]
+    while len(images) < size:
+        image = tuple(int(v) + 1 for v in rng.permutation(d))
+        if image not in images:
+            images.append(image)
+    return images
+
+
+SEEDS = [0, 1, 2**32 + 7, 2**64 + 1, np.int64(2**62 + 3)]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32+7", "2^64+1", "int64"])
+@pytest.mark.parametrize("d, size", [(1, 1), (2, 2), (3, 6), (5, 40), (21, 8), (64, 12)])
+def test_sample_permutations_matches_numpy_default_rng(d, size, seed):
+    # at d=3 and size 6 the draws repeat before all six images are seen
+    rset = sample_permutations(d, size, seed)
+    assert [p.image for p in rset.perms] == _numpy_permutation_set(d, size, seed)
+
+
+@pytest.mark.parametrize("seed", SEEDS + [2**70 + 3, 123456789, 2**200 + 5])
+def test_permutation_stream_matches_numpy_draw_by_draw(seed):
+    # consecutive draws share numpy's buffered half of a 64-bit output; a
+    # seed of more than four 32-bit words mixes its extra words last
+    for d in (1, 2, 3, 8, 33, 257):
+        rng = np.random.default_rng(seed)
+        stream = northwest._default_rng_permutations(d, seed)
+        for _ in range(3):
+            assert next(stream) == tuple(int(v) + 1 for v in rng.permutation(d))
 
 
 def test_permutation_set_validation():
@@ -291,7 +326,8 @@ def test_nw_kernel_row_is_independent_of_block_size(monkeypatch):
 
 def test_nw_kernel_row_memory_is_bounded_per_block():
     # six columns at |R|=256, d=64: 393,216 vertices, 8 bytes of cost each,
-    # merged 64 pairs at a time
+    # merged 64 pairs at a time; their 50,331,648 merge keys exceed the
+    # default budget
     rng = np.random.default_rng(65)
     r = random_histogram(rng, 64, 500)
     cs = [random_histogram(rng, 64, 500) for _ in range(6)]
@@ -300,7 +336,8 @@ def test_nw_kernel_row_memory_is_bounded_per_block():
     hs = [r, *cs]
     tracemalloc.start()
     try:
-        row = list(nw_kernel_pairs(hs, [(0, q) for q in range(1, len(hs))], w, rset))
+        pairs = [(0, q) for q in range(1, len(hs))]
+        row = list(nw_kernel_pairs(hs, pairs, w, rset, EnumerationBudget(6 * 256**2 * 128)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -330,16 +367,19 @@ def test_nw_gram_memory_does_not_grow_with_family():
     # (3 to 21 pairs) adds only the merge keys of four more histograms to the
     # peak: 4 * 2 * 256 * 8 int32 keys, 64 KiB. Bin tables tiled over the
     # family added about 270 KiB more, and a Gram row that held all its costs
-    # at once added four pairs' worth, 2 MiB
+    # at once added four pairs' worth, 2 MiB. The 21 pairs need 22,020,096
+    # merge keys, more than the default budget
     rng = np.random.default_rng(66)
     w = random_cost(rng, 8)
     rset = sample_permutations(8, 256, seed=5)
     hists = [random_histogram(rng, 8, 40) for _ in range(6)]
+    budget = EnumerationBudget(21 * 256**2 * 16)
 
     def peak(m):
         tracemalloc.start()
         try:
-            build_gram(hists[:m], lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset), "nw")
+            kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset, budget)
+            build_gram(hists[:m], kernel, "nw")
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -368,6 +408,30 @@ def test_nw_triangle_blocks_do_not_copy_the_pair_list():
         tracemalloc.stop()
     assert len(first) + rest == 600 * 601 // 2
     assert rise < 2**20
+
+
+def test_nw_streams_are_capped_by_their_merge_keys():
+    # 3 histograms, 6 pairs, |R| = 4, d = 5: 6 * 16 * 10 = 960 merge keys
+    rng = np.random.default_rng(68)
+    hists = [random_histogram(rng, 5, 12) for _ in range(3)]
+    w = random_cost(rng, 5)
+    rset = sample_permutations(5, 4, seed=1)
+    pairs = [(p, q) for p in range(3) for q in range(p, 3)]
+    values = list(nw_kernel_pairs(hists, pairs, w, rset, EnumerationBudget(960)))
+    assert values == [nw_kernel(hists[p], hists[q], w, rset) for p, q in pairs]
+    with pytest.raises(BudgetExceededError, match="need 960 merge keys, more than 959"):
+        next(nw_kernel_pairs(hists, pairs, w, rset, EnumerationBudget(959)))
+    assert nw_cost_matrix(hists[0], hists[1], w, rset, EnumerationBudget(160)).shape == (4, 4)
+    with pytest.raises(BudgetExceededError, match="need 160 merge keys, more than 159"):
+        nw_cost_matrix(hists[0], hists[1], w, rset, EnumerationBudget(159))
+    with pytest.raises(BudgetExceededError, match="need 160 merge keys, more than 159"):
+        nw_kernel(hists[0], hists[1], w, rset, EnumerationBudget(159))
+    # None is the default cap: one pair at |R| = 256, d = 128 needs 16,777,216
+    big = sample_permutations(128, 256, seed=2)
+    r = Histogram((1,) * 128)
+    w128 = random_cost(rng, 128)
+    with pytest.raises(BudgetExceededError, match="need 16777216 merge keys, more than 10000000"):
+        nw_kernel(r, r, w128, big)
 
 
 def test_nw_cost_matrix_rejects_mass_beyond_keys():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from transportkernels import (
+    BudgetExceededError,
+    EnumerationBudget,
     Histogram,
     ValidationError,
     WeightSpec,
@@ -148,6 +150,19 @@ def test_monge_pseudo_row_spans_pair_blocks(monkeypatch):
     expected = [_corner_value(hists[0], c, w) for c in hists]
     monkeypatch.setattr(northwest, "BLOCK", 2 * 4 * 3)
     assert list(pseudo_kernel_pairs(hists, [(0, q) for q in range(8)], w)) == expected
+
+
+def test_monge_pseudo_stream_is_capped_by_its_merge_keys():
+    # 8 pairs of one corner vertex at d = 4: 8 * 8 = 64 merge keys
+    rng = np.random.default_rng(69)
+    w = integer_monge_cost(rng, 4, lam=1)
+    assert monge_check(w)
+    hists = [random_histogram(rng, 4, 11) for _ in range(8)]
+    pairs = [(0, q) for q in range(8)]
+    expected = [_corner_value(hists[0], c, w) for c in hists]
+    assert list(pseudo_kernel_pairs(hists, pairs, w, EnumerationBudget(64))) == expected
+    with pytest.raises(BudgetExceededError, match="need 64 merge keys, more than 63"):
+        next(pseudo_kernel_pairs(hists, pairs, w, EnumerationBudget(63)))
 
 
 def test_non_monge_pseudo_row_matches_transport():
