@@ -10,7 +10,9 @@ streamed by enumerate; cell updates of a generating-polynomial
 recurrence box, stacked over consecutive Gram rows, for gram --kernel
 volume, and for ot and gram --kernel pseudo off Monge costs; merge keys
 of the whole corner-rule stream for gram --kernel nw, and pseudo on
-Monge costs).
+Monge costs). Every error a subcommand raises reaches one handler as
+raised, which prints "error: <message>" and returns 1, or 3 for a
+budget; enumerate's refusal keeps the tables already written.
 
 `main` builds the parser of the invoked subcommand only, and the full
 parser only when argv names none first or holds arguments it does not
@@ -23,7 +25,7 @@ and --out are parsed to absolute paths, so the replay reads and writes
 the same files from any working directory. The manifest also records
 the SHA-256 of the bytes the run read and parsed from the --input and
 --weights files, each read once, and a replay refuses files that
-changed since the run.
+changed since the run; it parses the very bytes it checked.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NoReturn
 
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
@@ -197,11 +199,13 @@ def _parse_permutation(flag: str, text: str) -> Permutation:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
-def cmd_gram(args: argparse.Namespace) -> int:
+def cmd_gram(args: argparse.Namespace, data: dict[str, bytes] | None = None) -> int:
+    """`data`, when given, holds the --input and --weights bytes already read."""
     # Fail on arguments before the Gram and its certificate are computed.
     require_tolerance(args.tolerance)
     # Each file is read once: the digests are of the very bytes parsed.
-    data = {name: fileio.read_bytes(getattr(args, name)) for name, _ in _DIGESTS}
+    if data is None:
+        data = {name: fileio.read_bytes(getattr(args, name)) for name, _ in _DIGESTS}
     histograms = fileio.parse_histograms(args.input, data["input"])
     w = fileio.parse_weights(args.weights, args.weights_mode, data["weights"])
     digests = {key: hashlib.sha256(data[name]).hexdigest() for name, key in _DIGESTS}
@@ -237,17 +241,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     tables = enumerate_tables(r, c, EnumerationBudget(args.budget))
     path = _out_dir(args) / "tables.csv"
     written = 0
+    # A refusal leaves the tables within the budget in the file.
     with path.open("w") as fh:
-        try:
-            for table in tables:
-                fh.write(fileio.format_table_row(table.entries) + "\n")
-                written += 1
-        except BudgetExceededError as exc:
-            print(
-                f"budget exceeded: wrote {exc.count_so_far} tables",
-                file=sys.stderr,
-            )
-            return EXIT_BUDGET
+        for table in tables:
+            fh.write(fileio.format_table_row(table.entries) + "\n")
+            written += 1
     print(f"enumerate: wrote {written} tables to {path}")
     return EXIT_OK
 
@@ -333,20 +331,23 @@ def _read_manifest(manifest_path: str | Path) -> dict:
     return manifest
 
 
-def _check_inputs(manifest: dict, args: argparse.Namespace) -> None:
-    """Refuse a replay whose input files differ from the bytes the run read."""
+def _check_inputs(manifest: dict, args: argparse.Namespace) -> dict[str, bytes]:
+    """The input files' bytes; refuses a replay where they differ from the run's."""
     if args.subcommand != "gram":
         raise ValidationError("manifest 'argv' is not a gram run")
+    data = {}
     for name, key in _DIGESTS:
         if not isinstance(manifest.get(key), str):
             raise ValidationError(f"manifest has no '{key}' string")
         path = getattr(args, name)
         try:
-            unchanged = hashlib.sha256(Path(path).read_bytes()).hexdigest() == manifest[key]
+            data[name] = Path(path).read_bytes()
+            unchanged = hashlib.sha256(data[name]).hexdigest() == manifest[key]
         except OSError:
             unchanged = False
         if not unchanged:
             raise ValidationError(f"{path} changed since the run")
+    return data
 
 
 def run_from_manifest(manifest_path: str | Path) -> int:
@@ -365,13 +366,13 @@ def run_from_manifest(manifest_path: str | Path) -> int:
     try:
         manifest = _read_manifest(manifest_path)
         args = _parse_args(manifest["argv"])
-        _check_inputs(manifest, args)
+        data = _check_inputs(manifest, args)
     except ValidationError as exc:
         print(f"error: {manifest_path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except SystemExit as exc:
         return exc.code
-    return _run(args)
+    return _run(lambda: cmd_gram(args, data))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -379,14 +380,16 @@ def main(argv: list[str] | None = None) -> int:
 
     Returns the exit code; a usage error exits through SystemExit. An
     input, validation or operating-system error prints "error: ..." and
-    returns EXIT_ERROR.
+    returns EXIT_ERROR; a budget refusal prints it and returns EXIT_BUDGET.
     """
-    return _run(_parse_args(sys.argv[1:] if argv is None else argv))
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    return _run(lambda: _COMMANDS[args.subcommand](args))
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(command: Callable[[], int]) -> int:
+    """Run a subcommand; this is the one place its errors are printed and mapped to a code."""
     try:
-        return _COMMANDS[args.subcommand](args)
+        return command()
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

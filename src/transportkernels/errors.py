@@ -24,11 +24,12 @@ class LengthMismatchError(TransportKernelError, ValueError):
 
 
 class BudgetExceededError(TransportKernelError, RuntimeError):
-    """Enumeration or a recurrence box exceeded its budget; raised instead of truncating."""
+    """Enumeration or a recurrence box exceeded its budget; raised instead of truncating.
 
-    def __init__(self, message: str, count_so_far: int):
-        super().__init__(message)
-        self.count_so_far = count_so_far
+    The message names the cap and what exceeded it. A table stream raises
+    it in place of the first table over its budget, after yielding the
+    tables within it.
+    """
 
 
 class KernelEvaluationError(TransportKernelError, RuntimeError):

@@ -324,8 +324,7 @@ def _staircases(
     if needed > cap:
         raise BudgetExceededError(
             f"{len(index)} pairs, {n}^2 vertices each of {width} keys, need "
-            f"{needed} merge keys, more than {cap}",
-            count_so_far=0,
+            f"{needed} merge keys, more than {cap}"
         )
     shift = (2 * n * (d + 1) - 1).bit_length()
     bits = (hs[0].mass << shift).bit_length()

@@ -235,8 +235,7 @@ def _table_stream(
             if emitted > budget.max_tables:
                 raise BudgetExceededError(
                     f"more than {budget.max_tables} tables exist for margins "
-                    f"{r} / {c}",
-                    count_so_far=emitted - 1,
+                    f"{r} / {c}"
                 )
             yield ContingencyTable(tuple(rows) + (residual,))
             return
@@ -330,8 +329,7 @@ def _boxes(
             needed = updates(1, own_live, c.counts)
             if needed > cap:
                 raise BudgetExceededError(
-                    f"margins {r} / {c} need {needed} cell updates, more than {cap}",
-                    count_so_far=0,
+                    f"margins {r} / {c} need {needed} cell updates, more than {cap}"
                 )
         for c in cs:
             yield stack([(r, (c,))], own_live, c.counts)

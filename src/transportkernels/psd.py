@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, KernelEvaluationError, ValidationError
+from .errors import KernelEvaluationError, TransportKernelError, ValidationError
 from .histograms import Histogram
 from .polytope import WeightSpec, require_family
 
@@ -152,10 +152,12 @@ def build_gram(
     An empty family raises ValidationError. The family is checked by
     `require_family` before the kernel runs, so a histogram whose bin
     count or mass differs from the first raises DimensionMismatchError
-    or MassMismatchError naming it, as the kernels do. Failures other
-    than BudgetExceededError are wrapped in
-    KernelEvaluationError naming the row, which a stream that ends early
-    or yields one value too many raises too.
+    or MassMismatchError naming it, as the kernels do. The package's own
+    errors raised by the kernel (a TransportKernelError such as
+    BudgetExceededError or DimensionMismatchError) pass through as
+    raised; any other exception is wrapped in KernelEvaluationError
+    naming the row, which a stream that ends early or yields one value
+    too many raises too.
     """
     histograms = list(histograms)
     if not histograms:
@@ -167,7 +169,7 @@ def build_gram(
     def guarded(p: int, read: Callable):
         try:
             return read()
-        except BudgetExceededError:
+        except TransportKernelError:
             raise
         except Exception as exc:
             raise KernelEvaluationError(

@@ -345,6 +345,27 @@ def test_manifest_replay_refuses_changed_inputs(tmp_path, hists3, weights3, caps
     assert {name: (out / name).read_bytes() for name in artifacts} == original
 
 
+def test_manifest_replay_parses_the_bytes_it_checked(tmp_path, hists3, weights3, monkeypatch):
+    # the replay reads each input once, to check its digest, and parses
+    # those bytes: a second read could see a file replaced after the check
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+                 "--r-size", "4", "--out", str(out)]) == EXIT_OK
+    artifacts = ("gram.csv", "certificate.json", "manifest.json")
+    original = {name: (out / name).read_bytes() for name in artifacts}
+    saved = tmp_path / "manifest.json"
+    saved.write_bytes(original["manifest.json"])
+    for name in artifacts:
+        (out / name).unlink()
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read again after its check")
+
+    monkeypatch.setattr(fileio, "read_bytes", refuse)
+    assert run_from_manifest(saved) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in artifacts} == original
+
+
 def test_gram_reads_each_input_file_once(tmp_path, hists3, weights3, monkeypatch):
     opened = []
     real_open = Path.open
@@ -449,7 +470,9 @@ def test_enumerate_budget_exit(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["enumerate", "--input", pair, "--budget", "7", "--out", str(out)])
     assert code == EXIT_BUDGET
-    assert "budget exceeded: wrote 7 tables" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: more than 7 tables exist for margins [7,23] / [12,18]\n"
+    )
     lines = (out / "tables.csv").read_text().splitlines()
     assert len(lines) == 7  # the seven tables that fit
 
@@ -466,7 +489,10 @@ def test_enumerate_streams_without_counting(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     code = main(["enumerate", "--input", pair, "--budget", "10", "--out", str(out)])
     assert code == EXIT_BUDGET
-    assert "budget exceeded: wrote 10 tables" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: more than 10 tables exist for margins "
+        "[10,10,10,10,10] / [10,10,10,10,10]\n"
+    )
     assert len((out / "tables.csv").read_text().splitlines()) == 10
 
 
@@ -483,8 +509,27 @@ def test_module_entry_point_runs_subcommand(tmp_path):
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == EXIT_BUDGET, done.stderr
-    assert "budget exceeded: wrote 10 tables" in done.stderr
+    assert done.stderr == (
+        "error: more than 10 tables exist for margins "
+        "[10,10,10,10,10] / [10,10,10,10,10]\n"
+    )
     assert len((out / "tables.csv").read_text().splitlines()) == 10
+
+
+def test_console_main_exits_with_the_subcommands_code(tmp_path, monkeypatch, capsys):
+    import transportkernels.cli as cli
+
+    pair = write(tmp_path / "pair.txt", "7,23\n12,18\n")
+    for argv, code in ((["nw", "--input", pair], EXIT_OK),
+                       (["enumerate", "--input", pair, "--budget", "7",
+                         "--out", str(tmp_path / "out")], EXIT_BUDGET)):
+        monkeypatch.setattr(sys, "argv", ["transportkernels", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == code
+    assert capsys.readouterr().err == (
+        "error: more than 7 tables exist for margins [7,23] / [12,18]\n"
+    )
 
 
 def test_gram_non_finite_volume_is_input_error(tmp_path, capsys):
@@ -849,6 +894,47 @@ def test_mismatched_pair_reads_alike_in_every_command(tmp_path, capsys, text, me
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", ["volume", "nw", "pseudo"])
+def test_gram_with_weights_of_another_size_names_the_mismatch(tmp_path, capsys, kernel):
+    # the kernel's own error reaches the command line unwrapped
+    hists = write(tmp_path / "h.txt", "1,2,0,1\n0,1,2,1\n2,2,0,0\n")
+    w = write(tmp_path / "w.txt", "mode: cost\n0,1,2\n1,0,1\n2,1,0\n")
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists, "--weights", w, "--kernel", kernel,
+                 "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: weight matrix is 3x3 but histograms have 4 bins\n"
+    assert not out.exists()
+
+
+def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, weights3, capsys):
+    out = tmp_path / "out"
+    assert main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+                 "--r-size", "0", "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: size_target must be at least 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, text, line, message",
+    [
+        ("--input", "1,2\n-1,4\n", 2, "negative count in '-1,4'"),
+        ("--input", "# only a comment\n\n", 1, "no histograms found"),
+        ("--weights", "mode: foo\n0,1\n1,0\n", 1, "mode must be 'cost' or 'weight', got 'foo'"),
+        ("--weights", "mode: cost\n", 1, "no matrix rows found"),
+        ("--weights", "mode: cost\n0,1\n1,x\n", 3,
+         "expected comma-separated reals, got '1,x'"),
+    ],
+    ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real"],
+)
+def test_malformed_input_file_names_its_line(tmp_path, pair, capsys, option, text, line,
+                                             message):
+    bad = write(tmp_path / "bad.txt", text)
+    argv = (["nw", "--input", bad] if option == "--input"
+            else ["psd-check", "--weights", bad])
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["gram", "enumerate", "nw", "ot", "psd-check"])

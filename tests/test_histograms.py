@@ -130,6 +130,8 @@ def test_contingency_table_validation():
         ContingencyTable(((1, 0), (2,)))
     with pytest.raises(ValidationError):
         ContingencyTable(((1, -1), (0, 0)))
+    with pytest.raises(ValidationError, match="at least one row"):
+        ContingencyTable(())
 
 
 def test_contingency_table_cost_skips_zero_entries():

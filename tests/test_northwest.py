@@ -107,6 +107,8 @@ def test_sample_permutations_rejects_oversized_request():
         itertools.permutations((1, 2, 3))
     )
     assert sample_permutations(4, 1, seed=9).perms[0].image == (1, 2, 3, 4)
+    with pytest.raises(ValidationError, match="dimension must be at least 1"):
+        sample_permutations(0, 1, 0)
 
 
 def test_sample_permutations_rejects_bools_and_non_ints():
@@ -159,6 +161,12 @@ def test_permutation_set_validation():
         PermutationSet((other, ident), 3, 0, 2)  # identity must lead
     with pytest.raises(ValidationError):
         PermutationSet((ident, ident), 3, 0, 2)  # duplicates
+    with pytest.raises(ValidationError, match="cannot be empty"):
+        PermutationSet((), 3, 0, 0)
+    with pytest.raises(ValidationError, match="same bins"):
+        PermutationSet((ident, Permutation((2, 1))), 3, 0, 2)
+    with pytest.raises(ValidationError, match="collected 2 permutations, target 3"):
+        PermutationSet((ident, other), 3, 0, 3)
 
 
 def test_permutation_set_images_are_cached_and_read_only():
@@ -493,6 +501,9 @@ def test_nw_rejects_mismatched_dimensions():
         nw_cost_matrix(
             Histogram((1, 2)), Histogram((2, 1)), WeightSpec.from_cost(np.zeros((2, 2))), rset
         )
+    with pytest.raises(DimensionMismatchError, match="sizes 3, 2 applied to 2 bins"):
+        nw_permuted(Histogram((1, 2)), Histogram((2, 1)),
+                    Permutation((3, 1, 2)), Permutation((2, 1)))
 
 
 @given(st.integers(2, 4), st.integers(0, 10), st.integers(0, 2 ** 31 - 1))

@@ -97,9 +97,10 @@ def test_enumeration_validates_margins():
 
 def test_budget_exceeded_carries_progress():
     r, c = Histogram((7, 23)), Histogram((12, 18))
-    with pytest.raises(BudgetExceededError) as exc:
-        list(enumerate_tables(r, c, EnumerationBudget(max_tables=7)))
-    assert exc.value.count_so_far == 7
+    stream = enumerate_tables(r, c, EnumerationBudget(max_tables=7))
+    assert len(list(itertools.islice(stream, 7))) == 7
+    with pytest.raises(BudgetExceededError, match="more than 7 tables"):
+        next(stream)
     for bad in (0, True, "a", float("nan"), None, float("inf")):
         with pytest.raises(ValidationError):
             EnumerationBudget(max_tables=bad)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportkernels import (
+    BudgetExceededError,
     DimensionMismatchError,
     GramMatrix,
     Histogram,
@@ -263,6 +264,28 @@ def test_build_gram_names_the_failing_row():
     # a value past the last row is an error, not dropped
     with pytest.raises(KernelEvaluationError, match="more than the 6 values"):
         build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0], "volume")
+
+
+def test_build_gram_passes_the_packages_errors_through():
+    # a kernel's own refusal keeps its type and words; only foreign
+    # exceptions are wrapped with the row
+    hists = [Histogram((1, 1, 0, 0)), Histogram((0, 1, 1, 0))]
+    w = WeightSpec.from_cost(np.zeros((3, 3)))
+    for kernel in (
+        lambda hs, pairs: weighted_volume_pairs(hs, pairs, w),
+        lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w),
+        lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, sample_permutations(4, 2, 0)),
+    ):
+        with pytest.raises(DimensionMismatchError) as exc:
+            build_gram(hists, kernel, "volume")
+        assert str(exc.value) == "weight matrix is 3x3 but histograms have 4 bins"
+
+    def refused(hs, pairs):
+        yield 1.0
+        raise BudgetExceededError("more than 1 table")
+
+    with pytest.raises(BudgetExceededError, match="^more than 1 table$"):
+        build_gram(hists, refused, "volume")
 
 
 @pytest.mark.parametrize("bad", [None, "x", np.array([1.0, 2.0])])
