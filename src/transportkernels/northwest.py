@@ -29,11 +29,10 @@ keys is O(BLOCK + |R| d + |R|^2) for any number of pairs. Its work,
 pairs times |R|^2 vertices times 2d merge keys, is known before it
 starts and is checked against an EnumerationBudget.
 
-Permutation sets (`sample_permutations`) hold the draws of
-numpy.random.default_rng(seed).permutation(d). The package reproduces
-that stream itself: drawing imports no numpy.random, and a seed gives
-the same set whatever numpy's version, which numpy's policy on stream
-compatibility does not promise.
+Permutation sets (`sample_permutations`) hold Fisher-Yates draws made
+from the floats of Python's random.Random(seed), a sequence Python keeps
+the same per seed across its versions. Drawing imports no numpy.random,
+and a seed gives the same set whatever the numpy or Python version.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -52,10 +52,6 @@ from .polytope import DEFAULT_MAX_TABLES, EnumerationBudget, WeightSpec, require
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
 BLOCK = 8192
-
-_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -95,81 +91,28 @@ class PermutationSet:
         return iter(self.perms)
 
 
-def _default_rng_permutations(d: int, seed: int) -> Iterator[tuple[int, ...]]:
-    """1-based images of numpy.random.default_rng(seed).permutation(d), draw after draw.
+def _permutation_stream(d: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """1-based images of uniform permutations of d items, draw after draw.
 
-    numpy's stream for d up to 2^32, reproduced so that drawing imports
-    no numpy.random and cannot move with numpy's version. SeedSequence
-    hashes the seed's 32-bit words, low first, into a pool of four words
-    and expands the pool into the 128-bit state and increment of PCG64:
-    an LCG whose 64-bit outputs rotate the xor of their state's halves
-    (XSL-RR). A 32-bit draw takes an output's low half and keeps its high
-    half for the next draw. Fisher-Yates swaps index i, from d - 1 down
-    to 1, with a draw masked to the bits of i and redrawn while above i.
+    Fisher-Yates swaps index i, from d - 1 down to 1, with the index
+    int(u * (i + 1)) for the next float u of random.Random(seed).
     """
-    n = int(seed)
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    hash_const = 0x43B0D7E5
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * 0x931E8875 & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const, expanded = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_const
-        hash_const = hash_const * 0x58F38DED & _M32
-        value = value * hash_const & _M32
-        expanded.append(value ^ value >> 16)
-    # Word pairs, low first, make w0..w3; w0:w1 seed the state and w2:w3
-    # the increment, high word first.
-    w = [expanded[2 * k] | expanded[2 * k + 1] << 32 for k in range(4)]
-    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-    state = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
-    spare = None
+    rng = random.Random(int(seed))
     while True:
         image = list(range(1, d + 1))
         for i in range(d - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            while True:
-                if spare is None:
-                    state = (state * _PCG_MULT + inc) & _M128
-                    rot = state >> 122
-                    out = (state >> 64 ^ state) & _M64
-                    out = (out >> rot | out << (64 - rot)) & _M64
-                    value, spare = out & _M32, out >> 32
-                else:
-                    value, spare = spare, None
-                value &= mask
-                if value <= i:
-                    break
-            image[i], image[value] = image[value], image[i]
+            # random() keeps its sequence per seed across Python versions;
+            # shuffle and randrange may change their algorithms.
+            j = int(rng.random() * (i + 1))
+            image[i], image[j] = image[j], image[i]
         yield tuple(image)
 
 
 def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
     """Identity plus seeded uniform draws, deduplicated to the target size.
 
-    The draws are those of numpy.random.default_rng(seed).permutation(d),
-    produced by the package's own copy of that stream.
+    The draws are Fisher-Yates shuffles driven by the floats of
+    random.Random(seed), kept in order of first appearance.
     """
     for value in (size_target, seed):
         # Python counts a bool as an int; a draw recipe may not.
@@ -186,7 +129,7 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
             f"size_target {size_target} exceeds the {math.factorial(d)} "
             f"permutations of {d} items"
         )
-    stream = _default_rng_permutations(d, seed)
+    stream = _permutation_stream(d, seed)
     identity = Permutation.identity(d)
     seen = {identity.image}
     perms = [identity]
@@ -277,7 +220,7 @@ def _staircases(
     imgs holds the 0-based original bin of each relabelled bin. The
     vertices are walked in blocks of max(1, BLOCK // (2d)), so a block
     holds at most BLOCK keys (one vertex when its 2d keys exceed it).
-    Yields one (vertices, 2d) array per block: entry k of a vertex is the
+    Returns an iterator of one (vertices, 2d) array per block: entry k of a vertex is the
     mass of the k-th segment of its staircase times the cost of the
     original cell that segment fills, and 0 for a zero-mass segment even
     where the cost is +inf. The nonzero entries of a vertex are its
@@ -301,17 +244,17 @@ def _staircases(
     bins, BudgetExceededError when the stream's merge keys, pairs times
     n^2 vertices times 2d, exceed the budget (the default EnumerationBudget
     when None), and ValidationError when the mass needs more than
-    63 - shift bits and so does not fit the keys; all before any key
-    table is built. Indices address hs as a sequence does:
+    63 - shift bits and so does not fit the keys; all when called, before
+    any key table is built. Indices address hs as a sequence does:
     a negative one counts from the end, and one outside
     [-len(hs), len(hs)) raises IndexError. An empty family, which can
-    have no pairs, yields nothing.
+    have no pairs, gives an empty iterator.
     """
     index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
     if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
         raise IndexError(f"index pair out of range for {len(hs)} histograms")
     if not len(hs):
-        return
+        return iter(())
     d = hs[0].d
     if imgs.shape[1] != d:
         raise DimensionMismatchError(
@@ -368,34 +311,38 @@ def _staircases(
     reach = np.arange(n, 3 * n - 1, dtype=np.intp)[:, None] * (d + 1) + np.arange(width)
     step = max(1, BLOCK // width)
     n_vertices = len(pair_sides) * n * n
-    for v0 in range(0, n_vertices, step):
-        pair, ab = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
-        sides = pair_sides.take(pair, axis=0)
-        sides += within.take(ab, axis=0)
-        keys = side_keys.take(sides, axis=0).reshape(-1, width)
-        keys.sort(axis=1)
-        # Steps in value along the flat block, written as floats for the
-        # product; each vertex's first step is from 0.
-        values = (keys >> shift).ravel()
-        masses = np.empty(values.shape)
-        np.subtract(values[1:], values[:-1], out=masses[1:])
-        masses = masses.reshape(keys.shape)
-        masses[:, 0] = values[::width]
-        # intp indices: take converts any other index type element by element.
-        keys &= (1 << shift) - 1
-        own = keys.astype(np.intp, copy=False)
-        other = reach.take(within_sums.take(ab), axis=0)
-        other -= own
-        cells = side_bins.take(own)
-        cells += side_bins.take(other)
-        # Zero-mass segments stay free even at +inf cost; a product too
-        # large for a float is inf, as in ContingencyTable.cost.
-        priced = costs.take(cells)
-        if any_inf:
-            priced[masses == 0] = 0.0
-        with np.errstate(over="ignore"):
-            priced *= masses
-        yield priced
+
+    def blocks() -> Iterator[np.ndarray]:
+        for v0 in range(0, n_vertices, step):
+            pair, ab = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
+            sides = pair_sides.take(pair, axis=0)
+            sides += within.take(ab, axis=0)
+            keys = side_keys.take(sides, axis=0).reshape(-1, width)
+            keys.sort(axis=1)
+            # Steps in value along the flat block, written as floats for the
+            # product; each vertex's first step is from 0.
+            values = (keys >> shift).ravel()
+            masses = np.empty(values.shape)
+            np.subtract(values[1:], values[:-1], out=masses[1:])
+            masses = masses.reshape(keys.shape)
+            masses[:, 0] = values[::width]
+            # intp indices: take converts any other index type element by element.
+            keys &= (1 << shift) - 1
+            own = keys.astype(np.intp, copy=False)
+            other = reach.take(within_sums.take(ab), axis=0)
+            other -= own
+            cells = side_bins.take(own)
+            cells += side_bins.take(other)
+            # Zero-mass segments stay free even at +inf cost; a product too
+            # large for a float is inf, as in ContingencyTable.cost.
+            priced = costs.take(cells)
+            if any_inf:
+                priced[masses == 0] = 0.0
+            with np.errstate(over="ignore"):
+                priced *= masses
+            yield priced
+
+    return blocks()
 
 
 def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:

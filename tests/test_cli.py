@@ -111,11 +111,11 @@ GOLDEN_GRAMS = {
         "nw",
         "mode: cost\n0,0.7,1.3,2\n0.7,0,0.4,1.1\n1.3,0.4,0,0.9\n2,1.1,0.9,0\n",
         (
-            b"9.142435029854212,1.928417328145087,0.9025877697534695,0.824993670045965,0.1945270978466971\n"
-            b"1.928417328145087,5.959299879638392,3.4560696013414143,0.800160316830641,0.5207257676381091\n"
-            b"0.9025877697534695,3.4560696013414143,11.558484216569447,1.2168219506043454,0.5933832895783775\n"
-            b"0.824993670045965,0.800160316830641,1.2168219506043454,7.393759614669698,0.8420829351237706\n"
-            b"0.1945270978466971,0.5207257676381091,0.5933832895783775,0.8420829351237706,6.041527199154518\n"
+            b"7.404649078076992,1.2065101840925492,0.4952063932038522,0.8890522961019245,0.19424801769445826\n"
+            b"1.2065101840925492,5.989860728125992,1.6952354010085795,0.7106759687672148,0.8360587490740676\n"
+            b"0.4952063932038522,1.6952354010085795,7.7465221077780555,0.8829127735583846,0.46231480262024305\n"
+            b"0.8890522961019245,0.7106759687672148,0.8829127735583846,7.152521169902588,0.766679247740941\n"
+            b"0.19424801769445826,0.8360587490740676,0.46231480262024305,0.766679247740941,6.86654603867812\n"
         ),
     ),
     "monge": (
