@@ -41,12 +41,19 @@ from typing import Callable, NoReturn
 from . import fileio
 from .errors import BudgetExceededError, TransportKernelError, ValidationError
 from .histograms import Histogram, Permutation
-from .northwest import nw_kernel_pairs, nw_permuted, nw_table, sample_permutations
+from .northwest import (
+    nw_kernel_pairs,
+    nw_permuted,
+    nw_table,
+    require_corner_stream,
+    sample_permutations,
+)
 from .ot import ot_cost, pseudo_kernel_pairs
 from .polytope import (
     DEFAULT_MAX_TABLES,
     EnumerationBudget,
     enumerate_tables,
+    require_family,
     weighted_volume_pairs,
 )
 from .psd import build_gram, certify_psd, psd_weight_check, require_tolerance
@@ -210,12 +217,16 @@ def cmd_gram(args: argparse.Namespace, data: dict[str, bytes] | None = None) -> 
     w = fileio.parse_weights(args.weights, args.weights_mode, data["weights"])
     digests = {key: hashlib.sha256(data[name]).hexdigest() for name, key in _DIGESTS}
     budget = EnumerationBudget(args.budget)
-    d = histograms[0].d
     if args.kernel == "volume":
         kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w, budget)
     elif args.kernel == "pseudo":
         kernel = lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w, budget)
     else:  # nw; the parser admits no other kernel
+        # Refuse the family and the stream before drawing the permutations; a
+        # size below 1 draws none, and sample_permutations refuses it.
+        require_family(histograms, w)
+        m, d, mass = len(histograms), histograms[0].d, histograms[0].mass
+        require_corner_stream(m * (m + 1) // 2, max(args.r_size, 0), d, mass, budget)
         rset = sample_permutations(d, args.r_size, args.seed)
         kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset, budget)
     gram = build_gram(histograms, kernel, kernel_id=args.kernel)

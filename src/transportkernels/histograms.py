@@ -18,6 +18,7 @@ the content of the second.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -26,14 +27,25 @@ import numpy as np
 from .errors import DimensionMismatchError, LengthMismatchError, ValidationError
 
 
+# Python counts a bool as an int, and numpy 1.x lets operator.index read a
+# numpy bool; a count may be neither. Neither type can be subclassed.
+_BOOLS = (bool, np.bool_)
+
+
 def _as_int(value, what: str) -> int:
-    try:
-        out = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not an integer: {value!r}") from exc
-    if out != value:
-        raise ValidationError(f"{what} is not an integer: {value!r}")
-    return out
+    """value as a Python int, for every count, size, seed and budget the package reads.
+
+    The package's one integer check: a value is an integer when
+    operator.index accepts it (int, numpy integers). Bools, numpy bools,
+    floats (integral, nan and inf alike), Fractions, Decimals and strings
+    raise ValidationError("<what> is not an integer: <value!r>").
+    """
+    if type(value) not in _BOOLS:
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} is not an integer: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ histogram under every relabelling are built once, and so are the
 2 |R| (d + 1) bins of every relabelling, and the vertices are sorted
 pair by pair in blocks holding at most BLOCK keys, so memory beyond the
 keys is O(BLOCK + |R| d + |R|^2) for any number of pairs. Its work,
-pairs times |R|^2 vertices times 2d merge keys, is known before it
-starts and is checked against an EnumerationBudget.
+pairs times |R|^2 vertices times 2d merge keys, is known from the pair
+count, |R|, d and the mass before any permutation is drawn, and
+`require_corner_stream` checks it against an EnumerationBudget.
 
 Permutation sets (`sample_permutations`) hold Fisher-Yates draws made
 from the floats of Python's random.Random(seed), a sequence Python keeps
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -47,7 +47,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
-from .histograms import ContingencyTable, Histogram, Permutation
+from .histograms import ContingencyTable, Histogram, Permutation, _as_int
 from .polytope import DEFAULT_MAX_TABLES, EnumerationBudget, WeightSpec, require_family
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
@@ -56,7 +56,11 @@ BLOCK = 8192
 
 @dataclass(frozen=True)
 class PermutationSet:
-    """Deduplicated permutations with the identity first, plus its draw recipe."""
+    """Deduplicated permutations with the identity first, plus its draw recipe.
+
+    d, seed and size_target are read by `histograms._as_int`, as
+    `sample_permutations` reads them.
+    """
 
     perms: tuple[Permutation, ...]
     d: int
@@ -64,6 +68,8 @@ class PermutationSet:
     size_target: int
 
     def __post_init__(self) -> None:
+        for name in ("d", "seed", "size_target"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.perms:
             raise ValidationError("a permutation set cannot be empty")
         if self.perms[0] != Permutation.identity(self.d):
@@ -112,12 +118,15 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
     """Identity plus seeded uniform draws, deduplicated to the target size.
 
     The draws are Fisher-Yates shuffles driven by the floats of
-    random.Random(seed), kept in order of first appearance.
+    random.Random(seed), kept in order of first appearance. d,
+    size_target and seed are read by `histograms._as_int`: a bool, a
+    float (2.0 too) or any other non-integer raises ValidationError
+    ("<name> is not an integer: ..."), and a numpy integer counts as
+    the Python int it equals.
     """
-    for value in (size_target, seed):
-        # Python counts a bool as an int; a draw recipe may not.
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"size_target {size_target!r}, seed {seed!r}: not ints")
+    d = _as_int(d, "d")
+    size_target = _as_int(size_target, "size_target")
+    seed = _as_int(seed, "seed")
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     if size_target < 1:
@@ -205,6 +214,37 @@ def nw_permuted(
     return ContingencyTable(entries)
 
 
+def require_corner_stream(
+    pairs: int, n: int, d: int, mass: int, budget: EnumerationBudget | None = None
+) -> int:
+    """Refuse a corner-rule stream too large to run; return its key shift.
+
+    The stream prices pairs index pairs of a family of d-bin histograms
+    of mass `mass` under n relabellings. BudgetExceededError when its
+    merge keys, pairs times n^2 vertices times 2d, exceed the budget (the
+    default EnumerationBudget when None); ValidationError when the mass
+    needs more than 63 - shift bits, shift = bit_length(2 n (d + 1) - 1),
+    and so does not fit the int64 keys. Both are known before any
+    permutation is drawn or key built.
+    """
+    width = 2 * d
+    needed = pairs * n * n * width
+    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
+    if needed > cap:
+        raise BudgetExceededError(
+            f"{pairs} pairs, {n}^2 vertices each of {width} keys, need "
+            f"{needed} merge keys, more than {cap}"
+        )
+    shift = (2 * n * (d + 1) - 1).bit_length()
+    bits = (mass << shift).bit_length()
+    if bits > 63:
+        raise ValidationError(
+            f"mass {mass} needs {bits} bits of merge key at d={d} and "
+            f"|R|={n}, more than the 63 of int64"
+        )
+    return shift
+
+
 def _staircases(
     hs: Sequence[Histogram],
     pairs,
@@ -241,16 +281,21 @@ def _staircases(
     holds O(BLOCK) values and the walk O(n^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
-    bins, BudgetExceededError when the stream's merge keys, pairs times
-    n^2 vertices times 2d, exceed the budget (the default EnumerationBudget
-    when None), and ValidationError when the mass needs more than
-    63 - shift bits and so does not fit the keys; all when called, before
-    any key table is built. Indices address hs as a sequence does:
-    a negative one counts from the end, and one outside
-    [-len(hs), len(hs)) raises IndexError. An empty family, which can
-    have no pairs, gives an empty iterator.
+    bins, and what `require_corner_stream` raises for the stream's pairs,
+    n, d and mass: BudgetExceededError over the budget, ValidationError
+    for a mass too large for the keys; all when called, before any key
+    table is built. Indices address hs as a sequence does: a negative
+    one counts from the end, one outside [-len(hs), len(hs)) raises
+    IndexError, and pairs whose array dtype is neither integer nor bool
+    (a float index, even 1.0) raise TypeError. An empty pair list is
+    valid, and an empty family, which can have no pairs, gives an empty
+    iterator.
     """
-    index = np.ascontiguousarray(pairs, dtype=np.intp).reshape(-1, 2)
+    index = np.asarray(pairs)
+    # The cast below would truncate a float index where a sequence raises.
+    if index.size and index.dtype.kind not in "biu":
+        raise TypeError(f"index pairs must be integers, not {index.dtype}")
+    index = np.ascontiguousarray(index, dtype=np.intp).reshape(-1, 2)
     if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
         raise IndexError(f"index pair out of range for {len(hs)} histograms")
     if not len(hs):
@@ -262,22 +307,9 @@ def _staircases(
         )
     n = len(imgs)
     width = 2 * d
-    needed = len(index) * n * n * width
-    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
-    if needed > cap:
-        raise BudgetExceededError(
-            f"{len(index)} pairs, {n}^2 vertices each of {width} keys, need "
-            f"{needed} merge keys, more than {cap}"
-        )
-    shift = (2 * n * (d + 1) - 1).bit_length()
-    bits = (hs[0].mass << shift).bit_length()
-    if bits > 63:
-        raise ValidationError(
-            f"mass {hs[0].mass} needs {bits} bits of merge key at d={d} and "
-            f"|R|={n}, more than the 63 of int64"
-        )
+    shift = require_corner_stream(len(index), n, d, hs[0].mass, budget)
     # Keys of at most 31 bits sort as int32; the mass then fits int32 too.
-    dtype = np.int32 if bits <= 31 else np.int64
+    dtype = np.int32 if (hs[0].mass << shift).bit_length() <= 31 else np.int64
     counts = np.array([h.counts for h in hs], dtype=dtype).reshape(len(hs), d)
     # Row keys, then column keys of each h relabelled by each a, at h * n + a:
     # one table, so one gather fills a block.
@@ -405,7 +437,8 @@ def nw_kernel_pairs(
     pairs times |R|^2 vertices times 2d merge keys, is checked against
     the budget (the default EnumerationBudget when None) before any key
     is built, and BudgetExceededError raised when it is larger. p and q
-    index hs as a sequence does; one out of range raises IndexError.
+    index hs as a sequence does; one out of range raises IndexError, a
+    float one TypeError.
     """
     require_family(hs, w)
     blocks = _staircases(hs, pairs, rset.images, w.cost, budget)

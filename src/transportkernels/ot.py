@@ -132,7 +132,7 @@ def pseudo_kernel_pairs(
     real-valued costs that may differ in the last bits from the cost
     `ot_cost` reports for its plan. exp(-cost) overflowing gives inf. p
     and q index hs as a sequence does; one out of range raises
-    IndexError.
+    IndexError, a float one TypeError.
     """
     require_family(hs, w)
     m = w.cost

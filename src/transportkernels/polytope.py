@@ -55,7 +55,7 @@ from .errors import (
     MassMismatchError,
     ValidationError,
 )
-from .histograms import ContingencyTable, Histogram
+from .histograms import ContingencyTable, Histogram, _as_int
 
 DEFAULT_MAX_TABLES = 10_000_000
 
@@ -63,6 +63,11 @@ DEFAULT_MAX_TABLES = 10_000_000
 # floats), so that it stays in cache; a run whose own box is larger
 # runs alone.
 STACK_CELLS = 1 << 15
+
+# The largest float whose exp is finite: the rounded log of the largest
+# float lies about 2e-14 below the overflow threshold, the next float
+# about 9e-14 above it.
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -82,20 +87,20 @@ class EnumerationBudget:
     where the cap is read: in `enumerate_tables` for the table stream,
     in `_boxes` for every recurrence, in `northwest._staircases` for
     the corner-rule streams.
+
+    The cap is read by `histograms._as_int`, so a bool, a float (5.0
+    too) or any other non-integer raises ValidationError ("budget is not
+    an integer: ..."), and so does a cap below 1 ("budget must be a
+    positive integer, got ...").
     """
 
     max_tables: int = DEFAULT_MAX_TABLES
 
     def __post_init__(self) -> None:
-        cap = self.max_tables
-        try:
-            # Python counts a bool as an int; a budget may not.
-            valid = not isinstance(cap, bool) and int(cap) == cap and cap > 0
-        except (TypeError, ValueError, OverflowError):  # None, "a", nan, inf
-            valid = False
-        if not valid:
+        cap = _as_int(self.max_tables, "budget")
+        if cap < 1:
             raise ValidationError(f"budget must be a positive integer, got {cap!r}")
-        object.__setattr__(self, "max_tables", int(cap))
+        object.__setattr__(self, "max_tables", cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,7 +501,7 @@ def weighted_volume_pairs(
     weights; otherwise, and for any pair whose float value is inf or NaN
     (a partial product overflowed), it runs on log weights -m_ij under
     logaddexp. 0^0 = 1 throughout. p and q index hs as a sequence does;
-    one out of range raises IndexError.
+    one out of range raises IndexError, a float one TypeError.
     """
     require_family(hs, w)
     runs = _rows(hs, pairs)
@@ -535,10 +540,8 @@ def weighted_volume(
 
 
 def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
+    """exp(x), inf where it is beyond the float range."""
+    return math.inf if x > _EXP_MAX else math.exp(x)
 
 
 def generating_function(

@@ -704,6 +704,41 @@ def test_gram_budget_caps_corner_rule_streams(tmp_path, hists3, capsys, kernel, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "hists, weights, extra, code, message",
+    [
+        # three d=32 histograms of mass 64: the draws took seconds and
+        # hundreds of MB before this refusal
+        ("\n".join([",".join(["2"] * 32)] * 3), "\n".join([",".join(["0"] * 32)] * 32),
+         ["--r-size", "200000"], EXIT_BUDGET,
+         "6 pairs, 200000^2 vertices each of 64 keys, need 15360000000000 merge keys, "
+         "more than 10000000"),
+        ("1,2,1\n0,3,2", None, [], EXIT_ERROR, "histogram 1 has mass 5 but histogram 0 has 4"),
+        ("1,2,0,1\n0,1,2,1", "0,1,2\n1,0,1\n2,1,0", [], EXIT_ERROR,
+         "weight matrix is 3x3 but histograms have 4 bins"),
+        # a negative size is refused as before, not as a budget of |R|^2 keys
+        ("1,2,1\n0,3,1", None, ["--r-size=-5000"], EXIT_ERROR, "size_target must be at least 1"),
+    ],
+    ids=["over-budget", "mixed-masses", "weights-of-another-size", "negative-size"],
+)
+def test_gram_nw_refuses_before_drawing_permutations(
+    tmp_path, weights3, monkeypatch, capsys, hists, weights, extra, code, message
+):
+    from transportkernels import northwest
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no permutation may be drawn")
+
+    monkeypatch.setattr(northwest, "_permutation_stream", refuse)
+    h = write(tmp_path / "h.txt", hists + "\n")
+    w = write(tmp_path / "w.txt", f"mode: cost\n{weights}\n") if weights else weights3
+    out = tmp_path / "out"
+    argv = ["gram", "--input", h, "--weights", w, "--kernel", "nw", "--out", str(out)]
+    assert main(argv + extra) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_gram_builds_only_its_own_subcommand_parser(tmp_path, hists3, weights3, monkeypatch,
                                                     capsys):
     import transportkernels.cli as cli

@@ -1,21 +1,28 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from transportkernels import (
     ContingencyTable,
     DimensionMismatchError,
+    EnumerationBudget,
     Histogram,
     IndexSequence,
     LengthMismatchError,
     MassMismatchError,
     Permutation,
+    PermutationSet,
     ValidationError,
     canonical_sequence,
     chi,
     permuted_sequence,
     require_family,
+    sample_permutations,
+    softmin,
 )
 
 
@@ -33,6 +40,70 @@ def test_histogram_rejects_negative_and_empty():
         Histogram(())
     with pytest.raises(ValidationError):
         Histogram((1.5, 2))  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Histogram((2.0, 1)), "histogram count is not an integer: 2.0"),
+        (lambda: Histogram((True, 1)), "histogram count is not an integer: True"),
+        (lambda: Histogram((np.True_, 1)), "histogram count is not an integer"),
+        (lambda: Histogram((float("inf"), 1)), "histogram count is not an integer: inf"),
+        (lambda: Histogram((Fraction(2), 1)), "histogram count is not an integer"),
+        (lambda: Histogram((Decimal(2), 1)), "histogram count is not an integer"),
+        (lambda: EnumerationBudget(5.0), "budget is not an integer: 5.0"),
+        (lambda: EnumerationBudget(True), "budget is not an integer: True"),
+        (lambda: EnumerationBudget(Fraction(5)), "budget is not an integer"),
+        (lambda: sample_permutations(2.0, 1, 0), "d is not an integer: 2.0"),
+        (lambda: sample_permutations(True, 1, 0), "d is not an integer: True"),
+        (lambda: sample_permutations(3, Decimal(2), 0), "size_target is not an integer"),
+        (lambda: PermutationSet((Permutation((1,)),), d=True, seed=0, size_target=1),
+         "d is not an integer: True"),
+        (lambda: PermutationSet((Permutation((1,)),), d=1, seed=2.5, size_target=1),
+         "seed is not an integer: 2.5"),
+    ],
+    ids=["count-float", "count-bool", "count-numpy-bool", "count-inf", "count-fraction",
+         "count-decimal", "budget-float", "budget-bool", "budget-fraction", "d-float",
+         "d-bool", "size-decimal", "set-d-bool", "set-seed-float"],
+)
+def test_one_integer_rule_refuses_non_integers(make, message):
+    # integral floats and bools were accepted as counts, 5.0 as a budget,
+    # True as a dimension; inf escaped as OverflowError, 2.0 as TypeError
+    with pytest.raises(ValidationError, match=message):
+        make()
+
+
+def test_one_integer_rule_reads_numpy_integers_as_ints():
+    h = Histogram((np.int64(2), 1))
+    assert h.counts == (2, 1) and type(h.counts[0]) is int
+    budget = EnumerationBudget(np.int32(5))
+    assert budget.max_tables == 5 and type(budget.max_tables) is int
+    assert sample_permutations(3, 2, np.int64(1)) == sample_permutations(3, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Histogram((1, 2)).permuted(Permutation((1, 2, 3))), DimensionMismatchError,
+         "permutation of size 3 applied to 2 bins"),
+        (lambda: Permutation((2, 1)).permute((1, 2, 3)), LengthMismatchError,
+         "permutation of size 2 applied to 3 values"),
+        (lambda: IndexSequence((), 0), ValidationError, "alphabet size must be at least 1"),
+        (lambda: ContingencyTable(((1, 0), (0, 1))).cost(np.zeros((3, 3))),
+         DimensionMismatchError, "cost matrix of shape (3, 3) priced against a 2x2 table"),
+        (lambda: permuted_sequence(Histogram((1, 2)), Permutation((1, 2, 3))),
+         DimensionMismatchError, "permutation of size 3 applied to 2 bins"),
+        (lambda: chi(IndexSequence((1,), 1), IndexSequence((1,), 2)), DimensionMismatchError,
+         "sequences over alphabets of sizes 1 and 2"),
+        (lambda: softmin([]), ValidationError, "softmin of an empty collection"),
+    ],
+    ids=["histogram-permuted", "permute", "empty-alphabet", "cost-shape",
+         "permuted-sequence", "chi-alphabets", "empty-softmin"],
+)
+def test_precondition_errors_name_their_cause(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
 
 
 def test_require_family_pair():

@@ -117,8 +117,12 @@ def test_sample_permutations_rejects_bools_and_non_ints():
     # True would draw as seed 1, or ask for one permutation; the others
     # raised TypeError, or recorded a float target
     for size_target, seed in [(2, True), (True, 1), (2, 1.5), (2, "1"), (2, None), (2.0, 1)]:
-        with pytest.raises(ValidationError, match="not ints"):
+        with pytest.raises(ValidationError, match="is not an integer"):
             sample_permutations(3, size_target, seed)
+    # a float d raised TypeError, and True made a set whose d is True
+    for d in (True, np.True_, 2.0, 3.5, "3", None):
+        with pytest.raises(ValidationError, match="d is not an integer"):
+            sample_permutations(d, 1, 0)
     assert sample_permutations(3, 2, np.int64(1)) == sample_permutations(3, 2, seed=1)
 
 

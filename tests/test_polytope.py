@@ -493,6 +493,10 @@ def test_softmin_identities():
     assert softmin(vals) <= min(vals)
 
 
+def test_softmin_with_minus_inf_is_minus_inf():
+    assert softmin([1.0, -math.inf]) == -math.inf
+
+
 def test_generating_function_is_exp_neg_softmin():
     rng = np.random.default_rng(5)
     r, c = random_pair(rng, 3, 5)

@@ -385,6 +385,25 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
         assert list(stream([], [])) == []
 
 
+@pytest.mark.parametrize("pairs", [[(0.7, 1)], np.array([[0.7, 1.0]])], ids=["list", "array"])
+@pytest.mark.parametrize("kernel", ["volume", "nw", "monge-pseudo", "pseudo"])
+def test_triangle_kernels_refuse_float_indices(kernel, pairs):
+    # a float indexes no sequence; an integer cast would read 0.7 as 0
+    hists = [Histogram((1, 2)), Histogram((2, 1))]
+    monge_w = WeightSpec.from_cost([[0.0, 1.0], [1.0, 0.0]])
+    w = WeightSpec.from_cost([[1.0, 0.0], [0.0, 1.0]])
+    assert monge_check(monge_w) and not monge_check(w)
+    streams = {
+        "volume": lambda ps: weighted_volume_pairs(hists, ps, w),
+        "nw": lambda ps: nw_kernel_pairs(hists, ps, w, sample_permutations(2, 2, 0)),
+        "monge-pseudo": lambda ps: pseudo_kernel_pairs(hists, ps, monge_w),
+        "pseudo": lambda ps: pseudo_kernel_pairs(hists, ps, w),
+    }
+    with pytest.raises(TypeError):
+        list(streams[kernel](pairs))
+    assert list(streams[kernel](np.empty((0, 2)))) == []
+
+
 def test_volume_gram_psd_for_psd_weights():
     rng = np.random.default_rng(73)
     for _ in range(10):
