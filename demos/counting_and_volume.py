@@ -60,6 +60,6 @@ print("softmin of transport costs:", softmin(costs))
 # enumeration honors an explicit budget instead of hanging on big inputs
 try:
     list(enumerate_tables(Histogram((500, 500)), Histogram((400, 600)),
-                          EnumerationBudget(max_tables=100)))
+                          EnumerationBudget(cap=100)))
 except Exception as exc:
     print("budget guard:", exc)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, _as_int
-from .polytope import DEFAULT_MAX_TABLES, EnumerationBudget, WeightSpec, require_family
+from .polytope import EnumerationBudget, WeightSpec, _cap, require_family
 
 # Keys merged per block of whole relabelled pairs (at least one pair).
 BLOCK = 8192
@@ -229,7 +229,7 @@ def require_corner_stream(
     """
     width = 2 * d
     needed = pairs * n * n * width
-    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
+    cap = _cap(budget)
     if needed > cap:
         raise BudgetExceededError(
             f"{pairs} pairs, {n}^2 vertices each of {width} keys, need "

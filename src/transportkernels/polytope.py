@@ -21,9 +21,14 @@ the column exponents e <= max c builds it row by row, a scan along one
 axis per nonzero weight, so one array serves every c of a Gram row. The
 scans depend on the weights alone, never on r, so the rows of
 consecutive Gram rows run as one stacked box, one slab e <= max c per
-run of pairs. It runs in floats and in log space (logaddexp, +) for the
-weighted volume, in exact integers for `count_tables` and in (min, +) on
-the costs for the pseudo kernel and `ot`'s cheapest table. A box's work
+run of pairs. For the weighted volume it runs in floats on balanced
+weights: rows and columns of K scaled exactly by powers of two so that
+every weight is at most 1, each slab lifted to start at 2^512, and each
+value scaled back by ldexp. Only a pair whose float value could have
+lost a visible share to underflow, or that overflowed, is redone in log
+space (logaddexp, +). It runs in exact integers for `count_tables` and
+in (min, +) on the costs for the pseudo kernel and `ot`'s cheapest
+table. A box's work
 is its height times its cells times its passes; the budget caps that
 number, checked before the box is allocated. A stack grows while its box
 holds at most STACK_CELLS cells and fits the budget, and a Gram row
@@ -83,10 +88,10 @@ class EnumerationBudget:
     kernel and the pseudo kernel on Monge costs, count the merge keys of
     the whole stream, pairs times |R|^2 vertices times 2d (|R| = 1 for
     the pseudo kernel), checked before any key is built. A caller
-    passing None gets the default cap, DEFAULT_MAX_TABLES, resolved
-    where the cap is read: in `enumerate_tables` for the table stream,
-    in `_boxes` for every recurrence, in `northwest._staircases` for
-    the corner-rule streams.
+    passing None gets the default cap, DEFAULT_MAX_TABLES, through
+    `_cap`, which every reader of a cap calls: `enumerate_tables`,
+    `_boxes` for every recurrence and `northwest.require_corner_stream`
+    for the corner-rule streams.
 
     The cap is read by `histograms._as_int`, so a bool, a float (5.0
     too) or any other non-integer raises ValidationError ("budget is not
@@ -94,13 +99,18 @@ class EnumerationBudget:
     positive integer, got ...").
     """
 
-    max_tables: int = DEFAULT_MAX_TABLES
+    cap: int = DEFAULT_MAX_TABLES
 
     def __post_init__(self) -> None:
-        cap = _as_int(self.max_tables, "budget")
+        cap = _as_int(self.cap, "budget")
         if cap < 1:
             raise ValidationError(f"budget must be a positive integer, got {cap!r}")
-        object.__setattr__(self, "max_tables", cap)
+        object.__setattr__(self, "cap", cap)
+
+
+def _cap(budget: EnumerationBudget | None) -> int:
+    """The budget's cap, DEFAULT_MAX_TABLES for None."""
+    return DEFAULT_MAX_TABLES if budget is None else budget.cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,13 +231,10 @@ def enumerate_tables(
     exceed the budget, the default EnumerationBudget when budget is None.
     """
     require_family((r, c))
-    budget = budget if budget is not None else EnumerationBudget()
-    return _table_stream(r, c, budget)
+    return _table_stream(r, c, _cap(budget))
 
 
-def _table_stream(
-    r: Histogram, c: Histogram, budget: EnumerationBudget
-) -> Iterator[ContingencyTable]:
+def _table_stream(r: Histogram, c: Histogram, cap: int) -> Iterator[ContingencyTable]:
     d = r.d
     rows: list[tuple[int, ...]] = []
     emitted = 0
@@ -237,11 +244,8 @@ def _table_stream(
         if i == d - 1:
             # Mass conservation forces the last row.
             emitted += 1
-            if emitted > budget.max_tables:
-                raise BudgetExceededError(
-                    f"more than {budget.max_tables} tables exist for margins "
-                    f"{r} / {c}"
-                )
+            if emitted > cap:
+                raise BudgetExceededError(f"more than {cap} tables exist for margins {r} / {c}")
             yield ContingencyTable(tuple(rows) + (residual,))
             return
         for x in _bounded_compositions(r.counts[i], residual):
@@ -253,20 +257,26 @@ def _table_stream(
 
 
 class _Semiring(NamedTuple):
-    """(plus, times) as numpy ufuncs, their identities and the array dtype."""
+    """(plus, times) as numpy ufuncs, their identities, the array dtype and the slabs' start."""
 
     plus: np.ufunc
     times: np.ufunc
     zero: object
     one: object
     dtype: type
+    start: object
 
 
-_REAL = _Semiring(np.add, np.multiply, 0.0, 1.0, float)
-_LOG = _Semiring(np.logaddexp, np.add, -math.inf, 0.0, float)
-_EXACT = _Semiring(np.add, np.multiply, 0, 1, object)
+# Each float slab starts at 2^_LIFT: the states of the balanced
+# recurrence are at most 2^_LIFT times their number of placements, so
+# they overflow only past 2^511 placements, and a placement's product
+# reaches the slow subnormal range only below 2^-1534.
+_LIFT = 512
+_REAL = _Semiring(np.add, np.multiply, 0.0, 1.0, float, 2.0**_LIFT)
+_LOG = _Semiring(np.logaddexp, np.add, -math.inf, 0.0, float, 0.0)
+_EXACT = _Semiring(np.add, np.multiply, 0, 1, object, 1)
 # On costs: the least cost over the placements, +inf where there is none.
-_MIN = _Semiring(np.minimum, np.add, math.inf, 0.0, float)
+_MIN = _Semiring(np.minimum, np.add, math.inf, 0.0, float, 0.0)
 
 
 class _Stack(NamedTuple):
@@ -302,7 +312,7 @@ def _boxes(
         [(j, weights[i, j]) for j in range(d) if weights[i, j] != ring.zero]
         for i in range(d)
     ]
-    cap = DEFAULT_MAX_TABLES if budget is None else budget.max_tables
+    cap = _cap(budget)
 
     def updates(height: int, live: set, extent: tuple[int, ...]) -> int:
         passes = sum(max(1, sum(1 for j, _ in cells[i] if extent[j])) for i in live)
@@ -348,7 +358,7 @@ def _sweep(
     """Yield the stacked box before the first of `rows` and after each, updated in place.
 
     Axis 0 holds one slab e <= extent per row histogram counts[t], each
-    starting at `ring.one` on e = 0. A row (i, cells) multiplies
+    starting at `ring.start` on e = 0. A row (i, cells) multiplies
     h_{counts[t, i]} into every slab by the scan
     F[e] = F[e] (+) k (x) F[e - unit_j] along axis j for each cell (j, k),
     skipping axes of extent 0; then, unless it is the last row, it resets
@@ -357,11 +367,11 @@ def _sweep(
     whose row i is empty as they were: each is scanned against states of
     lower total, all `ring.zero`, and F (+) k (x) zero = F in every
     semiring here. Each slab then holds, at each e, the `ring` sum over
-    its rows' placements with column sums e.
+    its rows' placements with column sums e, times `ring.start`.
     """
     d = len(extent)
     f = np.full((len(counts),) + tuple(e + 1 for e in extent), ring.zero, dtype=ring.dtype)
-    f[(slice(None),) + (0,) * d] = ring.one
+    f[(slice(None),) + (0,) * d] = ring.start
     totals = sum(
         np.arange(e + 1).reshape((-1,) + (1,) * (d - 1 - j)) for j, e in enumerate(extent)
     )
@@ -402,9 +412,9 @@ def _generating_values(
     """[(r, cs, [T(r, c) for c in cs]) for each run of a stack], per stack of `_boxes`.
 
     T(r, c) = [y^c] prod_i h_{r_i}(k_i1 y_1, ..., k_id y_d) in `ring`, h_n
-    the complete homogeneous polynomial of degree n: slab t's state at
-    e = c after every row. A weight equal to `ring.zero` is never
-    scanned, which keeps 0^0 = 1.
+    the complete homogeneous polynomial of degree n, times `ring.start`:
+    slab t's state at e = c after every row. A weight equal to
+    `ring.zero` is never scanned, which keeps 0^0 = 1.
     """
     for stack in _boxes(runs, weights, ring, budget):
         counts = np.array([r.counts for r, _ in stack.runs])
@@ -495,29 +505,104 @@ def weighted_volume_pairs(
     Each run of consecutive pairs with the same p is one slab of a
     generating-polynomial recurrence, and consecutive runs share one
     stacked box under the rule of `_boxes`, which raises
-    BudgetExceededError before allocating one. Every partial product is
-    at least kmin^N (kmin the smallest nonzero weight capped at 1, N the
-    mass). While that bound is a normal float the recurrence runs on the
-    weights; otherwise, and for any pair whose float value is inf or NaN
-    (a partial product overflowed), it runs on log weights -m_ij under
-    logaddexp. 0^0 = 1 throughout. p and q index hs as a sequence does;
-    one out of range raises IndexError, a float one TypeError.
+    BudgetExceededError before allocating one. The recurrence runs in
+    floats on the balanced weights of `_balanced`, each slab lifted to
+    start at 2^_LIFT, and the value is scaled back exactly; a pair whose
+    float value may have lost more than 2^-_TRUST of itself to underflow,
+    or that overflowed, is redone on log weights -m_ij under logaddexp
+    (see `_volumes`). 0^0 = 1 throughout. p and q index hs as a sequence
+    does; one out of range raises IndexError, a float one TypeError.
     """
     require_family(hs, w)
-    runs = _rows(hs, pairs)
-    floor = float(w.weight[w.weight > 0.0].min(initial=1.0))
-    if hs and hs[0].mass * math.log(floor) < math.log(sys.float_info.min):
-        return _log_volumes(runs, w, budget)
-    return _volumes(runs, w, budget)
+    return _volumes(hs, _rows(hs, pairs), w, budget)
 
 
-def _volumes(runs, w: WeightSpec, budget: EnumerationBudget | None) -> Iterator[float]:
-    """T(r, c; K) for each pair of runs on the weights; a pair that overflows is redone in logs."""
-    for stack in _generating_values(runs, w.weight, _REAL, budget):
-        redo = [(r, [c for c, v in zip(cs, vs) if not v < math.inf]) for r, cs, vs in stack]
-        logs = _log_volumes([run for run in redo if run[1]], w, budget)
-        for _, _, vs in stack:
-            yield from (v if v < math.inf else next(logs) for v in vs)
+def _balanced(w: WeightSpec) -> tuple[np.ndarray, list[int], list[int]]:
+    """(K', e, f) with K' the weights k_ij scaled by 2^-(e_i + f_j).
+
+    e_i puts the largest weight of row i in (1/2, 1]; f_j <= 0 then puts
+    the largest of column j of the row-scaled matrix there too, which
+    leaves every weight at most 1 and every nonempty row's largest still
+    in (1/2, 1]. A largest weight of exactly 1 is not scaled, and rows
+    and columns of zeros get 0. A normal weight is scaled exactly, by
+    ldexp, and its exponent is read by frexp. A weight that exp(-m_ij)
+    leaves below the normal range (0.0 too where m_ij is finite) is
+    exp(-m_ij - (e_i + f_j) ln 2), and its exponent is rounded up from
+    -m_ij / ln 2 and held above -2^20, so the largest of a row or column
+    made only of such weights may land lower than 1/2, never above 1.
+    """
+    k, m = w.weight, w.cost
+    normal = k >= sys.float_info.min
+    mant, exp = np.frexp(k)
+    # ceil(log2 k_ij), -inf for a zero weight
+    estimate = np.ceil(np.maximum(-m / math.log(2.0) * (1.0 - 2.0**-40), -(2.0**20)))
+    top = np.where(normal, exp - (mant == 0.5), np.where(np.isinf(m), -np.inf, estimate))
+    e = top.max(axis=1)
+    e[np.isinf(e)] = 0.0
+    f = (top - e[:, None]).max(axis=0)
+    f[np.isinf(f)] = 0.0
+    shift = e[:, None] + f
+    with np.errstate(under="ignore"):
+        tiny = np.exp(-m - shift * math.log(2.0))
+        scaled = np.where(normal, np.ldexp(k, -shift.astype(int)), tiny)
+    return scaled, e.astype(int).tolist(), f.astype(int).tolist()
+
+
+# A float volume is kept when its bound on the mass lost to underflow is
+# below 2^-_TRUST of it, well inside the suite's 1e-12 relative oracles.
+_TRUST = 45
+
+
+def _volumes(
+    hs: Sequence[Histogram], runs, w: WeightSpec, budget: EnumerationBudget | None
+) -> Iterator[float]:
+    """T(r, c; K) for each pair of runs in floats, redone in logs where floats cannot vouch for it.
+
+    The recurrence on the balanced weights K' = K 2^-(e_i + f_j) gives
+    v = 2^_LIFT T(r, c; K'), and T(r, c; K) = ldexp(v, r.e + c.f - _LIFT)
+    exactly wherever the result is a normal float. Every balanced weight
+    is at most 1, so no state exceeds 2^_LIFT times its placements, and
+    a state that underflows holds only placements whose tables end below
+    the normal range. A multiply whose result is subnormal loses at most
+    2^-1075, a table passes at most d^2 of them (a row scans each of its
+    d weights once), and the placements that carry a loss into v are
+    worth at most 1 each. A balanced weight below the normal range is
+    itself rounded, by at most 2^-1075, which moves a table's lifted
+    product by at most N 2^(_LIFT - 1075). So v misses at most the
+    number of tables times d^2 2^-1075, plus N 2^(_LIFT - 1075) where a
+    weight was rounded. A pair is kept when v is finite and that bound
+    is below 2^-_TRUST v, or below 2^-1075 (half the least subnormal)
+    once scaled back; the others are redone in logs. A value beyond the
+    float range is inf.
+    """
+    weight, e, f = _balanced(w)
+    mass = hs[0].mass if hs else 0
+    rounded = (np.isfinite(w.cost) & (weight < sys.float_info.min)).any()
+    lost = w.d**2 + (mass << _LIFT if rounded else 0)
+    # row i of a table is one of the C(r_i + d - 1, r_i) compositions of r_i
+    tables = max((math.prod(math.comb(n + w.d - 1, n) for n in h.counts) for h in hs), default=1)
+    bits = (tables * lost).bit_length() - 1075
+    limit = 2.0 ** (bits + _TRUST) if bits + _TRUST < 1024 else math.inf
+    # keyed by counts: a tuple hashes faster than the dataclass around it
+    rows = {h.counts: sum(map(operator.mul, h.counts, e)) - _LIFT for h in hs}
+    cols = {h.counts: sum(map(operator.mul, h.counts, f)) for h in hs}
+
+    def unscaled(v: float, shift: int) -> float | None:
+        if v < math.inf and (v >= limit or shift + bits <= -1075):
+            # v < 2^x for x the frexp exponent; ldexp raises past the float range
+            return math.ldexp(v, shift) if math.frexp(v)[1] + shift <= 1024 else math.inf
+        return None
+
+    for stack in _generating_values(runs, weight, _REAL, budget):
+        kept = [
+            (r, cs, [unscaled(v, rows[r.counts] + cols[c.counts]) for c, v in zip(cs, vs)])
+            for r, cs, vs in stack
+        ]
+        redo = [(r, [c for c, v in zip(cs, vs) if v is None]) for r, cs, vs in kept]
+        redo = [run for run in redo if run[1]]
+        logs = _log_volumes(redo, w, budget) if redo else None
+        for _, _, vs in kept:
+            yield from (next(logs) if v is None else v for v in vs)
 
 
 def _log_volumes(runs, w: WeightSpec, budget: EnumerationBudget | None) -> Iterator[float]:

@@ -140,6 +140,18 @@ GOLDEN_GRAMS = {
             b"0.08629358649937054,0.34993774911115544,0.2465969639416065,0.4965853037914095,1.0\n"
         ),
     ),
+    # the volume-forbidden shape: cost 0.5|i - j|, +inf (zero weight) beyond 2
+    "forbidden": (
+        "volume",
+        "mode: cost\n0,0.5,1,inf\n0.5,0,0.5,1\n1,0.5,0,0.5\ninf,1,0.5,0\n",
+        (
+            b"1.5713174316646534,0.8993831447814116,0.3030121272289387,0.3873001573962274,0.0820849986238988\n"
+            b"0.8993831447814116,4.375375878396106,1.1450001253668174,1.033976995042895,1.2177631404719913\n"
+            b"0.3030121272289387,1.1450001253668174,2.1915518004205867,0.4397155338950306,0.3032849051061864\n"
+            b"0.3873001573962274,1.033976995042895,0.4397155338950306,1.706652714901266,0.38856034209768747\n"
+            b"0.0820849986238988,1.2177631404719913,0.3032849051061864,0.38856034209768747,3.2186621501629418\n"
+        ),
+    ),
     "volume": (
         "volume",
         "mode: weight\n1.0,0.5,0.25,0.125\n0.5,1.0,0.5,0.25\n0.25,0.5,1.0,0.5\n0.125,0.25,0.5,1.0\n",

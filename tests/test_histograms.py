@@ -77,7 +77,7 @@ def test_one_integer_rule_reads_numpy_integers_as_ints():
     h = Histogram((np.int64(2), 1))
     assert h.counts == (2, 1) and type(h.counts[0]) is int
     budget = EnumerationBudget(np.int32(5))
-    assert budget.max_tables == 5 and type(budget.max_tables) is int
+    assert budget.cap == 5 and type(budget.cap) is int
     assert sample_permutations(3, 2, np.int64(1)) == sample_permutations(3, 2, 1)
 
 

@@ -97,13 +97,13 @@ def test_enumeration_validates_margins():
 
 def test_budget_exceeded_carries_progress():
     r, c = Histogram((7, 23)), Histogram((12, 18))
-    stream = enumerate_tables(r, c, EnumerationBudget(max_tables=7))
+    stream = enumerate_tables(r, c, EnumerationBudget(cap=7))
     assert len(list(itertools.islice(stream, 7))) == 7
     with pytest.raises(BudgetExceededError, match="more than 7 tables"):
         next(stream)
     for bad in (0, True, "a", float("nan"), None, float("inf")):
         with pytest.raises(ValidationError):
-            EnumerationBudget(max_tables=bad)
+            EnumerationBudget(cap=bad)
 
 
 def test_weighted_volume_respects_budget():
@@ -112,15 +112,15 @@ def test_weighted_volume_respects_budget():
     r, c = Histogram((7, 23)), Histogram((12, 18))
     w = WeightSpec.from_weight([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(BudgetExceededError, match="need 988 cell updates, more than 987"):
-        weighted_volume(r, c, w, EnumerationBudget(max_tables=987))
-    assert weighted_volume(r, c, w, EnumerationBudget(max_tables=988)) == 8.0
+        weighted_volume(r, c, w, EnumerationBudget(cap=987))
+    assert weighted_volume(r, c, w, EnumerationBudget(cap=988)) == 8.0
     # with (30, 0) beside it the shared box e <= (30, 18) needs 4 * 589 = 2356;
     # below that each column gets its own box, and (30, 0) needs only 2 * 31
     hs, row = [r, c, Histogram((30, 0))], [(0, 1), (0, 2)]
     with pytest.raises(BudgetExceededError):
-        list(weighted_volume_pairs(hs, row, w, EnumerationBudget(max_tables=987)))
+        list(weighted_volume_pairs(hs, row, w, EnumerationBudget(cap=987)))
     for cap in (988, 2355, 2356):
-        values = weighted_volume_pairs(hs, row, w, EnumerationBudget(max_tables=cap))
+        values = weighted_volume_pairs(hs, row, w, EnumerationBudget(cap=cap))
         assert list(values) == [8.0, 1.0]
 
 
@@ -202,6 +202,48 @@ def test_volume_intermediate_underflow_keeps_dominant_term():
     assert v == pytest.approx(1e-32, rel=1e-12, abs=0)
 
 
+def test_volume_runs_in_floats_below_the_old_log_floor(monkeypatch):
+    # kmin^N = e^-720 is below the float minimum; the balanced float pass
+    # vouches for every pair, so the log recurrence never runs
+    import transportkernels.polytope as polytope
+
+    def refuse(*args):
+        raise AssertionError("_log_volumes called")
+
+    monkeypatch.setattr(polytope, "_log_volumes", refuse)
+    gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    w = WeightSpec.from_cost(30.0 * gap)
+    assert w.weight.min() ** 8 < np.finfo(float).tiny
+    counts = ((8, 0, 0, 0), (2, 2, 2, 2), (0, 1, 3, 4), (5, 0, 0, 3), (1, 4, 2, 1), (0, 0, 1, 7))
+    hs = [Histogram(h) for h in counts]
+    values = list(weighted_volume_pairs(hs, _triangle(len(hs)), w))
+    for (p, q), v in zip(_triangle(len(hs)), values):
+        assert v == pytest.approx(generating_function(hs[p], hs[q], w), rel=1e-12, abs=0)
+
+
+def test_volume_redoes_in_logs_only_pairs_below_the_trust_bound(monkeypatch):
+    # balanced, the weights are 1 and 2^-900: (2, 0) / (0, 2) is worth
+    # 2^-1800 times the lift 2^512, which is 0.0 in floats, while its
+    # volume 2^-800 is a normal float; every other pair is kept
+    import transportkernels.polytope as polytope
+
+    redone = []
+    log_volumes = polytope._log_volumes
+
+    def recorded(runs, *args):
+        redone.extend((r.counts, [c.counts for c in cs]) for r, cs in runs)
+        return log_volumes(runs, *args)
+
+    monkeypatch.setattr(polytope, "_log_volumes", recorded)
+    w = WeightSpec.from_weight([[2.0**500, 2.0**-400], [2.0**-400, 2.0**500]])
+    hs = [Histogram((2, 0)), Histogram((0, 2)), Histogram((1, 1))]
+    values = list(weighted_volume_pairs(hs, _triangle(3), w))
+    assert redone == [((2, 0), [(0, 2)])]
+    for (p, q), v in zip(_triangle(3), values):
+        assert v == pytest.approx(generating_function(hs[p], hs[q], w), rel=1e-12, abs=0)
+    assert values[1] == pytest.approx(2.0**-800, rel=1e-12, abs=0)
+
+
 def _family(d: int, mass: int) -> list[Histogram]:
     """Every histogram with d bins and the given mass."""
     counts = itertools.product(range(mass + 1), repeat=d)
@@ -215,11 +257,12 @@ def _volume_row_cases():
         mass = int(rng.integers(0, 7))
         yield [random_histogram(rng, d, mass) for _ in range(6)], random_psd_weight(rng, d)
     e = math.exp(1.0)
-    # log path: kmin^N below the normal range; some values overflow to inf
+    # kmin^N below the normal range: balanced, the weights lie between
+    # 2^-613 and 1, and the values beyond the float range come back inf
     yield _family(2, 6), WeightSpec.from_weight([[1e-170, 1e-100], [1e-100, 1e154]])
-    # log path: (e^40)^20 overflows while the cells are built
+    # (e^40)^20 overflows unbalanced; balanced, no table is worth less than 2^-20
     yield _family(2, 20), WeightSpec.from_weight([[e**40, 1.0], [1.0, e**-40]])
-    # float path, but the (2, 0) column overflows and reruns on log weights
+    # the (2, 0) column is beyond the float range once scaled back: inf
     yield _family(2, 2), WeightSpec.from_weight([[1e300, 1.0], [1e10, 1e-5]])
     # forbidden pairs: +inf cost beyond the band |i - j| <= 1
     gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
@@ -275,8 +318,8 @@ def test_stacked_volume_matches_one_pair_values(case):
 
 
 def test_stacked_volume_matches_one_pair_values_on_log_and_edge_families():
-    # log weights, pairs redone in logs beside float ones, forbidden pairs,
-    # one bin and zero mass
+    # weights far from 1, pairs beyond the float range beside finite ones,
+    # forbidden pairs, one bin and zero mass
     cases = list(_volume_row_cases()) + [
         ([Histogram((n,)) for n in (5, 5, 5)], WeightSpec.from_weight([[0.7]])),
         ([Histogram((0, 0, 0))] * 3, random_psd_weight(np.random.default_rng(2), 3)),
@@ -452,6 +495,14 @@ def _edge_cases():
     yield Histogram((1, 2, 3, 0)), Histogram((0, 1, 2, 3)), band
     # every table uses a forbidden cell: the volume is exactly 0
     yield Histogram((3, 0, 0, 0)), Histogram((0, 0, 0, 3)), band
+    # exp(-1444.65) is 0.0 in floats, yet its cost is finite: the only
+    # table that avoids the forbidden cell uses it and is worth e^-138.75
+    wide = WeightSpec.from_cost([[-700.0, 1444.65], [-605.9, np.inf]])
+    yield Histogram((2, 1)), Histogram((2, 1)), wide
+    # balanced, e^-586.67 falls to 0.0 below e^272.9 in its row and 1 in its
+    # column, yet the one table of (1, 0) / (1, 0) is worth that weight
+    steep = WeightSpec.from_cost([[586.67, -272.9], [0.0, 0.0]])
+    yield Histogram((1, 0)), Histogram((1, 0)), steep
 
 
 @pytest.mark.parametrize("r, c, w", list(_edge_cases()))
