@@ -61,10 +61,10 @@ hists = [Histogram(tuple(int(v) for v in rng.multinomial(10, np.ones(3) / 3)))
          for _ in range(8)]
 # (the pairs kernel prices every vertex of the upper triangle in one
 # stream; one-pair calls give the same matrix)
-gram = build_gram(hists, lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset), "nw")
+gram = build_gram(hists, lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset))
 assert gram.values[0, 1] == nw_kernel(hists[0], hists[1], w, rset)
 one_by_one = build_gram(
-    hists, lambda hs, pairs: (nw_kernel(hs[p], hs[q], w, rset) for p, q in pairs), "nw"
+    hists, lambda hs, pairs: (nw_kernel(hs[p], hs[q], w, rset) for p, q in pairs)
 )
 assert np.array_equal(gram.values, one_by_one.values)
 cert = certify_psd(gram)

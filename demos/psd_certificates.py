@@ -24,7 +24,7 @@ from transportkernels import (
 )
 
 # the certificate on a hand-checkable matrix: eigenvalues -1 and 3
-cert = certify_psd(GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), "volume"))
+cert = certify_psd(GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
 print("extreme eigenvalues:", cert.min_eigenvalue, cert.max_eigenvalue, cert.verdict)
 assert np.allclose([cert.min_eigenvalue, cert.max_eigenvalue], [-1.0, 3.0])
 assert not cert.passed
@@ -42,7 +42,7 @@ hists = [Histogram(tuple(int(v) for v in rng.multinomial(5, np.ones(3) / 3)))
 # the volume reads each Gram row off one slab of a generating-polynomial
 # recurrence, one stacked box per run of Gram rows (here all nine), with
 # budget = height x cells x passes
-volume_gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
+volume_gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w))
 volume_cert = certify_psd(volume_gram)
 print("volume kernel:", volume_cert.verdict,
       "min eigenvalue", f"{volume_cert.min_eigenvalue:.3e}")
@@ -56,7 +56,7 @@ m = np.array([[0.0, 0.105, 0.105],
               [0.105, 0.0, 2.303],
               [0.105, 2.303, 0.0]])
 wm = WeightSpec.from_cost(m)
-pseudo_gram = build_gram(points, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, wm), "pseudo")
+pseudo_gram = build_gram(points, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, wm))
 pseudo_cert = certify_psd(pseudo_gram)
 print("min-cost pseudo kernel:", pseudo_cert.verdict,
       "min eigenvalue", f"{pseudo_cert.min_eigenvalue:.3f}")
@@ -64,6 +64,6 @@ assert not pseudo_cert.passed
 
 # Gram matrices refuse to be built from asymmetric data
 try:
-    GramMatrix(np.array([[1.0, 0.9], [0.5, 1.0]]), "volume")
+    GramMatrix(np.array([[1.0, 0.9], [0.5, 1.0]]))
 except Exception as exc:
     print("asymmetry guard:", exc)

@@ -47,7 +47,7 @@ from .ot import (
     pseudo_kernel_pairs,
 )
 from .polytope import (
-    DEFAULT_MAX_TABLES,
+    DEFAULT_BUDGET,
     EnumerationBudget,
     WeightSpec,
     count_tables,
@@ -71,7 +71,7 @@ __all__ = [
     "fileio",
     "BudgetExceededError",
     "ContingencyTable",
-    "DEFAULT_MAX_TABLES",
+    "DEFAULT_BUDGET",
     "DimensionMismatchError",
     "EnumerationBudget",
     "GramMatrix",

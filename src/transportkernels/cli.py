@@ -50,7 +50,7 @@ from .northwest import (
 )
 from .ot import ot_cost, pseudo_kernel_pairs
 from .polytope import (
-    DEFAULT_MAX_TABLES,
+    DEFAULT_BUDGET,
     EnumerationBudget,
     enumerate_tables,
     require_family,
@@ -106,7 +106,7 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
         p.add_argument(
             "--budget",
             type=int,
-            default=DEFAULT_MAX_TABLES,
+            default=DEFAULT_BUDGET,
             help="cap on the tables streamed by enumerate; on the cell updates of one "
             "recurrence box for gram (volume, and pseudo off Monge costs) and ot: one "
             "stacked box per run of Gram rows, its height times its cells times its "
@@ -132,23 +132,6 @@ def _add_nw(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-p", help="column relabelling, comma-separated image")
 
 
-# Each subcommand's help and the function that adds its options, in the
-# order the usage lists them.
-_SUBCOMMANDS = {
-    "gram": ("build a kernel Gram matrix and certify it", _add_gram),
-    "enumerate": (
-        "stream all tables for one margin pair",
-        lambda p: _add_options(p, "input", "budget", "out"),
-    ),
-    "nw": ("print the corner-rule vertex for one margin pair", _add_nw),
-    "psd-check": ("certify a weight matrix", lambda p: _add_options(p, "weights", "tolerance")),
-    "ot": (
-        "exact minimum transport cost",
-        lambda p: _add_options(p, "input", "weights", "budget", "out", out_required=False),
-    ),
-}
-
-
 def _parser(only: str | None = None) -> argparse.ArgumentParser:
     """The command line's parser; given `only`, it holds that one subcommand."""
     parser = _Parser(
@@ -156,7 +139,7 @@ def _parser(only: str | None = None) -> argparse.ArgumentParser:
         description="Kernels between integral histograms via transportation tables",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (text, add) in _SUBCOMMANDS.items():
+    for name, (text, add, _) in _SUBCOMMANDS.items():
         if only in (None, name):
             add(sub.add_parser(name, help=text))
     return parser
@@ -229,7 +212,7 @@ def cmd_gram(args: argparse.Namespace, data: dict[str, bytes] | None = None) -> 
         require_corner_stream(m * (m + 1) // 2, max(args.r_size, 0), d, mass, budget)
         rset = sample_permutations(d, args.r_size, args.seed)
         kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset, budget)
-    gram = build_gram(histograms, kernel, kernel_id=args.kernel)
+    gram = build_gram(histograms, kernel)
     certificate = certify_psd(gram, args.tolerance)
     out = _out_dir(args)
     fileio.write_gram_csv(out / "gram.csv", gram.values)
@@ -237,7 +220,7 @@ def cmd_gram(args: argparse.Namespace, data: dict[str, bytes] | None = None) -> 
     manifest = {
         "argv": _recorded_argv(args),
         **digests,
-        "kernel_id": gram.kernel_id,
+        "kernel_id": args.kernel,
         "certificate": certificate.to_dict(),
         "artifacts": ["gram.csv", "certificate.json"],
     }
@@ -307,12 +290,26 @@ def cmd_ot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gram": cmd_gram,
-    "enumerate": cmd_enumerate,
-    "nw": cmd_nw,
-    "psd-check": cmd_psd_check,
-    "ot": cmd_ot,
+# Each subcommand's help, the function that adds its options and the
+# function that runs it, in the order the usage lists them.
+_SUBCOMMANDS = {
+    "gram": ("build a kernel Gram matrix and certify it", _add_gram, cmd_gram),
+    "enumerate": (
+        "stream all tables for one margin pair",
+        lambda p: _add_options(p, "input", "budget", "out"),
+        cmd_enumerate,
+    ),
+    "nw": ("print the corner-rule vertex for one margin pair", _add_nw, cmd_nw),
+    "psd-check": (
+        "certify a weight matrix",
+        lambda p: _add_options(p, "weights", "tolerance"),
+        cmd_psd_check,
+    ),
+    "ot": (
+        "exact minimum transport cost",
+        lambda p: _add_options(p, "input", "weights", "budget", "out", out_required=False),
+        cmd_ot,
+    ),
 }
 
 
@@ -394,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     returns EXIT_ERROR; a budget refusal prints it and returns EXIT_BUDGET.
     """
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    return _run(lambda: _COMMANDS[args.subcommand](args))
+    return _run(lambda: _SUBCOMMANDS[args.subcommand][2](args))
 
 
 def _run(command: Callable[[], int]) -> int:

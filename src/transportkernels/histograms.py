@@ -160,10 +160,6 @@ class IndexSequence:
             counts[v - 1] += 1
         return Histogram(tuple(counts))
 
-    def permuted(self, pi: Permutation) -> IndexSequence:
-        """Position-permuted copy: entry t becomes entries[pi(t)]."""
-        return IndexSequence(pi.permute(self.entries), self.d)
-
 
 @dataclass(frozen=True)
 class ContingencyTable:
@@ -196,10 +192,6 @@ class ContingencyTable:
     @property
     def d(self) -> int:
         return len(self.entries)
-
-    @property
-    def mass(self) -> int:
-        return self.row_sums.mass
 
     def nonzero_count(self) -> int:
         return sum(1 for row in self.entries for v in row if v)

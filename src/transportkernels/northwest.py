@@ -56,20 +56,15 @@ BLOCK = 8192
 
 @dataclass(frozen=True)
 class PermutationSet:
-    """Deduplicated permutations with the identity first, plus its draw recipe.
+    """Deduplicated permutations of the same d bins, the identity first.
 
-    d, seed and size_target are read by `histograms._as_int`, as
-    `sample_permutations` reads them.
+    A set drawn by `sample_permutations(d, size_target, seed)` is redrawn
+    by the same call; the set itself keeps only its permutations.
     """
 
     perms: tuple[Permutation, ...]
-    d: int
-    seed: int
-    size_target: int
 
     def __post_init__(self) -> None:
-        for name in ("d", "seed", "size_target"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.perms:
             raise ValidationError("a permutation set cannot be empty")
         if self.perms[0] != Permutation.identity(self.d):
@@ -78,10 +73,10 @@ class PermutationSet:
             raise ValidationError("all permutations must act on the same bins")
         if len(set(self.perms)) != len(self.perms):
             raise ValidationError("permutation set contains duplicates")
-        if len(self.perms) != self.size_target:
-            raise ValidationError(
-                f"collected {len(self.perms)} permutations, target {self.size_target}"
-            )
+
+    @property
+    def d(self) -> int:
+        return self.perms[0].n
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -155,7 +150,7 @@ def sample_permutations(d: int, size_target: int, seed: int) -> PermutationSet:
         if image not in seen:
             seen.add(image)
             perms.append(Permutation(image))
-    return PermutationSet(tuple(perms), d=d, seed=seed, size_target=size_target)
+    return PermutationSet(tuple(perms))
 
 
 def nw_table(r: Histogram, c: Histogram) -> ContingencyTable:

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .histograms import ContingencyTable, Histogram, _as_int
 
-DEFAULT_MAX_TABLES = 10_000_000
+DEFAULT_BUDGET = 10_000_000
 
 # Cells of one box shared by several runs of Gram rows (256 KiB of
 # floats), so that it stays in cache; a run whose own box is larger
@@ -88,7 +88,7 @@ class EnumerationBudget:
     kernel and the pseudo kernel on Monge costs, count the merge keys of
     the whole stream, pairs times |R|^2 vertices times 2d (|R| = 1 for
     the pseudo kernel), checked before any key is built. A caller
-    passing None gets the default cap, DEFAULT_MAX_TABLES, through
+    passing None gets the default cap, DEFAULT_BUDGET, through
     `_cap`, which every reader of a cap calls: `enumerate_tables`,
     `_boxes` for every recurrence and `northwest.require_corner_stream`
     for the corner-rule streams.
@@ -99,7 +99,7 @@ class EnumerationBudget:
     positive integer, got ...").
     """
 
-    cap: int = DEFAULT_MAX_TABLES
+    cap: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
         cap = _as_int(self.cap, "budget")
@@ -109,8 +109,8 @@ class EnumerationBudget:
 
 
 def _cap(budget: EnumerationBudget | None) -> int:
-    """The budget's cap, DEFAULT_MAX_TABLES for None."""
-    return DEFAULT_MAX_TABLES if budget is None else budget.cap
+    """The budget's cap, DEFAULT_BUDGET for None."""
+    return DEFAULT_BUDGET if budget is None else budget.cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +305,7 @@ def _boxes(
     join starts a stack of its own box e <= (max over cs of c_j) if that
     fits the budget; otherwise each c gets its own box e <= c, and one
     that does not fit raises BudgetExceededError before any box is
-    allocated. A budget of None caps at DEFAULT_MAX_TABLES.
+    allocated. A budget of None caps at DEFAULT_BUDGET.
     """
     d = len(weights)
     cells = [

@@ -20,8 +20,6 @@ from .errors import KernelEvaluationError, TransportKernelError, ValidationError
 from .histograms import Histogram
 from .polytope import WeightSpec, require_family
 
-KERNEL_IDS = ("volume", "nw", "pseudo", "oracle")
-
 SYMMETRY_REL_TOL = 1e-12
 
 
@@ -52,23 +50,18 @@ def _symmetric(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix tagged with the kernel that made it.
+    """Symmetric kernel matrix.
 
-    Construction rejects an unknown kernel_id, a matrix that is not
-    square and nonempty, non-finite entries, and asymmetry beyond 1e-12
-    relative to max(1, max |v|), each with ValidationError; within that
-    tolerance the matrix is stored as the mean of itself and its
-    transpose, exactly symmetric entries unchanged.
+    Construction rejects a matrix that is not square and nonempty,
+    non-finite entries, and asymmetry beyond 1e-12 relative to
+    max(1, max |v|), each with ValidationError; within that tolerance
+    the matrix is stored as the mean of itself and its transpose,
+    exactly symmetric entries unchanged.
     """
 
     values: np.ndarray
-    kernel_id: str
 
     def __post_init__(self) -> None:
-        if self.kernel_id not in KERNEL_IDS:
-            raise ValidationError(
-                f"kernel_id must be one of {KERNEL_IDS}, got {self.kernel_id!r}"
-            )
         values = _symmetric(self.values, "Gram matrix")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -140,7 +133,6 @@ def psd_weight_check(w: WeightSpec, tolerance: float = 1e-8) -> PsdCertificate:
 def build_gram(
     histograms: Sequence[Histogram],
     kernel: Callable[[list[Histogram], np.ndarray], Iterable[float]],
-    kernel_id: str,
 ) -> GramMatrix:
     """Evaluate a kernel on the upper triangle of the family and mirror it.
 
@@ -149,6 +141,8 @@ def build_gram(
     integer array, and yields K(h_p, h_q) for each pair in turn, possibly
     lazily; row p's m - p values fill row p and column p. Every
     `*_pairs` kernel takes this shape once its other arguments are bound.
+    The matrix does not name its kernel: the caller that chose the kernel
+    records it, as `cli.cmd_gram` writes --kernel to its manifest.
     An empty family raises ValidationError. The family is checked by
     `require_family` before the kernel runs, so a histogram whose bin
     count or mass differs from the first raises DimensionMismatchError
@@ -196,4 +190,4 @@ def build_gram(
         raise KernelEvaluationError(
             f"kernel returned more than the {len(pairs)} values of the upper triangle"
         )
-    return GramMatrix(values=values, kernel_id=kernel_id)
+    return GramMatrix(values)

@@ -176,7 +176,7 @@ def symmetrization_oracle(
 ) -> GramMatrix:
     """Gram matrix of the shuffle-summed kernel over a histogram family."""
     kernel = lambda hs, pairs: (shuffle_kernel(hs[p], hs[q], w) for p, q in pairs)
-    return build_gram(histograms, kernel, "oracle")
+    return build_gram(histograms, kernel)
 
 
 def brute_force_pattern_counts(

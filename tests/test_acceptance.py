@@ -161,7 +161,7 @@ def test_05_volume_kernel_gram_psd():
         m_count = int(rng.integers(2, 16))
         hists = [random_histogram(rng, d, mass) for _ in range(m_count)]
         w = random_psd_weight(rng, d)
-        gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
+        gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w))
         cert = certify_psd(gram, tolerance=1e-8)
         worst = min(worst, cert.min_eigenvalue / max(1.0, cert.max_eigenvalue))
         if not cert.passed:
@@ -186,7 +186,7 @@ def test_06_corner_kernel_gram_psd_at_scale():
         hists = [random_histogram(rng, d, mass) for _ in range(m_count)]
         w = random_psd_weight(rng, d, normalize=True)
         rset = sample_permutations(d, r_size, seed=int(rng.integers(0, 2 ** 32)))
-        gram = build_gram(hists, lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset), "nw")
+        gram = build_gram(hists, lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset))
         cert = certify_psd(gram, tolerance=1e-8)
         worst = min(worst, cert.min_eigenvalue / max(1.0, cert.max_eigenvalue))
         if not cert.passed:

@@ -659,7 +659,7 @@ def test_usage_errors_exit_1(argv, monkeypatch, capsys):
         raise AssertionError("the subcommand must not run")
 
     for name in ("gram", "enumerate", "nw"):
-        monkeypatch.setitem(cli._COMMANDS, name, refuse)
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (*cli._SUBCOMMANDS[name][:2], refuse))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_ERROR

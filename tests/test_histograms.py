@@ -15,7 +15,6 @@ from transportkernels import (
     LengthMismatchError,
     MassMismatchError,
     Permutation,
-    PermutationSet,
     ValidationError,
     canonical_sequence,
     chi,
@@ -57,14 +56,10 @@ def test_histogram_rejects_negative_and_empty():
         (lambda: sample_permutations(2.0, 1, 0), "d is not an integer: 2.0"),
         (lambda: sample_permutations(True, 1, 0), "d is not an integer: True"),
         (lambda: sample_permutations(3, Decimal(2), 0), "size_target is not an integer"),
-        (lambda: PermutationSet((Permutation((1,)),), d=True, seed=0, size_target=1),
-         "d is not an integer: True"),
-        (lambda: PermutationSet((Permutation((1,)),), d=1, seed=2.5, size_target=1),
-         "seed is not an integer: 2.5"),
     ],
     ids=["count-float", "count-bool", "count-numpy-bool", "count-inf", "count-fraction",
          "count-decimal", "budget-float", "budget-bool", "budget-fraction", "d-float",
-         "d-bool", "size-decimal", "set-d-bool", "set-seed-float"],
+         "d-bool", "size-decimal"],
 )
 def test_one_integer_rule_refuses_non_integers(make, message):
     # integral floats and bools were accepted as counts, 5.0 as a budget,

@@ -89,7 +89,6 @@ def test_sample_permutations_deterministic():
     a = sample_permutations(5, 8, seed=42)
     b = sample_permutations(5, 8, seed=42)
     assert a.perms == b.perms
-    assert a.seed == 42 and a.size_target == 8
     c = sample_permutations(5, 8, seed=43)
     assert c.perms != a.perms
 
@@ -111,6 +110,20 @@ def test_sample_permutations_rejects_oversized_request():
     assert sample_permutations(4, 1, seed=9).perms[0].image == (1, 2, 3, 4)
     with pytest.raises(ValidationError, match="dimension must be at least 1"):
         sample_permutations(0, 1, 0)
+
+
+def test_sample_permutations_stops_at_its_draw_cap(monkeypatch):
+    # a stream that never yields a new permutation is given up after
+    # 10_000 draws per permutation asked for
+    def identity_forever(d, seed):
+        while True:
+            yield tuple(range(1, d + 1))
+
+    monkeypatch.setattr(northwest, "_permutation_stream", identity_forever)
+    with pytest.raises(
+        ValidationError, match="could not collect 2 distinct permutations after 20000 draws"
+    ):
+        sample_permutations(3, 2, 0)
 
 
 def test_sample_permutations_rejects_bools_and_non_ints():
@@ -200,17 +213,15 @@ def test_permutation_stream_is_uniform():
 def test_permutation_set_validation():
     ident = Permutation.identity(3)
     other = Permutation((2, 1, 3))
-    PermutationSet((ident, other), 3, 0, 2)
+    assert PermutationSet((ident, other)).d == 3
     with pytest.raises(ValidationError):
-        PermutationSet((other, ident), 3, 0, 2)  # identity must lead
+        PermutationSet((other, ident))  # identity must lead
     with pytest.raises(ValidationError):
-        PermutationSet((ident, ident), 3, 0, 2)  # duplicates
+        PermutationSet((ident, ident))  # duplicates
     with pytest.raises(ValidationError, match="cannot be empty"):
-        PermutationSet((), 3, 0, 0)
+        PermutationSet(())
     with pytest.raises(ValidationError, match="same bins"):
-        PermutationSet((ident, Permutation((2, 1))), 3, 0, 2)
-    with pytest.raises(ValidationError, match="collected 2 permutations, target 3"):
-        PermutationSet((ident, other), 3, 0, 3)
+        PermutationSet((ident, Permutation((2, 1))))
 
 
 def test_permutation_set_images_are_cached_and_read_only():
@@ -431,7 +442,7 @@ def test_nw_gram_memory_does_not_grow_with_family():
         tracemalloc.start()
         try:
             kernel = lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, rset, budget)
-            build_gram(hists[:m], kernel, "nw")
+            build_gram(hists[:m], kernel)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

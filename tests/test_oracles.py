@@ -173,7 +173,6 @@ def test_symmetrization_oracle_gram_is_psd_and_matches_volume():
     hists = [random_histogram(rng, 3, 5) for _ in range(4)]
     w = random_psd_weight(rng, 3)
     gram = symmetrization_oracle(hists, w)
-    assert gram.kernel_id == "oracle"
     cert = certify_psd(gram)
     assert cert.passed
     for p in range(4):

@@ -451,7 +451,7 @@ def test_count_tables_respects_budget():
 
 
 def test_count_tables_has_the_default_budget():
-    # without a budget the box is capped at DEFAULT_MAX_TABLES cell
+    # without a budget the box is capped at DEFAULT_BUDGET cell
     # updates, as for every other recurrence: 14^5 cells passed 25 times
     thirteen = Histogram((13,) * 5)
     with pytest.raises(
@@ -471,7 +471,7 @@ def test_spike_family_takes_one_box_per_column():
     spikes = [Histogram(tuple(10 * (j == b) for j in range(d))) for b in range(d)]
     gap = np.subtract.outer(np.arange(d), np.arange(d)).astype(float)
     w = WeightSpec.from_weight(np.exp(-(gap**2) / 8.0))
-    gram = build_gram(spikes, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
+    gram = build_gram(spikes, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w))
     for p, q in itertools.product(range(d), repeat=2):
         assert gram.values[p, q] == weighted_volume(spikes[p], spikes[q], w)
         assert gram.values[p, q] == pytest.approx(w.weight[p, q] ** 10, rel=1e-14, abs=0)

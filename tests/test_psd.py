@@ -31,7 +31,7 @@ from conftest import random_histogram, random_psd_weight
 
 
 def _extremes(a) -> tuple[float, float]:
-    cert = certify_psd(GramMatrix(a, "volume"))
+    cert = certify_psd(GramMatrix(a))
     return cert.min_eigenvalue, cert.max_eigenvalue
 
 
@@ -99,13 +99,13 @@ def test_certificate_known_spectrum():
 
 def test_gram_matrix_rejects_non_square():
     with pytest.raises(ValidationError, match="square"):
-        GramMatrix(np.zeros((2, 3)), "volume")
+        GramMatrix(np.zeros((2, 3)))
 
 
 def test_gram_matrix_rejects_non_finite():
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValidationError, match="non-finite"):
-            GramMatrix(np.array([[1.0, bad], [bad, 1.0]]), "volume")
+            GramMatrix(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_monge_pseudo_gram_verdict_matches_reference():
@@ -115,7 +115,7 @@ def test_monge_pseudo_gram_verdict_matches_reference():
     hists = [random_histogram(rng, 4, 50) for _ in range(75)]
     gap = np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
     w = WeightSpec.from_cost(gap * 4.0 / 50)
-    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
+    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w))
     cert = certify_psd(gram)
     ref = np.linalg.eigvalsh(gram.values)
     scale = max(1.0, ref[-1])
@@ -125,40 +125,38 @@ def test_monge_pseudo_gram_verdict_matches_reference():
 
 
 def test_gram_matrix_symmetrizes_roundoff_but_rejects_asymmetry():
-    g = GramMatrix(np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]]), "volume")
+    g = GramMatrix(np.array([[1.0, 0.5 + 1e-15], [0.5, 1.0]]))
     assert g.values[0, 1] == g.values[1, 0]
     with pytest.raises(ValidationError):
-        GramMatrix(np.array([[1.0, 0.9], [0.5, 1.0]]), "volume")
+        GramMatrix(np.array([[1.0, 0.9], [0.5, 1.0]]))
     # opposite signs near the float limit: the asymmetry is measured without
     # an overflowing difference, so no RuntimeWarning precedes the rejection
     with pytest.raises(ValidationError, match="asymmetry inf exceeds"):
-        GramMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]), "volume")
-    with pytest.raises(ValidationError):
-        GramMatrix(np.eye(2), "no-such-kernel")
+        GramMatrix(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
 
 def test_gram_matrix_keeps_entries_near_float_max():
     # (v + v.T) / 2 overflows above about 8.99e307; exactly symmetric input,
     # a subnormal entry too, is stored bit for bit
-    g = GramMatrix(np.array([[1e308, 1.0], [1.0, 2.0]]), "volume")
+    g = GramMatrix(np.array([[1e308, 1.0], [1.0, 2.0]]))
     assert np.array_equal(g.values, [[1e308, 1.0], [1.0, 2.0]])
     big = 1.7e308
-    g = GramMatrix(np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]]), "volume")
+    g = GramMatrix(np.array([[1.0, big], [np.nextafter(big, 0.0), 1.0]]))
     assert np.isfinite(g.values).all() and g.values[0, 1] == g.values[1, 0]
     tiny = np.array([[5e-324, 5e-324], [5e-324, 1.0]])
-    assert np.array_equal(GramMatrix(tiny, "volume").values, tiny)
+    assert np.array_equal(GramMatrix(tiny).values, tiny)
 
 
 def test_gram_matrix_rejects_empty_matrix():
     with pytest.raises(ValidationError, match="nonempty"):
-        GramMatrix(np.zeros((0, 0)), "volume")
+        GramMatrix(np.zeros((0, 0)))
 
 
 def test_certify_psd_verdicts():
-    ok = certify_psd(GramMatrix(np.eye(3), "volume"))
+    ok = certify_psd(GramMatrix(np.eye(3)))
     assert ok.passed and ok.verdict == "pass"
     assert ok.min_eigenvalue == pytest.approx(1.0)
-    bad = certify_psd(GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "pseudo"))
+    bad = certify_psd(GramMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert not bad.passed and bad.verdict == "fail"
     assert bad.min_eigenvalue == pytest.approx(-1.0)
     d = bad.to_dict()
@@ -168,7 +166,7 @@ def test_certify_psd_verdicts():
 def test_certify_psd_tolerance_scales_with_top_eigenvalue():
     # a slightly negative eigenvalue passes when it is roundoff-sized
     # relative to the dominant one
-    g = GramMatrix(np.diag([1e6, -1e-4]), "volume")
+    g = GramMatrix(np.diag([1e6, -1e-4]))
     assert certify_psd(g, tolerance=1e-8).passed
     assert not certify_psd(g, tolerance=1e-12).passed
 
@@ -205,7 +203,7 @@ def test_build_gram_evaluates_upper_triangle_once(monkeypatch):
         return weighted_volume_pairs(hs, pairs, w)
 
     monkeypatch.setattr(polytope, "_sweep", recorded_sweep)
-    gram = build_gram(hists, kernel, "volume")
+    gram = build_gram(hists, kernel)
     assert calls == [(hists, [(p, q) for p in range(5) for q in range(p, 5)])]
     assert sweeps == [[list(h.counts) for h in hists]]
     for p in range(5):
@@ -219,11 +217,11 @@ def test_build_gram_rejects_mixed_families():
     kernel = lambda hs, pairs: weighted_volume_pairs(hs, pairs, w)
     # the family error the kernels raise, naming the first histogram that differs
     with pytest.raises(MassMismatchError, match="histogram 1 has mass 4 but histogram 0 has 3"):
-        build_gram([Histogram((1, 2)), Histogram((2, 2))], kernel, "volume")
+        build_gram([Histogram((1, 2)), Histogram((2, 2))], kernel)
     with pytest.raises(DimensionMismatchError, match="histogram 1 has 3 bins"):
-        build_gram([Histogram((1, 2)), Histogram((1, 1, 1))], kernel, "volume")
+        build_gram([Histogram((1, 2)), Histogram((1, 1, 1))], kernel)
     with pytest.raises(ValidationError):
-        build_gram([], kernel, "volume")
+        build_gram([], kernel)
 
 
 def test_build_gram_wraps_kernel_failures():
@@ -232,7 +230,7 @@ def test_build_gram_wraps_kernel_failures():
 
     kernel = lambda hs, pairs: (broken(hs[p], hs[q]) for p, q in pairs)
     with pytest.raises(KernelEvaluationError):
-        build_gram([Histogram((1, 1)), Histogram((2, 0))], kernel, "volume")
+        build_gram([Histogram((1, 1)), Histogram((2, 0))], kernel)
 
 
 def test_build_gram_names_the_failing_row():
@@ -252,18 +250,18 @@ def test_build_gram_names_the_failing_row():
         raise RuntimeError("no rows")
 
     with pytest.raises(KernelEvaluationError, match="row 1: boom"):
-        build_gram(hists, broken_second_row, "volume")
+        build_gram(hists, broken_second_row)
     with pytest.raises(KernelEvaluationError, match="row 2: stream broke"):
-        build_gram(hists, broken_mid_stream, "volume")
+        build_gram(hists, broken_mid_stream)
     with pytest.raises(KernelEvaluationError, match="row 0: no rows"):
-        build_gram(hists, broken_at_call, "volume")
+        build_gram(hists, broken_at_call)
     with pytest.raises(KernelEvaluationError, match="1 values for the 3 columns of row 0"):
-        build_gram(hists, lambda hs, pairs: [1.0], "volume")
+        build_gram(hists, lambda hs, pairs: [1.0])
     with pytest.raises(KernelEvaluationError, match="0 values for the 1 columns of row 2"):
-        build_gram(hists, lambda hs, pairs: [1.0] * 5, "volume")
+        build_gram(hists, lambda hs, pairs: [1.0] * 5)
     # a value past the last row is an error, not dropped
     with pytest.raises(KernelEvaluationError, match="more than the 6 values"):
-        build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0], "volume")
+        build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0])
 
 
 def test_build_gram_passes_the_packages_errors_through():
@@ -277,7 +275,7 @@ def test_build_gram_passes_the_packages_errors_through():
         lambda hs, pairs: nw_kernel_pairs(hs, pairs, w, sample_permutations(4, 2, 0)),
     ):
         with pytest.raises(DimensionMismatchError) as exc:
-            build_gram(hists, kernel, "volume")
+            build_gram(hists, kernel)
         assert str(exc.value) == "weight matrix is 3x3 but histograms have 4 bins"
 
     def refused(hs, pairs):
@@ -285,7 +283,7 @@ def test_build_gram_passes_the_packages_errors_through():
         raise BudgetExceededError("more than 1 table")
 
     with pytest.raises(BudgetExceededError, match="^more than 1 table$"):
-        build_gram(hists, refused, "volume")
+        build_gram(hists, refused)
 
 
 @pytest.mark.parametrize("bad", [None, "x", np.array([1.0, 2.0])])
@@ -293,7 +291,7 @@ def test_build_gram_names_the_row_of_a_value_that_is_not_a_float(bad):
     hists = [Histogram((1, 1)), Histogram((2, 0)), Histogram((0, 2))]
     # row 0 takes the first three values, row 1 the next two
     with pytest.raises(KernelEvaluationError, match="failed at row 1: "):
-        build_gram(hists, lambda hs, pairs: [1.0, 0.5, 0.5, bad, 0.5, 1.0], "volume")
+        build_gram(hists, lambda hs, pairs: [1.0, 0.5, 0.5, bad, 0.5, 1.0])
 
 
 def test_row_kernel_grams_equal_pairwise_grams():
@@ -308,14 +306,14 @@ def test_row_kernel_grams_equal_pairwise_grams():
         monge_w = WeightSpec.from_cost(0.5 * gap)
         scan_w = WeightSpec.from_cost(rng.random((d, d)) * 2.0)
         pairs = [
-            ("volume", weighted_volume_pairs, weighted_volume, psd_w),
-            ("pseudo", pseudo_kernel_pairs, pseudo_kernel, monge_w),
-            ("pseudo", pseudo_kernel_pairs, pseudo_kernel, scan_w),
+            (weighted_volume_pairs, weighted_volume, psd_w),
+            (pseudo_kernel_pairs, pseudo_kernel, monge_w),
+            (pseudo_kernel_pairs, pseudo_kernel, scan_w),
         ]
-        for kernel_id, stream_fn, pair_fn, w in pairs:
-            family = build_gram(hists, lambda hs, ps: stream_fn(hs, ps, w), kernel_id)
+        for stream_fn, pair_fn, w in pairs:
+            family = build_gram(hists, lambda hs, ps: stream_fn(hs, ps, w))
             per_pair = build_gram(
-                hists, lambda hs, ps: (pair_fn(hs[p], hs[q], w) for p, q in ps), kernel_id
+                hists, lambda hs, ps: (pair_fn(hs[p], hs[q], w) for p, q in ps)
             )
             assert np.array_equal(family.values, per_pair.values)
 
@@ -359,10 +357,10 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
     )
     assert monge_check(monge_w)
     cases = [
-        ("volume", weighted_volume_pairs, weighted_volume, (w,)),
-        ("nw", nw_kernel_pairs, nw_kernel, (w, rset)),
-        ("pseudo", pseudo_kernel_pairs, pseudo_kernel, (monge_w,)),
-        ("pseudo", pseudo_kernel_pairs, pseudo_kernel, (w,)),
+        (weighted_volume_pairs, weighted_volume, (w,)),
+        (nw_kernel_pairs, nw_kernel, (w, rset)),
+        (pseudo_kernel_pairs, pseudo_kernel, (monge_w,)),
+        (pseudo_kernel_pairs, pseudo_kernel, (w,)),
     ]
     # Arbitrary pair lists: q < p, out of order, a p that recurs after
     # another, a repeated pair, negative indices as a sequence takes them,
@@ -371,11 +369,11 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
     drawn = data.draw(st.lists(st.tuples(index, index), max_size=3 * m))
     last = m - 1
     pair_lists = [drawn, [(last, 0), (0, last), (last, 0), (0, 0), (last, last)], []]
-    for kernel_id, stream_fn, pair_fn, args in cases:
+    for stream_fn, pair_fn, args in cases:
         stream = lambda hs, ps: stream_fn(hs, ps, *args)
         per_pair = lambda hs, ps: (pair_fn(hs[p], hs[q], *args) for p, q in ps)
-        gram = build_gram(hists, stream, kernel_id)
-        assert np.array_equal(gram.values, build_gram(hists, per_pair, kernel_id).values)
+        gram = build_gram(hists, stream)
+        assert np.array_equal(gram.values, build_gram(hists, per_pair).values)
         for pairs in pair_lists:
             values = list(stream(hists, pairs))
             assert np.array_equal(values, list(per_pair(hists, pairs)))
@@ -411,7 +409,7 @@ def test_volume_gram_psd_for_psd_weights():
         mass = int(rng.integers(1, 6))
         hists = [random_histogram(rng, d, mass) for _ in range(6)]
         w = random_psd_weight(rng, d)
-        gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
+        gram = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w))
         assert certify_psd(gram).passed
 
 
@@ -423,7 +421,7 @@ def test_pseudo_kernel_point_mass_counterexample():
     near, far = 0.105, 2.303
     m = np.array([[0.0, near, near], [near, 0.0, far], [near, far, 0.0]])
     w = WeightSpec.from_cost(m)
-    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
+    gram = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w))
     cert = certify_psd(gram)
     assert not cert.passed
     assert cert.min_eigenvalue < -0.2
@@ -443,8 +441,8 @@ def test_pseudo_fails_where_volume_passes():
         for _ in range(m_count)
     ]
     assert psd_weight_check(w).passed
-    pseudo = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w), "pseudo")
-    volume = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w), "volume")
+    pseudo = build_gram(hists, lambda hs, pairs: pseudo_kernel_pairs(hs, pairs, w))
+    volume = build_gram(hists, lambda hs, pairs: weighted_volume_pairs(hs, pairs, w))
     pseudo_cert = certify_psd(pseudo)
     volume_cert = certify_psd(volume)
     assert volume_cert.passed
