@@ -238,7 +238,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # A refusal leaves the tables within the budget in the file.
     with path.open("w") as fh:
         for table in tables:
-            fh.write(fileio.format_table_row(table.entries) + "\n")
+            fh.write(",".join(str(v) for row in table.entries for v in row) + "\n")
             written += 1
     print(f"enumerate: wrote {written} tables to {path}")
     return EXIT_OK

@@ -4,7 +4,8 @@ Histogram files hold one histogram per line as comma-separated
 nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files optionally start with
 a "mode: cost" or "mode: weight" header followed by a square block of
-comma-separated reals. Files are UTF-8 text. All parse failures carry
+comma-separated reals. Files are UTF-8 text; the numbers are ASCII and
+take no "_" digit separators. All parse failures carry
 the path and 1-based line number; a byte that is not UTF-8 is also
 named by its offset in the file. A caller that also digests a file
 reads its bytes once with `read_bytes` and passes them to the parser,
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -56,18 +57,23 @@ def _data_lines(path: Path, data: bytes | None) -> list[tuple[int, str]]:
     return lines
 
 
+def _numbers(path: Path, lineno: int, text: str, convert: Callable, kind: str) -> list:
+    # int and float strip each field, but would also read digits of other
+    # scripts and "_" separators: a data line is ASCII without "_"
+    if text.isascii() and "_" not in text:
+        try:
+            return [convert(field) for field in text.split(",")]
+        except ValueError:
+            pass
+    raise ParseError(str(path), lineno, f"expected comma-separated {kind}, got {text!r}")
+
+
 def parse_histograms(path: str | Path, data: bytes | None = None) -> list[Histogram]:
     """Read the histograms of `path`, or of `data`, its bytes already read."""
     path = Path(path)
     histograms = []
     for lineno, text in _data_lines(path, data):
-        fields = [f.strip() for f in text.split(",")]
-        try:
-            counts = tuple(int(f) for f in fields)
-        except ValueError:
-            raise ParseError(
-                str(path), lineno, f"expected comma-separated integers, got {text!r}"
-            ) from None
+        counts = tuple(_numbers(path, lineno, text, int, "integers"))
         if any(v < 0 for v in counts):
             raise ParseError(str(path), lineno, f"negative count in {text!r}")
         histograms.append(Histogram(counts))
@@ -109,13 +115,7 @@ def parse_weights(
         raise ParseError(str(path), 1, "no matrix rows found")
     rows = []
     for lineno, text in lines:
-        fields = [f.strip() for f in text.split(",")]
-        try:
-            rows.append([float(f) for f in fields])
-        except ValueError:
-            raise ParseError(
-                str(path), lineno, f"expected comma-separated reals, got {text!r}"
-            ) from None
+        rows.append(_numbers(path, lineno, text, float, "reals"))
         if len(rows[-1]) != len(lines):
             raise ParseError(
                 str(path),
@@ -127,11 +127,6 @@ def parse_weights(
     if resolved == "cost":
         return WeightSpec.from_cost(matrix)
     return WeightSpec.from_weight(matrix)
-
-
-def format_table_row(entries: Sequence[Sequence[int]]) -> str:
-    """Flatten a table row-major into one CSV line."""
-    return ",".join(str(v) for row in entries for v in row)
 
 
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:

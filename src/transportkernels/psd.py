@@ -159,35 +159,26 @@ def build_gram(
     require_family(histograms)
     m = len(histograms)
     pairs = np.transpose(np.triu_indices(m))
-
-    def guarded(p: int, read: Callable):
-        try:
-            return read()
-        except TransportKernelError:
-            raise
-        except Exception as exc:
-            raise KernelEvaluationError(
-                f"kernel evaluation failed at row {p}: {exc}"
-            ) from exc
-
-    stream = guarded(0, lambda: iter(kernel(histograms, pairs)))
-
-    def take(p: int, count: int) -> np.ndarray:
-        # float() first: fromiter would read None as NaN
-        floats = map(float, itertools.islice(stream, count))
-        return guarded(p, lambda: np.fromiter(floats, float))
-
     values = np.zeros((m, m))
-    for p in range(m):
-        row = take(p, m - p)
-        if len(row) != m - p:
+    end = object()
+    p = 0
+    try:
+        stream = iter(kernel(histograms, pairs))
+        for p in range(m):
+            # float() first: fromiter would read None as NaN
+            row = np.fromiter(map(float, itertools.islice(stream, m - p)), float)
+            if len(row) != m - p:
+                raise KernelEvaluationError(
+                    f"kernel returned {len(row)} values for the {m - p} columns of row {p}"
+                )
+            values[p, p:] = row
+            values[p:, p] = row
+        if next(stream, end) is not end:
             raise KernelEvaluationError(
-                f"kernel returned {len(row)} values for the {m - p} columns of row {p}"
+                f"kernel returned more than the {len(pairs)} values of the upper triangle"
             )
-        values[p, p:] = row
-        values[p:, p] = row
-    if take(m - 1, 1).size:
-        raise KernelEvaluationError(
-            f"kernel returned more than the {len(pairs)} values of the upper triangle"
-        )
+    except TransportKernelError:
+        raise
+    except Exception as exc:
+        raise KernelEvaluationError(f"kernel evaluation failed at row {p}: {exc}") from exc
     return GramMatrix(values)

@@ -972,8 +972,15 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
         ("--weights", "mode: cost\n", 1, "no matrix rows found"),
         ("--weights", "mode: cost\n0,1\n1,x\n", 3,
          "expected comma-separated reals, got '1,x'"),
+        # int and float alone would read these as 10, 1 and 10.5
+        ("--input", "1_0,2\n0,12\n", 1, "expected comma-separated integers, got '1_0,2'"),
+        ("--input", "# \u0661 in a comment is text\n1,2\n\u0661,2\n", 3,
+         "expected comma-separated integers, got '\u0661,2'"),
+        ("--weights", "mode: cost\n0,1_0.5\n1,0\n", 2,
+         "expected comma-separated reals, got '0,1_0.5'"),
     ],
-    ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real"],
+    ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real",
+         "digit-separator", "non-ascii-digit", "real-digit-separator"],
 )
 def test_malformed_input_file_names_its_line(tmp_path, pair, capsys, option, text, line,
                                              message):

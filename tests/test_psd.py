@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -262,6 +263,9 @@ def test_build_gram_names_the_failing_row():
     # a value past the last row is an error, not dropped
     with pytest.raises(KernelEvaluationError, match="more than the 6 values"):
         build_gram(hists, lambda hs, pairs: [1.0] * 6 + [9.0, 9.0])
+    # and the stream is read no further: an endless one returns too
+    with pytest.raises(KernelEvaluationError, match="more than the 6 values"):
+        build_gram(hists, lambda hs, pairs: itertools.repeat(1.0))
 
 
 def test_build_gram_passes_the_packages_errors_through():
