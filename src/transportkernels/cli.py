@@ -95,13 +95,7 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
     if "input" in names:
         add_path("--input", "histogram file")
     if "weights" in names:
-        add_path("--weights", "weight/cost matrix file")
-        p.add_argument(
-            "--weights-mode",
-            choices=("cost", "weight"),
-            default=None,
-            help="how to read the matrix when the file has no mode header",
-        )
+        add_path("--weights", "weight/cost matrix file with a mode header")
     if "budget" in names:
         p.add_argument(
             "--budget",
@@ -180,6 +174,9 @@ def _parse_permutation(flag: str, text: str) -> Permutation:
     image = []
     for field in text.split(","):
         try:
+            # as in the files: int alone would also read "1_0" and other scripts' digits
+            if not field.isascii() or "_" in field:
+                raise ValueError
             image.append(int(field))
         except ValueError:
             raise ValidationError(f"{flag}: {field.strip()!r} is not an integer") from None
@@ -197,7 +194,7 @@ def cmd_gram(args: argparse.Namespace, data: dict[str, bytes] | None = None) -> 
     if data is None:
         data = {name: fileio.read_bytes(getattr(args, name)) for name, _ in _DIGESTS}
     histograms = fileio.parse_histograms(args.input, data["input"])
-    w = fileio.parse_weights(args.weights, args.weights_mode, data["weights"])
+    w = fileio.parse_weights(args.weights, data["weights"])
     digests = {key: hashlib.sha256(data[name]).hexdigest() for name, key in _DIGESTS}
     budget = EnumerationBudget(args.budget)
     if args.kernel == "volume":
@@ -263,7 +260,7 @@ def cmd_nw(args: argparse.Namespace) -> int:
 
 
 def cmd_psd_check(args: argparse.Namespace) -> int:
-    w = fileio.parse_weights(args.weights, args.weights_mode)
+    w = fileio.parse_weights(args.weights)
     certificate = psd_weight_check(w, args.tolerance)
     print(
         f"psd-check: min eigenvalue {certificate.min_eigenvalue!r}, "
@@ -274,7 +271,7 @@ def cmd_psd_check(args: argparse.Namespace) -> int:
 
 def cmd_ot(args: argparse.Namespace) -> int:
     r, c = _load_pair(args)
-    w = fileio.parse_weights(args.weights, args.weights_mode)
+    w = fileio.parse_weights(args.weights)
     budget = EnumerationBudget(args.budget)
     solution = ot_cost(r, c, w, budget)
     payload = {

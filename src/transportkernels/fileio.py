@@ -2,14 +2,14 @@
 
 Histogram files hold one histogram per line as comma-separated
 nonnegative integers; a line whose first nonblank character is '#' is a
-comment and blank lines are skipped. Weight files optionally start with
-a "mode: cost" or "mode: weight" header followed by a square block of
-comma-separated reals. Files are UTF-8 text; the numbers are ASCII and
-take no "_" digit separators. All parse failures carry
-the path and 1-based line number; a byte that is not UTF-8 is also
-named by its offset in the file. A caller that also digests a file
-reads its bytes once with `read_bytes` and passes them to the parser,
-so that the digest is of the bytes parsed.
+comment and blank lines are skipped. Weight files start with a
+"mode: cost" or "mode: weight" header followed by a square block of
+comma-separated reals. Files are UTF-8 text whose lines end at "\n";
+the numbers are ASCII and take no "_" digit separators. All parse
+failures carry the path and 1-based line number; a byte that is not
+UTF-8 is also named by its offset in the file. A caller that also
+digests a file reads its bytes once with `read_bytes` and passes them
+to the parser, so that the digest is of the bytes parsed.
 
 A Gram CSV holds one matrix row per line, each float written as its
 `repr`. Each distinct 64-bit pattern is formatted once, so writing
@@ -49,7 +49,7 @@ def _data_lines(path: Path, data: bytes | None) -> list[tuple[int, str]]:
             f"not UTF-8 text: byte 0x{data[bad]:02x} at offset {bad}",
         ) from None
     lines = []
-    for lineno, raw in enumerate(text_blob.splitlines(), start=1):
+    for lineno, raw in enumerate(text_blob.split("\n"), start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
@@ -82,35 +82,21 @@ def parse_histograms(path: str | Path, data: bytes | None = None) -> list[Histog
     return histograms
 
 
-def parse_weights(
-    path: str | Path, mode: str | None = None, data: bytes | None = None
-) -> WeightSpec:
-    """Read a square matrix, resolving cost-vs-weight from header and/or flag.
+def parse_weights(path: str | Path, data: bytes | None = None) -> WeightSpec:
+    """Read a square matrix, as costs or weights by its "mode:" header.
 
-    A "mode:" header in the file wins; a flag passed alongside must
-    agree with it. Headerless files require the flag. `data`, when
-    given, is the file's bytes already read, parsed in place of the file.
+    The header is the first data line, "mode: cost" or "mode: weight";
+    a file without it is refused. `data`, when given, is the file's
+    bytes already read, parsed in place of the file.
     """
     path = Path(path)
     lines = _data_lines(path, data)
-    header_mode = None
-    if lines and lines[0][1].lower().startswith("mode:"):
-        header_mode = lines[0][1].split(":", 1)[1].strip().lower()
-        if header_mode not in ("cost", "weight"):
-            raise ParseError(
-                str(path), lines[0][0], f"mode must be 'cost' or 'weight', got {header_mode!r}"
-            )
-        lines = lines[1:]
-    if header_mode and mode and header_mode != mode:
-        raise ParseError(
-            str(path), 1, f"file says 'mode: {header_mode}' but --weights-mode={mode}"
-        )
-    resolved = header_mode or mode
-    if resolved is None:
-        raise ParseError(
-            str(path), 1, "no 'mode:' header and no --weights-mode flag; cannot "
-            "tell costs from weights"
-        )
+    if not (lines and lines[0][1].lower().startswith("mode:")):
+        raise ParseError(str(path), 1, "no 'mode:' header; cannot tell costs from weights")
+    mode = lines[0][1].split(":", 1)[1].strip().lower()
+    if mode not in ("cost", "weight"):
+        raise ParseError(str(path), lines[0][0], f"mode must be 'cost' or 'weight', got {mode!r}")
+    lines = lines[1:]
     if not lines:
         raise ParseError(str(path), 1, "no matrix rows found")
     rows = []
@@ -124,7 +110,7 @@ def parse_weights(
                 f"{len(rows[-1])} entries",
             )
     matrix = np.array(rows)
-    if resolved == "cost":
+    if mode == "cost":
         return WeightSpec.from_cost(matrix)
     return WeightSpec.from_weight(matrix)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,9 +149,6 @@ class IndexSequence:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
 
     def content(self) -> Histogram:
         """Histogram of symbol occurrences."""

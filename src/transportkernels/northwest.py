@@ -50,7 +50,7 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, _as_int
 from .polytope import EnumerationBudget, WeightSpec, _cap, require_family
 
-# Keys merged per block of whole relabelled pairs (at least one pair).
+# Keys merged per block: a block holds max(1, BLOCK // 2d) vertices and may split a pair.
 BLOCK = 8192
 
 

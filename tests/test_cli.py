@@ -641,6 +641,7 @@ USAGE_ERRORS = [
     ["gram", "--input", "h.txt", "--weights", "w.txt", "--kernel", "volume"],
     ["enumerate", "--input", "pair.txt"],
     ["nw", "--input", "pair.txt", "--out="],
+    ["psd-check", "--weights", "w.txt", "--weights-mode", "cost"],
 ]
 
 
@@ -648,7 +649,7 @@ USAGE_ERRORS = [
     "argv",
     USAGE_ERRORS,
     ids=["tolerance", "subcommand", "kernel", "unknown-kernel", "gram-out", "enumerate-out",
-         "empty-out"],
+         "empty-out", "weights-mode"],
 )
 def test_usage_errors_exit_1(argv, monkeypatch, capsys):
     # exit 2 is reserved for a failed certificate; the parser refuses the
@@ -831,6 +832,9 @@ def test_nw_requires_both_permutations(pair, capsys):
         ("a,b", "1,2", "error: --sigma: 'a' is not an integer"),
         ("1,2,3", "1,,2", "error: --sigma-p: '' is not an integer"),
         ("1,2,3", "1,3,3", "error: --sigma-p: not a permutation of 1..3"),
+        # int alone would read these as 3,2,1 and 10
+        ("\u0663,\u0662,\u0661", "3,2,1", "error: --sigma: '\u0663' is not an integer"),
+        ("1,2,3", "1_0,2,3", "error: --sigma-p: '1_0' is not an integer"),
     ],
 )
 def test_nw_bad_permutation_is_input_error(pair, capsys, sigma, sigma_p, message):
@@ -978,9 +982,18 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
          "expected comma-separated integers, got '\u0661,2'"),
         ("--weights", "mode: cost\n0,1_0.5\n1,0\n", 2,
          "expected comma-separated reals, got '0,1_0.5'"),
+        ("--weights", "0,1\n1,0\n", 1, "no 'mode:' header; cannot tell costs from weights"),
+        # a line ends at "\n" only; str.splitlines would also break at the form feed
+        ("--input", "1,2\f3,4\n5,6\nx,y\n", 1,
+         "expected comma-separated integers, got '1,2\\x0c3,4'"),
+        # CRLF lines read as LF lines: the "\r" is stripped with the other blanks
+        ("--input", "# a comment\r\n1,2\r\n-1,4\r\n", 3, "negative count in '-1,4'"),
+        ("--weights", "mode: cost\r\n0,1\r\n1,x\r\n", 3,
+         "expected comma-separated reals, got '1,x'"),
     ],
     ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real",
-         "digit-separator", "non-ascii-digit", "real-digit-separator"],
+         "digit-separator", "non-ascii-digit", "real-digit-separator", "no-mode-header",
+         "form-feed", "crlf-histograms", "crlf-weights"],
 )
 def test_malformed_input_file_names_its_line(tmp_path, pair, capsys, option, text, line,
                                              message):
@@ -1016,18 +1029,6 @@ def test_undecodable_byte_names_its_line_and_offset(tmp_path):
         fileio.parse_histograms(bad)
     with pytest.raises(ParseError, match=":2: not UTF-8 text: byte 0xe9 at offset 6$"):
         fileio.parse_histograms(bad, bad.read_bytes())
-
-
-def test_weights_mode_resolution(tmp_path):
-    headerless = write(tmp_path / "wh.txt", "0,1\n1,0\n")
-    with pytest.raises(ParseError, match="no 'mode:' header"):
-        fileio.parse_weights(headerless)
-    w = fileio.parse_weights(headerless, mode="cost")
-    assert w.cost[0, 1] == 1.0
-    headed = write(tmp_path / "wc.txt", "mode: cost\n0,1\n1,0\n")
-    with pytest.raises(ParseError, match="--weights-mode"):
-        fileio.parse_weights(headed, mode="weight")
-    assert fileio.parse_weights(headed, mode="cost").cost[1, 0] == 1.0
 
 
 def test_weights_must_be_square(tmp_path):
@@ -1105,13 +1106,13 @@ def test_gram_csv_refuses_an_array_that_is_not_2d(tmp_path):
 
 
 def test_manifest_round_trip_at_non_default_options(tmp_path, hists3):
-    # every gram option away from its default, the weights file without a
-    # mode header; the replay rewrites all three artifacts byte for byte
-    w = write(tmp_path / "w.txt", "0,0.7,1.3\n0.7,0,0.4\n1.3,0.4,0\n")
+    # every gram option away from its default; the replay rewrites all three
+    # artifacts byte for byte
+    w = write(tmp_path / "w.txt", "mode: cost\n0,0.7,1.3\n0.7,0,0.4\n1.3,0.4,0\n")
     for kernel in ("volume", "nw", "pseudo"):
         out = tmp_path / kernel
-        options = ["--weights-mode", "cost", "--budget", "123456", "--tolerance", "1e-06",
-                   "--seed", "7", "--r-size", "3"]
+        options = ["--budget", "123456", "--tolerance", "1e-06", "--seed", "7",
+                   "--r-size", "3"]
         argv = ["gram", "--input", hists3, "--weights", w, "--kernel", kernel,
                 "--out", str(out)] + options
         assert main(argv) == EXIT_OK
