@@ -44,7 +44,6 @@ from .histograms import Histogram, Permutation
 from .northwest import (
     nw_kernel_pairs,
     nw_permuted,
-    nw_table,
     require_corner_stream,
     sample_permutations,
 )
@@ -245,12 +244,11 @@ def cmd_nw(args: argparse.Namespace) -> int:
     r, c = _load_pair(args)
     if (args.sigma is None) != (args.sigma_p is None):
         raise TransportKernelError("--sigma and --sigma-p must be given together")
+    sigma = sigma_p = Permutation.identity(r.d)
     if args.sigma is not None:
         sigma = _parse_permutation("--sigma", args.sigma)
         sigma_p = _parse_permutation("--sigma-p", args.sigma_p)
-        table = nw_permuted(r, c, sigma, sigma_p)
-    else:
-        table = nw_table(r, c)
+    table = nw_permuted(r, c, sigma, sigma_p)
     lines = [",".join(str(v) for v in row) for row in table.entries]
     print("\n".join(lines))
     if args.out:

@@ -4,10 +4,11 @@ Histogram files hold one histogram per line as comma-separated
 nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files start with a
 "mode: cost" or "mode: weight" header followed by a square block of
-comma-separated reals. Files are UTF-8 text whose lines end at "\n";
-the numbers are ASCII and take no "_" digit separators. All parse
-failures carry the path and 1-based line number; a byte that is not
-UTF-8 is also named by its offset in the file. A caller that also
+comma-separated reals; a real beyond the float range is refused, so an
+infinite entry is spelled "inf". Files are UTF-8 text whose lines end
+at "\n"; the numbers are ASCII and take no "_" digit separators. All
+parse failures carry the path and 1-based line number; a byte that is
+not UTF-8 is also named by its offset in the file. A caller that also
 digests a file reads its bytes once with `read_bytes` and passes them
 to the parser, so that the digest is of the bytes parsed.
 
@@ -19,6 +20,7 @@ costs one `repr` per distinct value plus a gather over the entries.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Callable
 
@@ -102,6 +104,12 @@ def parse_weights(path: str | Path, data: bytes | None = None) -> WeightSpec:
     rows = []
     for lineno, text in lines:
         rows.append(_numbers(path, lineno, text, float, "reals"))
+        # float reads a finite literal beyond its range, 1e400, as inf
+        for v, field in zip(rows[-1], text.split(",")):
+            if math.isinf(v) and "inf" not in field.lower():
+                raise ParseError(
+                    str(path), lineno, f"{field.strip()!r} is beyond the float range"
+                )
         if len(rows[-1]) != len(lines):
             raise ParseError(
                 str(path),

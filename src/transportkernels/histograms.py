@@ -19,7 +19,7 @@ the content of the second.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -160,11 +160,9 @@ class IndexSequence:
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Square table of nonnegative integers with cached margins."""
+    """Square table of nonnegative integers; its margins follow from the entries."""
 
     entries: tuple[tuple[int, ...], ...]
-    row_sums: Histogram = field(init=False)
-    col_sums: Histogram = field(init=False)
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -181,14 +179,18 @@ class ContingencyTable:
             if any(v < 0 for v in row):
                 raise ValidationError(f"negative entry in table row {row}")
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "row_sums", Histogram(tuple(sum(row) for row in rows)))
-        object.__setattr__(
-            self, "col_sums", Histogram(tuple(sum(col) for col in zip(*rows)))
-        )
 
     @property
     def d(self) -> int:
         return len(self.entries)
+
+    @property
+    def row_sums(self) -> Histogram:
+        return Histogram(tuple(map(sum, self.entries)))
+
+    @property
+    def col_sums(self) -> Histogram:
+        return Histogram(tuple(map(sum, zip(*self.entries))))
 
     def nonzero_count(self) -> int:
         return sum(1 for row in self.entries for v in row if v)

@@ -1,4 +1,4 @@
-"""Slow, independent oracles used to validate the fast kernel paths.
+"""Test-support namespace: slow, independent oracles for the fast kernel paths.
 
 Everything here recomputes quantities the library already provides, but
 through a structurally different route, so agreement is evidence rather
@@ -29,28 +29,46 @@ volume through sequence matchings:
 
 Everything is exact where exactness is cheap (int and Fraction); floats
 appear only where entry weights force them. Explicit S_N iteration is
-capped at mass 8.
+capped at mass 8. No production module imports this one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from ..errors import LengthMismatchError, ValidationError
-from ..histograms import (
+from .errors import LengthMismatchError, ValidationError
+from .histograms import (
     ContingencyTable,
     Histogram,
     IndexSequence,
     canonical_sequence,
     chi,
 )
-from ..polytope import WeightSpec, require_family
-from ..psd import GramMatrix, build_gram
+from .polytope import WeightSpec, require_family
+from .psd import GramMatrix, build_gram
 
 SN_MASS_CAP = 8
+
+
+def _factorial_product(rows: Iterable[Iterable[int]]) -> int:
+    """prod v! over every v of rows: a table's entries, or a pair's margins."""
+    return math.prod(math.factorial(v) for row in rows for v in row)
+
+
+def _shuffle_pair(
+    r: Histogram, c: Histogram, w: WeightSpec | None = None
+) -> tuple[IndexSequence, IndexSequence]:
+    """Canonical sequences of a pair whose N! shuffles are iterated; mass capped."""
+    require_family((r, c), w)
+    if r.mass > SN_MASS_CAP:
+        raise ValidationError(
+            f"explicit permutation sum capped at mass {SN_MASS_CAP}, got {r.mass}"
+        )
+    return canonical_sequence(r), canonical_sequence(c)
 
 
 def k1(rho: IndexSequence, gamma: IndexSequence, w: WeightSpec) -> float:
@@ -59,27 +77,16 @@ def k1(rho: IndexSequence, gamma: IndexSequence, w: WeightSpec) -> float:
         raise LengthMismatchError(
             f"sequences of lengths {len(rho)} and {len(gamma)}"
         )
-    k = w.weight
-    out = 1.0
-    for i, j in zip(rho.entries, gamma.entries):
-        out *= float(k[i - 1, j - 1])
-    return out
+    k = w.weight.tolist()
+    pairs = zip(rho.entries, gamma.entries)
+    return math.prod((k[i - 1][j - 1] for i, j in pairs), start=1.0)
 
 
 def k2(rho: IndexSequence, gamma: IndexSequence) -> Fraction:
     """Reciprocal Fisher-Yates statistic of the pair-counting table, exact."""
     table = chi(rho, gamma)
-    numerator = 1
-    for row in table.entries:
-        for v in row:
-            if v > 1:
-                numerator *= math.factorial(v)
-    denominator = 1
-    for v in table.row_sums.counts:
-        denominator *= math.factorial(v)
-    for v in table.col_sums.counts:
-        denominator *= math.factorial(v)
-    return Fraction(numerator, denominator)
+    margins = (table.row_sums.counts, table.col_sums.counts)
+    return Fraction(_factorial_product(table.entries), _factorial_product(margins))
 
 
 def factorial_kernel_expansion(a: Sequence[int], b: Sequence[int]) -> tuple[int, int]:
@@ -108,12 +115,7 @@ def pattern_factorial_split(rho: IndexSequence, gamma: IndexSequence) -> tuple[i
     of entry factorials splits into d*d factorials of binary inner
     products.
     """
-    table = chi(rho, gamma)
-    direct = 1
-    for row in table.entries:
-        for v in row:
-            if v > 1:
-                direct *= math.factorial(v)
+    direct = _factorial_product(chi(rho, gamma).entries)
     split = 1
     d = rho.d
     for i in range(1, d + 1):
@@ -124,15 +126,6 @@ def pattern_factorial_split(rho: IndexSequence, gamma: IndexSequence) -> tuple[i
     return direct, split
 
 
-def _margin_factorials(r: Histogram, c: Histogram) -> int:
-    out = 1
-    for v in r.counts:
-        out *= math.factorial(v)
-    for v in c.counts:
-        out *= math.factorial(v)
-    return out
-
-
 def permutation_sum_oracle(r: Histogram, c: Histogram, w: WeightSpec) -> float:
     """Sum over all N! shuffles of k1 times the entry-factorial product.
 
@@ -141,34 +134,19 @@ def permutation_sum_oracle(r: Histogram, c: Histogram, w: WeightSpec) -> float:
     stdlib lexicographic-successor order over index permutations, capped
     at mass 8.
     """
-    require_family((r, c), w)
-    n = r.mass
-    if n > SN_MASS_CAP:
-        raise ValidationError(
-            f"explicit permutation sum capped at mass {SN_MASS_CAP}, got {n}"
-        )
-    rho = canonical_sequence(r).entries
-    gamma = canonical_sequence(c).entries
-    k = w.weight
+    rho, gamma = _shuffle_pair(r, c, w)
+    k = w.weight.tolist()
     total = 0.0
-    for perm in itertools.permutations(range(n)):
-        pattern: dict[tuple[int, int], int] = {}
-        weight = 1.0
-        for t, pos in enumerate(perm):
-            pair = (rho[t], gamma[pos])
-            pattern[pair] = pattern.get(pair, 0) + 1
-            weight *= float(k[pair[0] - 1, pair[1] - 1])
-        fact = 1
-        for count in pattern.values():
-            if count > 1:
-                fact *= math.factorial(count)
-        total += weight * fact
+    for shuffled in itertools.permutations(gamma.entries):
+        pairs = list(zip(rho.entries, shuffled))
+        weight = math.prod((k[i - 1][j - 1] for i, j in pairs), start=1.0)
+        total += weight * _factorial_product([Counter(pairs).values()])
     return total
 
 
 def shuffle_kernel(r: Histogram, c: Histogram, w: WeightSpec) -> float:
     """Sum over all N! shuffles of k1 * k2; collapses to the weighted volume."""
-    return permutation_sum_oracle(r, c, w) / _margin_factorials(r, c)
+    return permutation_sum_oracle(r, c, w) / _factorial_product((r.counts, c.counts))
 
 
 def symmetrization_oracle(
@@ -183,17 +161,8 @@ def brute_force_pattern_counts(
     r: Histogram, c: Histogram
 ) -> dict[ContingencyTable, int]:
     """How many shuffles induce each pair-counting table; the Fisher-Yates law."""
-    require_family((r, c))
-    n = r.mass
-    if n > SN_MASS_CAP:
-        raise ValidationError(
-            f"explicit permutation sum capped at mass {SN_MASS_CAP}, got {n}"
-        )
-    rho = canonical_sequence(r)
-    gamma = canonical_sequence(c)
-    counts: dict[ContingencyTable, int] = {}
-    for perm in itertools.permutations(range(n)):
-        shuffled = IndexSequence(tuple(gamma.entries[p] for p in perm), gamma.d)
-        table = chi(rho, shuffled)
-        counts[table] = counts.get(table, 0) + 1
-    return counts
+    rho, gamma = _shuffle_pair(r, c)
+    return Counter(
+        chi(rho, IndexSequence(shuffled, gamma.d))
+        for shuffled in itertools.permutations(gamma.entries)
+    )

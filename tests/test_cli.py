@@ -990,10 +990,18 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
         ("--input", "# a comment\r\n1,2\r\n-1,4\r\n", 3, "negative count in '-1,4'"),
         ("--weights", "mode: cost\r\n0,1\r\n1,x\r\n", 3,
          "expected comma-separated reals, got '1,x'"),
+        # float reads a finite literal beyond its range as an infinity
+        ("--weights", "mode: cost\n0,1e400\n1e400,0\n", 2,
+         "'1e400' is beyond the float range"),
+        ("--weights", "mode: cost\n0,1\n1, -1e400\n", 3,
+         "'-1e400' is beyond the float range"),
+        ("--weights", "mode: weight\n1,0\n1E400,1\n", 3,
+         "'1E400' is beyond the float range"),
     ],
     ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real",
          "digit-separator", "non-ascii-digit", "real-digit-separator", "no-mode-header",
-         "form-feed", "crlf-histograms", "crlf-weights"],
+         "form-feed", "crlf-histograms", "crlf-weights", "cost-beyond-range",
+         "negative-beyond-range", "weight-beyond-range"],
 )
 def test_malformed_input_file_names_its_line(tmp_path, pair, capsys, option, text, line,
                                              message):
