@@ -67,51 +67,4 @@ from .psd import (
     psd_weight_check,
 )
 
-__all__ = [
-    "fileio",
-    "BudgetExceededError",
-    "ContingencyTable",
-    "DEFAULT_BUDGET",
-    "DimensionMismatchError",
-    "EnumerationBudget",
-    "GramMatrix",
-    "Histogram",
-    "IndexSequence",
-    "KernelEvaluationError",
-    "LengthMismatchError",
-    "MassMismatchError",
-    "ParseError",
-    "Permutation",
-    "PermutationSet",
-    "PsdCertificate",
-    "TransportKernelError",
-    "TransportSolution",
-    "ValidationError",
-    "WeightSpec",
-    "build_gram",
-    "canonical_sequence",
-    "certify_psd",
-    "chi",
-    "count_tables",
-    "enumerate_tables",
-    "fisher_yates",
-    "generating_function",
-    "monge_check",
-    "nw_cost_matrix",
-    "nw_kernel",
-    "nw_kernel_pairs",
-    "nw_permuted",
-    "nw_table",
-    "ot_cost",
-    "permuted_sequence",
-    "pseudo_kernel",
-    "pseudo_kernel_pairs",
-    "psd_weight_check",
-    "require_family",
-    "sample_permutations",
-    "softmin",
-    "weighted_volume",
-    "weighted_volume_pairs",
-]
-
 __version__ = "0.1.0"

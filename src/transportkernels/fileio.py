@@ -5,12 +5,15 @@ nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files start with a
 "mode: cost" or "mode: weight" header followed by a square block of
 comma-separated reals; a real beyond the float range is refused, so an
-infinite entry is spelled "inf". Files are UTF-8 text whose lines end
-at "\n"; the numbers are ASCII and take no "_" digit separators. All
-parse failures carry the path and 1-based line number; a byte that is
-not UTF-8 is also named by its offset in the file. A caller that also
-digests a file reads its bytes once with `read_bytes` and passes them
-to the parser, so that the digest is of the bytes parsed.
+infinite entry is spelled "inf". An entry WeightSpec refuses (a NaN or
+-inf cost, one whose weight exp(-cost) is beyond the float range, a
+weight that is not finite and nonnegative) is named by its line and
+field. Files are UTF-8 text whose lines end at "\n"; the numbers are
+ASCII and take no "_" digit separators. All parse failures carry the
+path and 1-based line number; a byte that is not UTF-8 is also named by
+its offset in the file. A caller that also digests a file reads its
+bytes once with `read_bytes` and passes them to the parser, so that the
+digest is of the bytes parsed.
 
 A Gram CSV holds one matrix row per line, each float written as its
 `repr`. Each distinct 64-bit pattern is formatted once, so writing
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .histograms import Histogram
 from .polytope import WeightSpec
 
@@ -118,9 +121,24 @@ def parse_weights(path: str | Path, data: bytes | None = None) -> WeightSpec:
                 f"{len(rows[-1])} entries",
             )
     matrix = np.array(rows)
-    if mode == "cost":
-        return WeightSpec.from_cost(matrix)
-    return WeightSpec.from_weight(matrix)
+    try:
+        if mode == "cost":
+            return WeightSpec.from_cost(matrix)
+        return WeightSpec.from_weight(matrix)
+    except ValidationError as exc:
+        # Name the first entry, in file order, failing the check that refused:
+        # WeightSpec checks costs for NaN and -inf before their weights
+        if mode == "weight":
+            refused = ~np.isfinite(matrix) | (matrix < 0)
+        else:
+            refused = np.isnan(matrix) | np.isneginf(matrix)
+            if not refused.any():
+                with np.errstate(over="ignore"):
+                    refused = np.isinf(np.exp(-matrix))
+        i, j = np.argwhere(refused)[0]
+        lineno, text = lines[i]
+        field = text.split(",")[j].strip()
+        raise ParseError(str(path), lineno, f"{field!r}: {exc}") from None
 
 
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:

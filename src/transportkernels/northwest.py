@@ -24,8 +24,9 @@ family of m histograms, such as the upper triangle of its Gram matrix,
 is priced in one stream (`nw_kernel_pairs`): the 2 m |R| d keys of every
 histogram under every relabelling are built once, and so are the
 2 |R| (d + 1) bins of every relabelling, and the vertices are sorted
-pair by pair in blocks holding at most BLOCK keys, so memory beyond the
-keys is O(BLOCK + |R| d + |R|^2) for any number of pairs. Its work,
+pair by pair in blocks of BLOCK keys, or of up to 2 BLOCK keys in a
+stream longer than 128 BLOCK, so memory beyond the keys is
+O(BLOCK + |R| d + |R|^2) for any number of pairs. Its work,
 pairs times |R|^2 vertices times 2d merge keys, is known from the pair
 count, |R|, d and the mass before any permutation is drawn, and
 `require_corner_stream` checks it against an EnumerationBudget.
@@ -50,7 +51,8 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, _as_int
 from .polytope import EnumerationBudget, WeightSpec, _cap, require_family
 
-# Keys merged per block: a block holds max(1, BLOCK // 2d) vertices and may split a pair.
+# Keys merged per block of a stream of at most 128 BLOCK keys; a longer stream
+# merges up to 2 BLOCK a block (see _staircases). A block may split a pair.
 BLOCK = 8192
 
 
@@ -253,13 +255,16 @@ def _staircases(
     relabelled by row a of imgs, hs[q] relabelled by row b) come a-major,
     b-minor, so each pair's |imgs|^2 vertices are contiguous. Row a of
     imgs holds the 0-based original bin of each relabelled bin. The
-    vertices are walked in blocks of max(1, BLOCK // (2d)), so a block
-    holds at most BLOCK keys (one vertex when its 2d keys exceed it).
-    Returns an iterator of one (vertices, 2d) array per block: entry k of a vertex is the
-    mass of the k-th segment of its staircase times the cost of the
-    original cell that segment fills, and 0 for a zero-mass segment even
-    where the cost is +inf. The nonzero entries of a vertex are its
-    nonzero cells priced as in ContingencyTable.cost.
+    vertices are walked in blocks of max(1, keys // (2d)), keys being
+    BLOCK for a stream of at most 128 BLOCK merge keys and, for a longer
+    one, its merge keys // 128 up to 2 BLOCK; so a block holds at most
+    2 BLOCK keys (one vertex when its 2d keys exceed them), and a long
+    stream runs fewer blocks. Returns an iterator of one (vertices, 2d)
+    array per block: entry k of a vertex is the mass of the k-th segment
+    of its staircase times the cost of the original cell that segment
+    fills, and 0 for a zero-mass segment even where the cost is +inf.
+    The nonzero entries of a vertex are its nonzero cells priced as in
+    ContingencyTable.cost.
 
     With n = |imgs|, the i-th cumulative margin of each side is packed
     into the key value << shift | F, F being the key's own index into the
@@ -273,7 +278,7 @@ def _staircases(
     other is at k + (a + n + b)(d + 1) - F; its mass is the step in value.
     The bin table holds 2 n (d + 1) entries whatever the family. Keys are
     built once for the family; besides them and the bin table, a block
-    holds O(BLOCK) values and the walk O(n^2) indices.
+    holds O(BLOCK) values and the walk O(BLOCK + n^2) indices.
 
     Raises DimensionMismatchError when imgs relabel another number of
     bins, and what `require_corner_stream` raises for the stream's pairs,
@@ -327,23 +332,35 @@ def _staircases(
     # Where every cost is finite, a zero-mass segment already prices 0.
     any_inf = not np.isfinite(costs).all()
 
-    # The side_keys rows of each pair's vertex (0, 0); the offsets (a, b) of
-    # its other vertices into side_keys, and their sums a + b. Row a + b of
-    # reach holds (a + n + b)(d + 1) + k, which a key merged at position k
-    # less its own F gives the index of the bin its F does not.
+    # The side_keys rows of each pair's vertex (0, 0). Row a + b of reach
+    # holds (a + n + b)(d + 1) + k, which a key merged at position k less its
+    # own F gives the index of the bin its F does not.
     pair_sides = index % len(hs) * n
     pair_sides += [0, len(hs) * n]
-    within = np.stack(np.divmod(np.arange(n * n), n), axis=1)
-    within_sums = within.sum(axis=1)
     reach = np.arange(n, 3 * n - 1, dtype=np.intp)[:, None] * (d + 1) + np.arange(width)
-    step = max(1, BLOCK // width)
     n_vertices = len(pair_sides) * n * n
+    # Each block costs some 25 numpy calls whatever its size, so a stream of
+    # more than 128 BLOCKs spreads over 128 blocks, each capped at 2 BLOCK
+    # keys: about 1 MB of block arrays at 60 B a key, inside a core's L2. A
+    # short stream keeps BLOCK: larger blocks would fault in fresh pages
+    # that its few blocks never pay back.
+    block_keys = min(2 * BLOCK, max(BLOCK, n_vertices * width // 128))
+    step = max(1, min(block_keys // width, n_vertices))
+    # Vertex v is vertex a n + b = v % n^2 of pair v // n^2. For the vertices
+    # v0 % n^2 + t, t < step, of a block starting at v0, these tables hold
+    # how many pairs past v0 // n^2 each lies, its offsets (a, b) into
+    # side_keys and their sum a + b, so every block reads them as slices.
+    # A step of at most the stream's vertices keeps them O(BLOCK + n^2).
+    cycle_pair, cycle_ab = np.divmod(np.arange(step + n * n - 1), n * n)
+    cycle_within = np.stack(np.divmod(cycle_ab, n), axis=1)
+    cycle_sums = cycle_within.sum(axis=1)
 
     def blocks() -> Iterator[np.ndarray]:
         for v0 in range(0, n_vertices, step):
-            pair, ab = np.divmod(np.arange(v0, min(v0 + step, n_vertices)), n * n)
-            sides = pair_sides.take(pair, axis=0)
-            sides += within.take(ab, axis=0)
+            first, start = divmod(v0, n * n)
+            end = start + min(step, n_vertices - v0)
+            sides = pair_sides.take(cycle_pair[start:end] + first, axis=0)
+            sides += cycle_within[start:end]
             keys = side_keys.take(sides, axis=0).reshape(-1, width)
             keys.sort(axis=1)
             # Steps in value along the flat block, written as floats for the
@@ -356,7 +373,7 @@ def _staircases(
             # intp indices: take converts any other index type element by element.
             keys &= (1 << shift) - 1
             own = keys.astype(np.intp, copy=False)
-            other = reach.take(within_sums.take(ab), axis=0)
+            other = reach.take(cycle_sums[start:end], axis=0)
             other -= own
             cells = side_bins.take(own)
             cells += side_bins.take(other)
@@ -375,8 +392,10 @@ def _staircases(
 def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
     """np.exp(-costs).sum() over each run of `per` consecutive vertices of the blocks.
 
-    Costs wait in a buffer of at most per + BLOCK floats until their run
-    is complete. exp(-cost) overflowing gives inf.
+    Costs wait in a buffer of per floats plus one block's vertices until
+    their run is complete: at most per + BLOCK floats, as a block of at
+    most 2 BLOCK keys, 2d a vertex, holds at most BLOCK vertices.
+    exp(-cost) overflowing gives inf.
     """
     buf, filled = np.empty(per), 0
     for priced in blocks:
@@ -406,7 +425,7 @@ def nw_cost_matrix(
     relabelled by perms[b]) against the cost matrix, using only the
     staircase segments of the greedy fill: the sum of the segments that
     `_staircases` merges from packed integer keys, in blocks holding at
-    most BLOCK keys.
+    most 2 BLOCK keys.
 
     Raises BudgetExceededError when its |R|^2 2d merge keys exceed the
     budget, the default EnumerationBudget when None, and ValidationError

@@ -997,11 +997,28 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
          "'-1e400' is beyond the float range"),
         ("--weights", "mode: weight\n1,0\n1E400,1\n", 3,
          "'1E400' is beyond the float range"),
+        # entries WeightSpec refuses, located at their line and field
+        ("--weights", "mode: cost\n0,nan\nnan,0\n", 2,
+         "'nan': cost entries must be reals or +inf"),
+        ("--weights", "mode: cost\n0,-inf\n-inf,0\n", 2,
+         "'-inf': cost entries must be reals or +inf"),
+        ("--weights", "mode: cost\n0,1\n1, -800\n", 3,
+         "'-800': cost entry (1, 1) = -800.0 gives weight exp(-m) beyond the float range; "
+         "weights must be finite"),
+        # the first NaN is named even after a cost whose weight overflows
+        ("--weights", "mode: cost\n-800,0\n0,nan\n", 3,
+         "'nan': cost entries must be reals or +inf"),
+        ("--weights", "mode: weight\n1,inf\ninf,1\n", 2,
+         "'inf': weight entries must be finite and nonnegative"),
+        ("--weights", "mode: weight\n1,1\n-1,1\n", 3,
+         "'-1': weight entries must be finite and nonnegative"),
     ],
     ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real",
          "digit-separator", "non-ascii-digit", "real-digit-separator", "no-mode-header",
          "form-feed", "crlf-histograms", "crlf-weights", "cost-beyond-range",
-         "negative-beyond-range", "weight-beyond-range"],
+         "negative-beyond-range", "weight-beyond-range", "cost-nan", "cost-minus-inf",
+         "cost-weight-overflow", "cost-nan-after-overflow", "weight-inf",
+         "weight-negative"],
 )
 def test_malformed_input_file_names_its_line(tmp_path, pair, capsys, option, text, line,
                                              message):

@@ -424,6 +424,45 @@ def test_nw_triangle_is_independent_of_block_size(monkeypatch):
     assert grams[0] == [nw_kernel(hists[p], hists[q], w, rset) for p, q in pairs]
 
 
+def test_long_stream_runs_fewer_larger_blocks(monkeypatch):
+    # 100 pairs of 3^2 vertices at d = 4: 900 vertices of 8 keys, 7200 merge
+    # keys, so 56 keys a block once 128 blocks of BLOCK would not hold them,
+    # up to 2 BLOCK keys
+    rng = np.random.default_rng(71)
+    r, c = random_pair(rng, 4, 20)
+    w = random_cost(rng, 4)
+    rset = sample_permutations(4, 3, seed=3)
+    expected_sizes = {
+        64: [8] * 112 + [4],  # 7200 <= 128 * 64: BLOCK keys, 8 vertices
+        40: [7] * 128 + [4],  # 56 keys: 7 vertices, 128 blocks and a partial one
+        16: [4] * 225,  # capped at 2 BLOCK = 32 keys
+    }
+    for block, sizes in expected_sizes.items():
+        monkeypatch.setattr(northwest, "BLOCK", block)
+        blocks = northwest._staircases((r, c), [(0, 1)] * 100, rset.images, w.cost)
+        assert [len(priced) for priced in blocks] == sizes
+
+
+def test_nw_streams_are_independent_of_the_block_rule(monkeypatch):
+    # d = 4, |R| = 24: one pair merges 4608 keys, the triangle of 6
+    # histograms 96,768. BLOCK 10**9, the default and 1024 keep BLOCK for
+    # both; 512 keeps it for the pair and lets the triangle's blocks take
+    # 756 keys (94 vertices); 24 lets the pair's take 36 (4 vertices) and
+    # caps the triangle's at 2 BLOCK; 8 caps both
+    rng = np.random.default_rng(72)
+    hists = [_sparse_histogram(rng, 4, 30) for _ in range(6)]
+    w = random_cost(rng, 4)
+    rset = sample_permutations(4, 24, seed=6)
+    pairs = [(p, q) for p in range(6) for q in range(p, 6)]
+    grams, costs = [], []
+    for block in (10**9, BLOCK, 1024, 512, 24, 8):
+        monkeypatch.setattr(northwest, "BLOCK", block)
+        grams.append(list(nw_kernel_pairs(hists, pairs, w, rset)))
+        costs.append(nw_cost_matrix(hists[0], hists[1], w, rset).tolist())
+    assert all(gram == grams[0] for gram in grams)
+    assert all(cost == costs[0] for cost in costs)
+
+
 def test_nw_gram_memory_does_not_grow_with_family():
     # |R| = 256: one pair's 65,536 vertex costs take 512 KiB. The stream holds
     # at most one pair of them plus a block, so going from 2 to 6 histograms
