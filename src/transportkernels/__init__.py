@@ -14,6 +14,7 @@ from . import fileio
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    EntryError,
     KernelEvaluationError,
     LengthMismatchError,
     MassMismatchError,

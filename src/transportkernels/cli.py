@@ -98,7 +98,7 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
     if "budget" in names:
         p.add_argument(
             "--budget",
-            type=int,
+            type=fileio.integer,
             default=DEFAULT_BUDGET,
             help="cap on the tables streamed by enumerate; on the cell updates of one "
             "recurrence box for gram (volume, and pseudo off Monge costs) and ot: one "
@@ -107,7 +107,7 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
             "and pseudo on Monge costs): pairs times |R|^2 times 2d",
         )
     if "tolerance" in names:
-        p.add_argument("--tolerance", type=float, default=1e-8)
+        p.add_argument("--tolerance", type=fileio.real, default=1e-8)
     if "out" in names:
         add_path("--out", "output directory", out_required)
 
@@ -115,8 +115,9 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
 def _add_gram(p: argparse.ArgumentParser) -> None:
     _add_options(p, "input", "weights", "budget", "tolerance", "out")
     p.add_argument("--kernel", choices=("volume", "nw", "pseudo"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-size", type=int, default=8, help="permutation set size")
+    p.add_argument("--seed", type=fileio.integer, default=0)
+    size = "permutation set size, at most d! for d bins: the default 8 needs d >= 4"
+    p.add_argument("--r-size", type=fileio.integer, default=8, help=size)
 
 
 def _add_nw(p: argparse.ArgumentParser) -> None:
@@ -170,18 +171,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def _parse_permutation(flag: str, text: str) -> Permutation:
-    image = []
-    for field in text.split(","):
-        try:
-            # as in the files: int alone would also read "1_0" and other scripts' digits
-            if not field.isascii() or "_" in field:
-                raise ValueError
-            image.append(int(field))
-        except ValueError:
-            raise ValidationError(f"{flag}: {field.strip()!r} is not an integer") from None
+    # a field that is not an integer, then an image that is not a permutation
     try:
-        return Permutation(tuple(image))
-    except ValidationError as exc:
+        return Permutation(tuple(map(fileio.integer, text.split(","))))
+    except ValueError as exc:
         raise ValidationError(f"{flag}: {exc}") from None
 
 

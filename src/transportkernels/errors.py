@@ -11,6 +11,14 @@ class ValidationError(TransportKernelError, ValueError):
     """A value fails its construction-time contract."""
 
 
+class EntryError(ValidationError):
+    """A matrix entry fails its contract; carries its (row, column)."""
+
+    def __init__(self, entry: tuple[int, int], message: str):
+        super().__init__(message)
+        self.entry = entry
+
+
 class DimensionMismatchError(TransportKernelError, ValueError):
     """Operands live over different numbers of bins."""
 

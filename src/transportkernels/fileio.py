@@ -4,16 +4,19 @@ Histogram files hold one histogram per line as comma-separated
 nonnegative integers; a line whose first nonblank character is '#' is a
 comment and blank lines are skipped. Weight files start with a
 "mode: cost" or "mode: weight" header followed by a square block of
-comma-separated reals; a real beyond the float range is refused, so an
-infinite entry is spelled "inf". An entry WeightSpec refuses (a NaN or
--inf cost, one whose weight exp(-cost) is beyond the float range, a
-weight that is not finite and nonnegative) is named by its line and
-field. Files are UTF-8 text whose lines end at "\n"; the numbers are
-ASCII and take no "_" digit separators. All parse failures carry the
-path and 1-based line number; a byte that is not UTF-8 is also named by
-its offset in the file. A caller that also digests a file reads its
-bytes once with `read_bytes` and passes them to the parser, so that the
-digest is of the bytes parsed.
+comma-separated reals. A real beyond the float range, one float would
+read as an infinity (1e400) or as 0.0 (1e-400), is refused, so an
+infinite entry is spelled "inf" and a zero one "0". An entry WeightSpec
+refuses (a NaN or -inf cost, one whose weight exp(-cost) is beyond the
+float range, a weight that is not finite and nonnegative) is named by
+its line and field. Files are UTF-8 text whose lines end at "\n"; the
+numbers are ASCII and take no "_" digit separators. `integer` and
+`real` read one number by the same rules: they type the command line's
+numeric options. All parse failures carry the path and 1-based line
+number; a byte that is not UTF-8 is also named by its offset in the
+file. A caller that also digests a file reads its bytes once with
+`read_bytes` and passes them to the parser, so that the digest is of the
+bytes parsed.
 
 A Gram CSV holds one matrix row per line, each float written as its
 `repr`. Each distinct 64-bit pattern is formatted once, so writing
@@ -24,14 +27,18 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import EntryError, ParseError, ValidationError
 from .histograms import Histogram
 from .polytope import WeightSpec
+
+# float reads a literal beyond its range as one of these, as it does "0" and "inf"
+_EDGES = frozenset((0.0, math.inf, -math.inf))
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -62,15 +69,45 @@ def _data_lines(path: Path, data: bytes | None) -> list[tuple[int, str]]:
     return lines
 
 
-def _numbers(path: Path, lineno: int, text: str, convert: Callable, kind: str) -> list:
+def _numerals(text: str, convert: Callable, kind: str) -> list:
     # int and float strip each field, but would also read digits of other
-    # scripts and "_" separators: a data line is ASCII without "_"
+    # scripts and "_" separators: numerals are ASCII without "_"
     if text.isascii() and "_" not in text:
+        fields = text.split(",")
         try:
-            return [convert(field) for field in text.split(",")]
+            values = [convert(field) for field in fields]
         except ValueError:
             pass
-    raise ParseError(str(path), lineno, f"expected comma-separated {kind}, got {text!r}")
+        else:
+            # one of _EDGES read from a nonzero digit before the exponent is a
+            # literal beyond the float range
+            for field in compress(fields, map(_EDGES.__contains__, values)):
+                if set(field.lower().partition("e")[0]) & set("123456789"):
+                    raise ValidationError(f"{field.strip()!r} is beyond the float range")
+            return values
+    raise ValueError(f"{text.strip()!r} is not {kind}")
+
+
+def integer(text: str) -> int:
+    """One integer numeral, as in a histogram file: the type of the integer options."""
+    (value,) = _numerals(text, int, "an integer")
+    return value
+
+
+def real(text: str) -> float:
+    """One real numeral, as in a weight file: the type of the real options."""
+    (value,) = _numerals(text, float, "a real")
+    return value
+
+
+def _numbers(path: Path, lineno: int, text: str, convert: Callable, kind: str) -> list:
+    try:
+        return _numerals(text, convert, kind)
+    except ValidationError as exc:
+        raise ParseError(str(path), lineno, str(exc)) from None
+    except ValueError:
+        message = f"expected comma-separated {kind}, got {text!r}"
+        raise ParseError(str(path), lineno, message) from None
 
 
 def parse_histograms(path: str | Path, data: bytes | None = None) -> list[Histogram]:
@@ -107,38 +144,15 @@ def parse_weights(path: str | Path, data: bytes | None = None) -> WeightSpec:
     rows = []
     for lineno, text in lines:
         rows.append(_numbers(path, lineno, text, float, "reals"))
-        # float reads a finite literal beyond its range, 1e400, as inf
-        for v, field in zip(rows[-1], text.split(",")):
-            if math.isinf(v) and "inf" not in field.lower():
-                raise ParseError(
-                    str(path), lineno, f"{field.strip()!r} is beyond the float range"
-                )
         if len(rows[-1]) != len(lines):
-            raise ParseError(
-                str(path),
-                lineno,
-                f"matrix must be square: {len(lines)} rows but this row has "
-                f"{len(rows[-1])} entries",
-            )
-    matrix = np.array(rows)
+            shape = f"{len(lines)} rows but this row has {len(rows[-1])} entries"
+            raise ParseError(str(path), lineno, f"matrix must be square: {shape}")
     try:
-        if mode == "cost":
-            return WeightSpec.from_cost(matrix)
-        return WeightSpec.from_weight(matrix)
-    except ValidationError as exc:
-        # Name the first entry, in file order, failing the check that refused:
-        # WeightSpec checks costs for NaN and -inf before their weights
-        if mode == "weight":
-            refused = ~np.isfinite(matrix) | (matrix < 0)
-        else:
-            refused = np.isnan(matrix) | np.isneginf(matrix)
-            if not refused.any():
-                with np.errstate(over="ignore"):
-                    refused = np.isinf(np.exp(-matrix))
-        i, j = np.argwhere(refused)[0]
+        return (WeightSpec.from_cost if mode == "cost" else WeightSpec.from_weight)(rows)
+    except EntryError as exc:
+        i, j = exc.entry
         lineno, text = lines[i]
-        field = text.split(",")[j].strip()
-        raise ParseError(str(path), lineno, f"{field!r}: {exc}") from None
+        raise ParseError(str(path), lineno, f"{text.split(',')[j].strip()!r}: {exc}") from None
 
 
 def write_gram_csv(path: str | Path, values: np.ndarray) -> None:

@@ -57,6 +57,7 @@ import numpy as np
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
+    EntryError,
     MassMismatchError,
     ValidationError,
 )
@@ -120,7 +121,10 @@ class WeightSpec:
     Exactly one side is supplied; the other is derived once at
     construction, so the pair stays consistent to the rounding of a
     single exp or log. Costs may contain +inf (zero weight); weights are
-    finite and nonnegative.
+    finite and nonnegative. A refused entry raises EntryError, whose
+    `entry` is the first such (row, column) in row-major order; a NaN or
+    -inf cost is refused before a cost whose weight exceeds the float
+    range.
     """
 
     cost: np.ndarray
@@ -135,24 +139,18 @@ class WeightSpec:
     def from_cost(cls, m) -> WeightSpec:
         m = np.array(m, dtype=float)
         _require_square(m)
-        if np.isnan(m).any() or np.isneginf(m).any():
-            raise ValidationError("cost entries must be reals or +inf")
+        _refuse(m, np.isnan(m) | np.isneginf(m), "cost entries must be reals or +inf")
         with np.errstate(over="ignore"):
             k = np.exp(-m)
-        if np.isinf(k).any():
-            i, j = np.argwhere(np.isinf(k))[0]
-            raise ValidationError(
-                f"cost entry ({i}, {j}) = {float(m[i, j])!r} gives weight exp(-m) "
-                "beyond the float range; weights must be finite"
-            )
+        overflow = "cost entry ({i}, {j}) = {value!r} gives weight exp(-m) beyond the float range"
+        _refuse(m, np.isinf(k), overflow + "; weights must be finite")
         return cls(cost=m, weight=k)
 
     @classmethod
     def from_weight(cls, k) -> WeightSpec:
         k = np.array(k, dtype=float)
         _require_square(k)
-        if not np.isfinite(k).all() or (k < 0).any():
-            raise ValidationError("weight entries must be finite and nonnegative")
+        _refuse(k, ~np.isfinite(k) | (k < 0), "weight entries must be finite and nonnegative")
         with np.errstate(divide="ignore"):
             m = -np.log(k)
         return cls(cost=m, weight=k)
@@ -165,6 +163,16 @@ class WeightSpec:
 def _require_square(arr: np.ndarray) -> None:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValidationError(f"matrix must be square and nonempty, got shape {arr.shape}")
+
+
+def _refuse(values: np.ndarray, refused: np.ndarray, message: str) -> None:
+    """EntryError at the first refused entry in row-major order, if any.
+
+    The message is formatted with the entry's row i, column j and value.
+    """
+    if refused.any():
+        i, j = divmod(int(refused.argmax()), refused.shape[1])
+        raise EntryError((i, j), message.format(i=i, j=j, value=float(values[i, j])))
 
 
 def require_family(hs: Sequence[Histogram], w: WeightSpec | None = None) -> None:

@@ -271,11 +271,11 @@ NOT_STRINGS = "manifest has no 'argv' list of strings"
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["gram", "--seed=x"], "argument --seed: invalid int value: 'x'"),
+        (["gram", "--seed=x"], "argument --seed: invalid integer value: 'x'"),
         (["gram", "--kernel=volume", "--tolerance=x"],
-         "argument --tolerance: invalid float value: 'x'"),
-        (["ot", "--budget=True"], "argument --budget: invalid int value: 'True'"),
-        (["gram", "--r-size=1.5"], "argument --r-size: invalid int value: '1.5'"),
+         "argument --tolerance: invalid real value: 'x'"),
+        (["ot", "--budget=True"], "argument --budget: invalid integer value: 'True'"),
+        (["gram", "--r-size=1.5"], "argument --r-size: invalid integer value: '1.5'"),
         (["nw", "--input", 3], NOT_STRINGS),
         ([None, "--input=pair.txt"], NOT_STRINGS),
         (["ot", "--budget", True], NOT_STRINGS),
@@ -296,6 +296,28 @@ def test_manifest_with_mistyped_config_is_input_error(tmp_path, capsys, argv, me
     else:
         assert err.startswith("usage: transportkernels")
         assert f": error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "option, text",
+    [(option, text) for option in ("--budget", "--seed", "--r-size", "--tolerance")
+     for text in ("1_0", "\u0663")]
+    + [("--tolerance", "1e-400"), ("--tolerance", "1e400")],
+)
+def test_numeric_option_takes_the_file_numerals(tmp_path, hists3, weights3, capsys, option,
+                                                text):
+    # int and float alone would read "1_0" as 10 and the Arabic-Indic digit
+    # as 3, and float reads 1e-400 as 0.0 and 1e400 as inf
+    kind = "real" if option == "--tolerance" else "integer"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
+              f"{option}={text}", "--out", str(out)])
+    assert exc.value.code == EXIT_ERROR
+    assert capsys.readouterr().err.endswith(
+        f": error: argument {option}: invalid {kind} value: '{text}'\n"
+    )
+    assert not out.exists()
 
 
 def test_manifest_without_config_is_input_error(tmp_path, hists3, weights3, capsys):
@@ -997,6 +1019,11 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
          "'-1e400' is beyond the float range"),
         ("--weights", "mode: weight\n1,0\n1E400,1\n", 3,
          "'1E400' is beyond the float range"),
+        # and a nonzero literal below its range as 0.0, a forbidden pair
+        ("--weights", "mode: weight\n1e150,1e-400\n1e-400,1\n", 2,
+         "'1e-400' is beyond the float range"),
+        ("--weights", "mode: cost\n0,1\n-2.5E-400,0\n", 3,
+         "'-2.5E-400' is beyond the float range"),
         # entries WeightSpec refuses, located at their line and field
         ("--weights", "mode: cost\n0,nan\nnan,0\n", 2,
          "'nan': cost entries must be reals or +inf"),
@@ -1016,7 +1043,8 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
     ids=["negative-count", "no-histograms", "unknown-mode", "no-rows", "not-a-real",
          "digit-separator", "non-ascii-digit", "real-digit-separator", "no-mode-header",
          "form-feed", "crlf-histograms", "crlf-weights", "cost-beyond-range",
-         "negative-beyond-range", "weight-beyond-range", "cost-nan", "cost-minus-inf",
+         "negative-beyond-range", "weight-beyond-range", "weight-below-range",
+         "cost-below-range", "cost-nan", "cost-minus-inf",
          "cost-weight-overflow", "cost-nan-after-overflow", "weight-inf",
          "weight-negative"],
 )
@@ -1054,6 +1082,12 @@ def test_undecodable_byte_names_its_line_and_offset(tmp_path):
         fileio.parse_histograms(bad)
     with pytest.raises(ParseError, match=":2: not UTF-8 text: byte 0xe9 at offset 6$"):
         fileio.parse_histograms(bad, bad.read_bytes())
+
+
+def test_zero_literals_read_as_zero(tmp_path):
+    # only a nonzero digit before the exponent makes a 0.0 reading out of range
+    path = write(tmp_path / "w.txt", "mode: weight\n1,0e-400\n-0.0,0.000E999\n")
+    assert fileio.parse_weights(path).weight.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_weights_must_be_square(tmp_path):

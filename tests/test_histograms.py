@@ -16,6 +16,7 @@ from transportkernels import (
     MassMismatchError,
     Permutation,
     ValidationError,
+    WeightSpec,
     canonical_sequence,
     chi,
     permuted_sequence,
@@ -23,6 +24,7 @@ from transportkernels import (
     sample_permutations,
     softmin,
 )
+from transportkernels.testing import factorial_kernel_expansion, k1
 
 
 def test_histogram_basic():
@@ -91,9 +93,15 @@ def test_one_integer_rule_reads_numpy_integers_as_ints():
         (lambda: chi(IndexSequence((1,), 1), IndexSequence((1,), 2)), DimensionMismatchError,
          "sequences over alphabets of sizes 1 and 2"),
         (lambda: softmin([]), ValidationError, "softmin of an empty collection"),
+        (lambda: k1(IndexSequence((1, 2), 2), IndexSequence((2,), 2),
+                    WeightSpec.from_weight([[1.0, 0.5], [0.5, 1.0]])),
+         LengthMismatchError, "sequences of lengths 2 and 1"),
+        (lambda: factorial_kernel_expansion((1, 0, 1), (1, 0)), LengthMismatchError,
+         "vectors of lengths 3 and 2"),
     ],
     ids=["histogram-permuted", "permute", "empty-alphabet", "cost-shape",
-         "permuted-sequence", "chi-alphabets", "empty-softmin"],
+         "permuted-sequence", "chi-alphabets", "empty-softmin", "oracle-k1",
+         "oracle-factorial-expansion"],
 )
 def test_precondition_errors_name_their_cause(call, error, message):
     with pytest.raises(error) as exc:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from transportkernels import (
     BudgetExceededError,
     ContingencyTable,
+    EntryError,
     EnumerationBudget,
     Histogram,
     MassMismatchError,
@@ -62,6 +63,26 @@ def test_weight_spec_rejects_costs_whose_weight_overflows():
         WeightSpec.from_cost([[-800.0, 0.0], [0.0, 0.0]])
     w = WeightSpec.from_cost([[-700.0, 0.0], [0.0, 0.0]])
     assert w.weight[0, 0] == np.exp(700.0)
+
+
+@pytest.mark.parametrize(
+    "make, matrix, entry, message",
+    [
+        (WeightSpec.from_cost, [[0.0, -800.0], [np.nan, -np.inf]], (1, 0),
+         "cost entries must be reals or +inf"),
+        (WeightSpec.from_cost, [[0.0, 1.0], [-800.0, -900.0]], (1, 0),
+         "cost entry (1, 0) = -800.0 gives weight exp(-m) beyond the float range"),
+        (WeightSpec.from_weight, [[1.0, np.inf], [-1.0, np.nan]], (0, 1),
+         "weight entries must be finite and nonnegative"),
+    ],
+    ids=["cost-nan-after-overflow", "cost-overflow", "weight"],
+)
+def test_weight_spec_names_the_first_refused_entry(make, matrix, entry, message):
+    # row-major order; a NaN or -inf cost is refused before an overflowing one
+    with pytest.raises(EntryError) as exc:
+        make(matrix)
+    assert exc.value.entry == entry
+    assert str(exc.value).startswith(message)
 
 
 def test_weight_arrays_are_frozen():
