@@ -85,6 +85,18 @@ def _absolute_path(text: str) -> str:
     return os.path.abspath(text)
 
 
+def real(text: str) -> float:
+    """fileio.real as the type of a real option; argparse names the type by __name__.
+
+    argparse prints the text of an ArgumentTypeError only, so a real
+    beyond the float range is refused as one, with the reader's reason.
+    """
+    try:
+        return fileio.real(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = True) -> None:
     """Add the options shared between subcommands, those named, to p."""
 
@@ -107,7 +119,7 @@ def _add_options(p: argparse.ArgumentParser, *names: str, out_required: bool = T
             "and pseudo on Monge costs): pairs times |R|^2 times 2d",
         )
     if "tolerance" in names:
-        p.add_argument("--tolerance", type=fileio.real, default=1e-8)
+        p.add_argument("--tolerance", type=real, default=1e-8)
     if "out" in names:
         add_path("--out", "output directory", out_required)
 

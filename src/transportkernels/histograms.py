@@ -199,23 +199,33 @@ class ContingencyTable:
         """Frobenius inner product with a cost matrix.
 
         The products x_ij * m_ij of the nonzero cells are added left to
-        right in row-major order, rounding at every add, so a sum too large
-        for a float is inf. The loop is explicit: from Python 3.12 the
-        builtin sum() of floats is compensated. Zero entries contribute
-        nothing even where the cost is +inf, matching the convention that
-        unused routes are free to be infinitely expensive.
+        right in row-major order by `_add_cells`, so a sum too large for a
+        float is inf. Zero entries contribute nothing even where the cost
+        is +inf, matching the convention that unused routes are free to be
+        infinitely expensive.
         """
         m = np.asarray(m, dtype=float)
         if m.shape != (self.d, self.d):
             raise DimensionMismatchError(
                 f"cost matrix of shape {m.shape} priced against a {self.d}x{self.d} table"
             )
-        total = 0.0
-        for row, costs in zip(self.entries, m.tolist()):
-            for v, cost in zip(row, costs):
-                if v:
-                    total += v * cost
-        return total
+        return _add_cells(self.entries, m.tolist())
+
+
+def _add_cells(rows, costs) -> float:
+    """Sum of v * cost over the nonzero entries v of table rows, in row-major order.
+
+    The products are added left to right from 0.0, each add rounding, so
+    a sum too large for a float is inf; the loop is explicit, as from
+    Python 3.12 the builtin sum() of floats is compensated. A zero entry
+    adds nothing even where its cost is +inf.
+    """
+    total = 0.0
+    for row, row_costs in zip(rows, costs):
+        for v, cost in zip(row, row_costs):
+            if v:
+                total += v * cost
+    return total
 
 
 def canonical_sequence(r: Histogram) -> IndexSequence:

@@ -284,20 +284,17 @@ def _staircases(
     bins, and what `require_corner_stream` raises for the stream's pairs,
     n, d and mass: BudgetExceededError over the budget, ValidationError
     for a mass too large for the keys; all when called, before any key
-    table is built. Indices address hs as a sequence does: a negative
-    one counts from the end, one outside [-len(hs), len(hs)) raises
-    IndexError, and pairs whose array dtype is neither integer nor bool
-    (a float index, even 1.0) raise TypeError. An empty pair list is
-    valid, and an empty family, which can have no pairs, gives an empty
-    iterator.
+    table is built. This is the index rule of every corner-rule stream:
+    the pairs, as one numpy array, index hs as a sequence does. A
+    negative index counts from the end, one outside [-len(hs), len(hs))
+    raises IndexError, and a float index, even 1.0, raises TypeError. An
+    empty pair list is valid, and an empty family, which can have no
+    pairs, gives an empty iterator.
     """
     index = np.asarray(pairs)
-    # The cast below would truncate a float index where a sequence raises.
-    if index.size and index.dtype.kind not in "biu":
-        raise TypeError(f"index pairs must be integers, not {index.dtype}")
-    index = np.ascontiguousarray(index, dtype=np.intp).reshape(-1, 2)
-    if index.size and not (-len(hs) <= index.min() and index.max() < len(hs)):
-        raise IndexError(f"index pair out of range for {len(hs)} histograms")
+    # take raises where indexing a sequence does, and refuses every float
+    # array, the float64 of an empty list too
+    index = np.arange(len(hs)).take(index if index.size else index.astype(np.intp)).reshape(-1, 2)
     if not len(hs):
         return iter(())
     d = hs[0].d
@@ -335,8 +332,7 @@ def _staircases(
     # The side_keys rows of each pair's vertex (0, 0). Row a + b of reach
     # holds (a + n + b)(d + 1) + k, which a key merged at position k less its
     # own F gives the index of the bin its F does not.
-    pair_sides = index % len(hs) * n
-    pair_sides += [0, len(hs) * n]
+    pair_sides = index * n + [0, len(hs) * n]
     reach = np.arange(n, 3 * n - 1, dtype=np.intp)[:, None] * (d + 1) + np.arange(width)
     n_vertices = len(pair_sides) * n * n
     # Each block costs some 25 numpy calls whatever its size, so a stream of
@@ -389,27 +385,36 @@ def _staircases(
     return blocks()
 
 
-def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
-    """np.exp(-costs).sum() over each run of `per` consecutive vertices of the blocks.
+def _runs(blocks: Iterator[np.ndarray], per: int, finish) -> Iterator:
+    """finish(costs) for each block that completes runs of `per` consecutive vertices.
 
-    Costs wait in a buffer of per floats plus one block's vertices until
-    their run is complete: at most per + BLOCK floats, as a block of at
-    most 2 BLOCK keys, 2d a vertex, holds at most BLOCK vertices.
-    exp(-cost) overflowing gives inf.
+    costs is the (runs, per) array of the vertex costs of the runs the
+    block completes, each cost its priced segments added. The costs of an
+    incomplete run wait as one array per block and are joined once, when
+    the run completes: at most per + BLOCK floats wait, as a block of at
+    most 2 BLOCK keys, 2d a vertex, holds at most BLOCK vertices. The adds
+    and finish run under one overflow guard a block, so a sum or an exp
+    too large for a float is inf, without a warning.
     """
-    buf, filled = np.empty(per), 0
+    waiting, held = [], 0
     for priced in blocks:
-        if filled + len(priced) > len(buf):
-            buf = np.resize(buf, filled + len(priced))
-        priced.sum(axis=1, out=buf[filled : filled + len(priced)])
-        filled += len(priced)
-        if filled >= per:
-            whole = filled - filled % per
-            with np.errstate(over="ignore"):
-                sums = np.exp(-buf[:whole]).reshape(-1, per).sum(axis=1).tolist()
-            buf[: filled - whole] = buf[whole:filled]
-            filled -= whole
-            yield from sums
+        # never yield inside errstate: its state would leak to the caller
+        with np.errstate(over="ignore"):
+            waiting.append(priced.sum(axis=1))
+            held += len(priced)
+            if held < per:
+                continue
+            costs = np.concatenate(waiting)
+            whole = held - held % per
+            done = finish(costs[:whole].reshape(-1, per))
+        waiting, held = [costs[whole:]], held - whole
+        yield done
+
+
+def _exp_sums(blocks: Iterator[np.ndarray], per: int) -> Iterator[float]:
+    """np.exp(-costs).sum() over each run of `per` consecutive vertices of the blocks."""
+    for sums in _runs(blocks, per, lambda costs: np.exp(-costs).sum(axis=1).tolist()):
+        yield from sums
 
 
 def nw_cost_matrix(
@@ -425,7 +430,7 @@ def nw_cost_matrix(
     relabelled by perms[b]) against the cost matrix, using only the
     staircase segments of the greedy fill: the sum of the segments that
     `_staircases` merges from packed integer keys, in blocks holding at
-    most 2 BLOCK keys.
+    most 2 BLOCK keys. A cost too large for a float is inf.
 
     Raises BudgetExceededError when its |R|^2 2d merge keys exceed the
     budget, the default EnumerationBudget when None, and ValidationError
@@ -433,7 +438,8 @@ def nw_cost_matrix(
     """
     require_family((r, c), w)
     blocks = _staircases((r, c), [(0, 1)], rset.images, w.cost, budget)
-    return np.concatenate([priced.sum(axis=1) for priced in blocks]).reshape(len(rset), -1)
+    (costs,) = _runs(blocks, len(rset) ** 2, lambda costs: costs)
+    return costs.reshape(len(rset), -1)
 
 
 def nw_kernel_pairs(
@@ -451,8 +457,7 @@ def nw_kernel_pairs(
     pairs times |R|^2 vertices times 2d merge keys, is checked against
     the budget (the default EnumerationBudget when None) before any key
     is built, and BudgetExceededError raised when it is larger. p and q
-    index hs as a sequence does; one out of range raises IndexError, a
-    float one TypeError.
+    index hs under the rule of `_staircases`.
     """
     require_family(hs, w)
     blocks = _staircases(hs, pairs, rset.images, w.cost, budget)

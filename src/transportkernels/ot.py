@@ -16,6 +16,7 @@ of a recurrence whose stacked box consecutive runs share.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -104,10 +105,8 @@ def _corner_values(
     """
     identity = np.arange(len(m))[None, :]
     for priced in _staircases(hs, pairs, identity, m, budget):
-        total = priced[:, 0].copy()
         with np.errstate(over="ignore"):  # a sum too large for a float is inf
-            for k in range(1, priced.shape[1]):
-                total += priced[:, k]
+            total = functools.reduce(np.add, priced.T)
         yield from map(_safe_exp, (-total).tolist())
 
 
@@ -131,8 +130,7 @@ def pseudo_kernel_pairs(
     None, and read each pair's least cost from its slab; on
     real-valued costs that may differ in the last bits from the cost
     `ot_cost` reports for its plan. exp(-cost) overflowing gives inf. p
-    and q index hs as a sequence does; one out of range raises
-    IndexError, a float one TypeError.
+    and q index hs under the rule of `northwest._staircases`.
     """
     require_family(hs, w)
     m = w.cost

@@ -61,7 +61,7 @@ from .errors import (
     MassMismatchError,
     ValidationError,
 )
-from .histograms import ContingencyTable, Histogram, _as_int
+from .histograms import ContingencyTable, Histogram, _add_cells, _as_int
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -160,9 +160,9 @@ class WeightSpec:
         return self.cost.shape[0]
 
 
-def _require_square(arr: np.ndarray) -> None:
+def _require_square(arr: np.ndarray, what: str = "matrix") -> None:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValidationError(f"matrix must be square and nonempty, got shape {arr.shape}")
+        raise ValidationError(f"{what} must be square and nonempty, got shape {arr.shape}")
 
 
 def _refuse(values: np.ndarray, refused: np.ndarray, message: str) -> None:
@@ -459,13 +459,7 @@ def _cheapest_table(
             tail, best = next(below), math.inf
             for y in _bounded_compositions(n, residual):
                 rest = tuple(map(operator.sub, residual, y))
-                # Left to right, as ContingencyTable.cost adds its cells:
-                # from Python 3.12 the builtin sum() of floats is compensated.
-                value = 0.0
-                for v, cost in zip(y, costs[i]):
-                    if v:
-                        value += v * cost
-                value += tail[rest]
+                value = _add_cells((y,), (costs[i],)) + tail[rest]
                 if value < best:
                     best, x = value, y
             if best == math.inf:

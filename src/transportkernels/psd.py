@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import KernelEvaluationError, TransportKernelError, ValidationError
 from .histograms import Histogram
-from .polytope import WeightSpec, require_family
+from .polytope import WeightSpec, _require_square, require_family
 
 SYMMETRY_REL_TOL = 1e-12
 
@@ -33,8 +33,7 @@ def _symmetric(values, what: str) -> np.ndarray:
     subnormal ones included.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or not values.size:
-        raise ValidationError(f"{what} must be square and nonempty, got {values.shape}")
+    _require_square(values, what)
     if not np.isfinite(values).all():
         raise ValidationError(f"{what} has non-finite entries")
     half = values / 2.0

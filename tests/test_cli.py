@@ -307,16 +307,18 @@ def test_manifest_with_mistyped_config_is_input_error(tmp_path, capsys, argv, me
 def test_numeric_option_takes_the_file_numerals(tmp_path, hists3, weights3, capsys, option,
                                                 text):
     # int and float alone would read "1_0" as 10 and the Arabic-Indic digit
-    # as 3, and float reads 1e-400 as 0.0 and 1e400 as inf
+    # as 3, and float reads 1e-400 as 0.0 and 1e400 as inf; a real refused
+    # for its range is refused with the reader's reason
     kind = "real" if option == "--tolerance" else "integer"
+    reason = f"invalid {kind} value: '{text}'"
+    if text in ("1e-400", "1e400"):
+        reason = f"'{text}' is beyond the float range"
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["gram", "--input", hists3, "--weights", weights3, "--kernel", "nw",
               f"{option}={text}", "--out", str(out)])
     assert exc.value.code == EXIT_ERROR
-    assert capsys.readouterr().err.endswith(
-        f": error: argument {option}: invalid {kind} value: '{text}'\n"
-    )
+    assert capsys.readouterr().err.endswith(f": error: argument {option}: {reason}\n")
     assert not out.exists()
 
 
@@ -593,6 +595,13 @@ def test_finite_matrices_near_float_max_are_accepted(tmp_path, capsys):
     big = write(tmp_path / "big.txt", "mode: weight\n1e308,1\n1,1e308\n")
     assert main(["psd-check", "--weights", big]) == EXIT_OK
     assert "verdict pass" in capsys.readouterr().out
+    # every corner-rule vertex under costs 1e308 costs inf and adds 0.0, with
+    # no RuntimeWarning, which the suite turns into an error, and no stderr
+    costs = write(tmp_path / "costs.txt", "mode: cost\n1e308,1e308\n1e308,1e308\n")
+    assert main(["gram", "--input", hists, "--weights", costs, "--kernel", "nw",
+                 "--r-size", "2", "--out", str(tmp_path / "nw")]) == EXIT_OK
+    assert (tmp_path / "nw" / "gram.csv").read_text() == "0.0,0.0\n0.0,0.0\n"
+    assert capsys.readouterr().err == ""
 
 
 def test_gram_with_overflowing_spectrum_is_input_error(tmp_path, capsys):

@@ -259,6 +259,21 @@ def test_nw_cost_matrix_handles_infinite_costs():
     costs = nw_cost_matrix(r, c, w, rset)
     assert np.isfinite(costs).any()
     assert not np.isnan(costs).any()
+    # a vertex of (1,1) adds two cells of 1e308 past the float range, one of
+    # (2,0) multiplies one by 2: inf costs and 0.0 kernel values, with no
+    # RuntimeWarning, which the suite turns into an error
+    w = WeightSpec.from_cost(np.full((2, 2), 1e308))
+    hs = [Histogram((1, 1)), Histogram((2, 0))]
+    assert np.array_equal(nw_cost_matrix(hs[0], hs[0], w, rset), np.full((2, 2), np.inf))
+    assert np.array_equal(nw_cost_matrix(hs[1], hs[1], w, rset), np.full((2, 2), np.inf))
+    assert nw_kernel(hs[0], hs[1], w, rset) == 0.0
+    gram = build_gram(hs, lambda family, pairs: nw_kernel_pairs(family, pairs, w, rset))
+    assert np.array_equal(gram.values, np.zeros((2, 2)))
+    # the guard stays inside the stream: between two values its consumer
+    # keeps its own numpy error state
+    before = np.geterr()
+    stream = nw_kernel_pairs(hs, [(0, 1), (1, 0)], w, rset)
+    assert next(stream) == 0.0 and np.geterr() == before
 
 
 def _sparse_histogram(rng, d, mass):
@@ -538,7 +553,7 @@ def test_nw_streams_are_capped_by_their_merge_keys():
 
 def test_nw_budget_refusal_comes_before_the_sum_buffer():
     # a pair under 10^7 relabellings at d = 3 needs 10^14 vertices of 6 merge
-    # keys; the refusal must come before _exp_sums sizes a buffer for 10^14
+    # keys; the refusal must come before any vertex of the 10^14 is priced
     hs = [Histogram((1, 1, 1))] * 3
     imgs = np.broadcast_to(np.arange(3), (10**7, 3))
     with pytest.raises(BudgetExceededError, match="need 600000000000000 merge keys"):
