@@ -116,9 +116,10 @@ def parse_histograms(path: str | Path, data: bytes | None = None) -> list[Histog
     histograms = []
     for lineno, text in _data_lines(path, data):
         counts = tuple(_numbers(path, lineno, text, int, "integers"))
-        if any(v < 0 for v in counts):
-            raise ParseError(str(path), lineno, f"negative count in {text!r}")
-        histograms.append(Histogram(counts))
+        try:
+            histograms.append(Histogram(counts))
+        except ValidationError as exc:
+            raise ParseError(str(path), lineno, str(exc)) from None
     if not histograms:
         raise ParseError(str(path), 1, "no histograms found")
     return histograms
@@ -144,6 +145,7 @@ def parse_weights(path: str | Path, data: bytes | None = None) -> WeightSpec:
     rows = []
     for lineno, text in lines:
         rows.append(_numbers(path, lineno, text, float, "reals"))
+        # a ragged file is no matrix yet, so _require_square cannot name its line
         if len(rows[-1]) != len(lines):
             shape = f"{len(lines)} rows but this row has {len(rows[-1])} entries"
             raise ParseError(str(path), lineno, f"matrix must be square: {shape}")

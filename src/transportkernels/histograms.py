@@ -243,15 +243,8 @@ def permuted_sequence(r: Histogram, sigma: Permutation) -> IndexSequence:
     which is exactly the canonical sequence of the relabelled histogram
     read back through the relabelling.
     """
-    if sigma.n != r.d:
-        raise DimensionMismatchError(
-            f"permutation of size {sigma.n} applied to {r.d} bins"
-        )
-    entries: list[int] = []
-    for i in range(1, r.d + 1):
-        symbol = sigma(i)
-        entries.extend([symbol] * r.counts[symbol - 1])
-    return IndexSequence(tuple(entries), r.d)
+    relabelled = canonical_sequence(r.permuted(sigma))
+    return IndexSequence(tuple(map(sigma, relabelled.entries)), r.d)
 
 
 def chi(rho: IndexSequence, gamma: IndexSequence) -> ContingencyTable:

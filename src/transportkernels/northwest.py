@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .histograms import ContingencyTable, Histogram, Permutation, _as_int
-from .polytope import EnumerationBudget, WeightSpec, _cap, require_family
+from .polytope import EnumerationBudget, WeightSpec, _cap, _pair_index, require_family
 
 # Keys merged per block of a stream of at most 128 BLOCK keys; a longer stream
 # merges up to 2 BLOCK a block (see _staircases). A block may split a pair.
@@ -194,21 +194,17 @@ def nw_permuted(
     sigma') and undoes both relabellings on the rows and columns of the
     result, so the output is again a table with margins (r, c). Equals
     the pair-counting table of the block-permuted flattenings of r and c.
+    A permutation of another size raises DimensionMismatchError from
+    `Histogram.permuted`.
     """
     require_family((r, c))
-    if sigma.n != r.d or sigma_p.n != r.d:
-        raise DimensionMismatchError(
-            f"permutations of sizes {sigma.n}, {sigma_p.n} applied to {r.d} bins"
-        )
     base = nw_table(r.permuted(sigma), c.permuted(sigma_p))
-    inv = sigma.inverse()
-    inv_p = sigma_p.inverse()
-    d = r.d
-    entries = tuple(
-        tuple(base.entries[inv(i) - 1][inv_p(j) - 1] for j in range(1, d + 1))
-        for i in range(1, d + 1)
-    )
-    return ContingencyTable(entries)
+    # relabelled cell (k, l) is original cell (sigma(k), sigma'(l))
+    entries = [[0] * r.d for _ in range(r.d)]
+    for i, row in zip(sigma.image, base.entries):
+        for j, v in zip(sigma_p.image, row):
+            entries[i - 1][j - 1] = v
+    return ContingencyTable(tuple(map(tuple, entries)))
 
 
 def require_corner_stream(
@@ -280,21 +276,15 @@ def _staircases(
     built once for the family; besides them and the bin table, a block
     holds O(BLOCK) values and the walk O(BLOCK + n^2) indices.
 
-    Raises DimensionMismatchError when imgs relabel another number of
-    bins, and what `require_corner_stream` raises for the stream's pairs,
-    n, d and mass: BudgetExceededError over the budget, ValidationError
-    for a mass too large for the keys; all when called, before any key
-    table is built. This is the index rule of every corner-rule stream:
-    the pairs, as one numpy array, index hs as a sequence does. A
-    negative index counts from the end, one outside [-len(hs), len(hs))
-    raises IndexError, and a float index, even 1.0, raises TypeError. An
-    empty pair list is valid, and an empty family, which can have no
-    pairs, gives an empty iterator.
+    The pairs are read by `polytope._pair_index`, which raises for a
+    pair that breaks its index rule. Raises DimensionMismatchError when
+    imgs relabel another number of bins, and what `require_corner_stream`
+    raises for the stream's pairs, n, d and mass: BudgetExceededError
+    over the budget, ValidationError for a mass too large for the keys;
+    all when called, before any key table is built. An empty family,
+    which can have no pairs, gives an empty iterator.
     """
-    index = np.asarray(pairs)
-    # take raises where indexing a sequence does, and refuses every float
-    # array, the float64 of an empty list too
-    index = np.arange(len(hs)).take(index if index.size else index.astype(np.intp)).reshape(-1, 2)
+    index = _pair_index(hs, pairs)
     if not len(hs):
         return iter(())
     d = hs[0].d
@@ -457,7 +447,7 @@ def nw_kernel_pairs(
     pairs times |R|^2 vertices times 2d merge keys, is checked against
     the budget (the default EnumerationBudget when None) before any key
     is built, and BudgetExceededError raised when it is larger. p and q
-    index hs under the rule of `_staircases`.
+    index hs under the rule of `polytope._pair_index`.
     """
     require_family(hs, w)
     blocks = _staircases(hs, pairs, rset.images, w.cost, budget)

@@ -130,7 +130,7 @@ def pseudo_kernel_pairs(
     None, and read each pair's least cost from its slab; on
     real-valued costs that may differ in the last bits from the cost
     `ot_cost` reports for its plan. exp(-cost) overflowing gives inf. p
-    and q index hs under the rule of `northwest._staircases`.
+    and q index hs under the rule of `polytope._pair_index`.
     """
     require_family(hs, w)
     m = w.cost

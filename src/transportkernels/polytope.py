@@ -488,11 +488,29 @@ def count_tables(
     return count
 
 
+def _pair_index(hs: Sequence[Histogram], pairs) -> np.ndarray:
+    """The index pairs (p, q) of pairs as an (n, 2) array of indices into hs.
+
+    The index rule of every `*_pairs` kernel: the pairs, as one numpy
+    array, index hs as a sequence does. A negative index counts from the
+    end and is returned as the index it names; one outside
+    [-len(hs), len(hs)) raises IndexError, and a float index, even 1.0,
+    raises TypeError, as does an iterator or generator of pairs, which is
+    no array. An empty pair list is valid.
+    """
+    index = np.asarray(pairs)
+    # take raises where indexing a sequence does, and refuses every float
+    # array, the float64 of an empty list too
+    return np.arange(len(hs)).take(index if index.size else index.astype(np.intp)).reshape(-1, 2)
+
+
 def _rows(hs: Sequence[Histogram], pairs) -> Iterator[tuple[Histogram, list[Histogram]]]:
-    """(hs[p], [hs[q], ...]) for each run of consecutive index pairs (p, q) sharing p."""
+    """(hs[p], [hs[q], ...]) for each run of consecutive index pairs (p, q) sharing p.
+
+    The pairs are read by `_pair_index`.
+    """
     # Grouping an array's rows would build a numpy row and scalars per pair.
-    pairs = pairs.tolist() if isinstance(pairs, np.ndarray) else pairs
-    for p, run in itertools.groupby(pairs, key=operator.itemgetter(0)):
+    for p, run in itertools.groupby(_pair_index(hs, pairs).tolist(), key=operator.itemgetter(0)):
         yield hs[p], [hs[q] for _, q in run]
 
 
@@ -512,8 +530,8 @@ def weighted_volume_pairs(
     start at 2^_LIFT, and the value is scaled back exactly; a pair whose
     float value may have lost more than 2^-_TRUST of itself to underflow,
     or that overflowed, is redone on log weights -m_ij under logaddexp
-    (see `_volumes`). 0^0 = 1 throughout. p and q index hs as a sequence
-    does; one out of range raises IndexError, a float one TypeError.
+    (see `_volumes`). 0^0 = 1 throughout. p and q index hs under the
+    rule of `_pair_index`.
     """
     require_family(hs, w)
     return _volumes(hs, _rows(hs, pairs), w, budget)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import KernelEvaluationError, TransportKernelError, ValidationError
-from .histograms import Histogram
+from .histograms import _BOOLS, Histogram
 from .polytope import WeightSpec, _require_square, require_family
 
 SYMMETRY_REL_TOL = 1e-12
@@ -93,7 +93,13 @@ class PsdCertificate:
 
 
 def require_tolerance(tolerance: float) -> None:
-    """A NaN or infinite tolerance would pass or fail every matrix alike."""
+    """A NaN or infinite tolerance would pass or fail every matrix alike.
+
+    A bool or numpy bool, which compares as 0 or 1, is no tolerance and
+    raises ValidationError, as `histograms._as_int` refuses a bool count.
+    """
+    if type(tolerance) in _BOOLS:
+        raise ValidationError(f"tolerance is not a real: {tolerance!r}")
     if not (tolerance >= 0 and math.isfinite(tolerance)):
         raise ValidationError(f"tolerance must be nonnegative and finite, got {tolerance}")
 

@@ -1001,7 +1001,7 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
 @pytest.mark.parametrize(
     "option, text, line, message",
     [
-        ("--input", "1,2\n-1,4\n", 2, "negative count in '-1,4'"),
+        ("--input", "1,2\n-1,4\n", 2, "negative count in histogram (-1, 4)"),
         ("--input", "# only a comment\n\n", 1, "no histograms found"),
         ("--weights", "mode: foo\n0,1\n1,0\n", 1, "mode must be 'cost' or 'weight', got 'foo'"),
         ("--weights", "mode: cost\n", 1, "no matrix rows found"),
@@ -1018,7 +1018,7 @@ def test_gram_nw_with_empty_permutation_set_is_input_error(tmp_path, hists3, wei
         ("--input", "1,2\f3,4\n5,6\nx,y\n", 1,
          "expected comma-separated integers, got '1,2\\x0c3,4'"),
         # CRLF lines read as LF lines: the "\r" is stripped with the other blanks
-        ("--input", "# a comment\r\n1,2\r\n-1,4\r\n", 3, "negative count in '-1,4'"),
+        ("--input", "# a comment\r\n1,2\r\n-1,4\r\n", 3, "negative count in histogram (-1, 4)"),
         ("--weights", "mode: cost\r\n0,1\r\n1,x\r\n", 3,
          "expected comma-separated reals, got '1,x'"),
         # float reads a finite literal beyond its range as an infinity

@@ -620,9 +620,12 @@ def test_nw_rejects_mismatched_dimensions():
         nw_cost_matrix(
             Histogram((1, 2)), Histogram((2, 1)), WeightSpec.from_cost(np.zeros((2, 2))), rset
         )
-    with pytest.raises(DimensionMismatchError, match="sizes 3, 2 applied to 2 bins"):
+    with pytest.raises(DimensionMismatchError, match="permutation of size 3 applied to 2 bins"):
         nw_permuted(Histogram((1, 2)), Histogram((2, 1)),
                     Permutation((3, 1, 2)), Permutation((2, 1)))
+    with pytest.raises(DimensionMismatchError, match="permutation of size 1 applied to 2 bins"):
+        nw_permuted(Histogram((1, 2)), Histogram((2, 1)),
+                    Permutation((2, 1)), Permutation((1,)))
 
 
 @given(st.integers(2, 4), st.integers(0, 10), st.integers(0, 2 ** 31 - 1))

@@ -172,6 +172,18 @@ def test_certify_psd_tolerance_scales_with_top_eigenvalue():
     assert not certify_psd(g, tolerance=1e-12).passed
 
 
+@pytest.mark.parametrize("tolerance", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "numpy-True", "numpy-False"])
+def test_certificates_refuse_a_bool_tolerance(tolerance):
+    # a bool compares as 0 or 1 and would be recorded as "tolerance": true
+    g = GramMatrix(np.eye(2))
+    w = WeightSpec.from_weight(np.eye(2))
+    with pytest.raises(ValidationError, match="tolerance is not a real"):
+        certify_psd(g, tolerance)
+    with pytest.raises(ValidationError, match="tolerance is not a real"):
+        psd_weight_check(w, tolerance)
+
+
 def test_psd_weight_check():
     w = random_psd_weight(np.random.default_rng(3), 4)
     assert psd_weight_check(w).passed
@@ -387,10 +399,15 @@ def test_triangle_kernels_equal_pairwise_grams(m, d, mass, size, seed, data):
         assert list(stream([], [])) == []
 
 
-@pytest.mark.parametrize("pairs", [[(0.7, 1)], np.array([[0.7, 1.0]])], ids=["list", "array"])
+@pytest.mark.parametrize(
+    "pairs",
+    [lambda: [(0.7, 1)], lambda: np.array([[0.7, 1.0]]), lambda: ((0, 1) for _ in range(1))],
+    ids=["list", "array", "generator"],
+)
 @pytest.mark.parametrize("kernel", ["volume", "nw", "monge-pseudo", "pseudo"])
 def test_triangle_kernels_refuse_float_indices(kernel, pairs):
-    # a float indexes no sequence; an integer cast would read 0.7 as 0
+    # a float indexes no sequence; an integer cast would read 0.7 as 0. A
+    # generator of pairs is no array of indices: every stream refuses it
     hists = [Histogram((1, 2)), Histogram((2, 1))]
     monge_w = WeightSpec.from_cost([[0.0, 1.0], [1.0, 0.0]])
     w = WeightSpec.from_cost([[1.0, 0.0], [0.0, 1.0]])
@@ -402,7 +419,7 @@ def test_triangle_kernels_refuse_float_indices(kernel, pairs):
         "pseudo": lambda ps: pseudo_kernel_pairs(hists, ps, w),
     }
     with pytest.raises(TypeError):
-        list(streams[kernel](pairs))
+        list(streams[kernel](pairs()))
     assert list(streams[kernel](np.empty((0, 2)))) == []
 
 
